@@ -323,7 +323,9 @@ def embed_rank(chain: FiniteChain, rank: int) -> Fraction:
 
 
 def is_lukasiewicz(chain: FiniteChain) -> bool:
-    return chain.tnorm_table == make_lukasiewicz_chain(chain.size).tnorm_table
+    top = chain.size - 1
+    return all(v == max(0, x + y - top)
+               for x, row in enumerate(chain.tnorm_table) for y, v in enumerate(row))
 
 
 # -- chain file format ---------------------------------------------------

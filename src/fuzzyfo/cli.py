@@ -8,6 +8,7 @@ verdicts), 1 input errors, 2 internal consistency failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -149,8 +150,9 @@ def cmd_eval(args, budget: int) -> Report:
     chains = _load_chains(args, budget)
     if len(chains) != 1:
         raise CliError("eval needs exactly one chain")
-    vocab = _load_vocab(args)
+    vocab = _load_vocab(args) or syntax.vocabulary_of(formula)
     structure = semantics.parse_structure_file(_read_file(args.structure), vocab)
+    semantics.check_structure(structure, chains[0])
     value = semantics.eval(chains[0], structure, formula)
     report = Report()
     report.add("formula", syntax.format_formula(formula))
@@ -321,6 +323,7 @@ def _add_chain_args(p):
                    help="chain spec: luk:k, godel:k, file:path, enum:size (repeatable)")
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="fuzzyfo")
     parser.add_argument("--format", choices=["plain", "records"], default="plain")
@@ -408,7 +411,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
             semantics.BudgetExceededError, semantics.EvalError,
             decision.TooManyAtomsError, ValueError) as exc:
         return 1, f"error: {exc}\n"
-    except reduction.ReductionVerificationError as exc:
+    except (reduction.ReductionVerificationError, semantics.EvaluatorMismatchError) as exc:
         return 2, f"internal consistency failure: {exc}\n"
     text = report.render(args.format)
     if args.output:

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .chains import FiniteChain, make_boolean_chain
+# enumerate_structures is no longer called here, but perfbench/tracing.py
+# wraps it at this binding, so the name stays importable from this module.
 from .semantics import (
-    DEFAULT_BUDGET, Structure, TruthValue, enumerate_structures, eval,
-    eval_propositional, structure_space_size,
+    DEFAULT_BUDGET, EvaluatorMismatchError, Structure, TruthValue, compile_formula,
+    enumerate_structures, eval, eval_propositional, flat_layout,
 )
 from .syntax import (
     Atom, BOTTOM, TOP, Const, Exists, Forall, Formula, FragmentError, Join,
@@ -66,13 +68,44 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _search(K: ChainClass, phi: Formula, max_domain: int, budget: int):
-    """Yield (chain, structure, value) over the deterministic search order."""
+def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
+          accept: Callable[[FiniteChain, TruthValue], bool],
+          ) -> Optional[tuple[FiniteChain, Structure, TruthValue]]:
+    """The first (chain, structure, value) in search order that `accept`s, or None.
+
+    The order is chains in K, then domain sizes 1..max_domain, then the
+    structures in `enumerate_structures` order.  The budget is checked per
+    (chain, domain size) before that space is searched.  phi is compiled
+    once per (chain, domain size); the witness is rebuilt as a Structure and
+    re-evaluated with the reference `eval`, and a disagreement raises
+    EvaluatorMismatchError instead of returning it.
+    """
     vocab = vocabulary_of(phi)
     for chain in K:
+        accepted = frozenset(v for v in chain.carrier() if accept(chain, v))
         for n in range(1, max_domain + 1):
-            for structure in enumerate_structures(vocab, chain, n, budget=budget):
-                yield chain, structure, eval(chain, structure, phi)
+            layout = flat_layout(vocab, chain, n, budget)
+            value_of = compile_formula(phi, chain, layout)
+            for values in itertools.product(*layout.ranges):
+                value = value_of(values)
+                if value in accepted:
+                    structure = layout.structure(values)
+                    reference = eval(chain, structure, phi)
+                    if reference != value:
+                        raise EvaluatorMismatchError(
+                            f"compiled value {value} but reference value {reference} "
+                            f"on a size-{chain.size} chain for {format_formula(phi)}:\n"
+                            f"{structure.describe()}")
+                    return chain, structure, value
+    return None
+
+
+def _nonzero(chain: FiniteChain, value: TruthValue) -> bool:
+    return value != chain.bot
+
+
+def _top(chain: FiniteChain, value: TruthValue) -> bool:
+    return value == chain.top
 
 
 def _bounds_text(K: ChainClass, max_domain: int) -> str:
@@ -80,16 +113,22 @@ def _bounds_text(K: ChainClass, max_domain: int) -> str:
     return f"chains of sizes [{sizes}], domains 1..{max_domain}"
 
 
+def _bounded(K: ChainClass, phi: Formula, max_domain: int, budget: int,
+             accept: Callable[[FiniteChain, TruthValue], bool], kind: str) -> Verdict:
+    found = _find(K, phi, max_domain, budget, accept)
+    if found is None:
+        return Verdict("exhausted", bounds=_bounds_text(K, max_domain))
+    chain, structure, value = found
+    return Verdict(kind, value=value, chain=chain, structure=structure,
+                   bounds=_bounds_text(K, max_domain))
+
+
 def taut0_bounded(K: ChainClass, phi: Formula, max_domain: int,
                   budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a refutation of `phi takes value 0 everywhere`."""
     if phi == BOTTOM:
         return Verdict("decided", decided=True, reason="the constant 0 is 0 everywhere")
-    for chain, structure, value in _search(K, phi, max_domain, budget):
-        if value != chain.bot:
-            return Verdict("refuted", value=value, chain=chain, structure=structure,
-                           bounds=_bounds_text(K, max_domain))
-    return Verdict("exhausted", bounds=_bounds_text(K, max_domain))
+    return _bounded(K, phi, max_domain, budget, _nonzero, "refuted")
 
 
 def sat_pos_bounded(K: ChainClass, phi: Formula, max_domain: int,
@@ -97,11 +136,7 @@ def sat_pos_bounded(K: ChainClass, phi: Formula, max_domain: int,
     """Search for a structure giving phi a value above 0."""
     if phi == BOTTOM:
         return Verdict("decided", decided=False, reason="the constant 0 is 0 everywhere")
-    for chain, structure, value in _search(K, phi, max_domain, budget):
-        if value != chain.bot:
-            return Verdict("member_witness", value=value, chain=chain, structure=structure,
-                           bounds=_bounds_text(K, max_domain))
-    return Verdict("exhausted", bounds=_bounds_text(K, max_domain))
+    return _bounded(K, phi, max_domain, budget, _nonzero, "member_witness")
 
 
 def taut_lt1_bounded(K: ChainClass, phi: Formula, max_domain: int,
@@ -111,21 +146,13 @@ def taut_lt1_bounded(K: ChainClass, phi: Formula, max_domain: int,
         return Verdict("refuted", value=K[0].top, chain=K[0],
                        structure=Structure(1),
                        bounds=_bounds_text(K, max_domain))
-    for chain, structure, value in _search(K, phi, max_domain, budget):
-        if value == chain.top:
-            return Verdict("refuted", value=value, chain=chain, structure=structure,
-                           bounds=_bounds_text(K, max_domain))
-    return Verdict("exhausted", bounds=_bounds_text(K, max_domain))
+    return _bounded(K, phi, max_domain, budget, _top, "refuted")
 
 
 def sat1_bounded(K: ChainClass, phi: Formula, max_domain: int,
                  budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a structure where phi attains exactly the top value."""
-    for chain, structure, value in _search(K, phi, max_domain, budget):
-        if value == chain.top:
-            return Verdict("member_witness", value=value, chain=chain, structure=structure,
-                           bounds=_bounds_text(K, max_domain))
-    return Verdict("exhausted", bounds=_bounds_text(K, max_domain))
+    return _bounded(K, phi, max_domain, budget, _top, "member_witness")
 
 
 # -- classical propositional checks --------------------------------------

@@ -14,9 +14,11 @@ from typing import Optional, Sequence
 
 from .chains import FiniteChain, make_boolean_chain
 from .decision import (
-    HerbrandWitness, Verdict, dual_herbrand_search, is_classical_contradiction_prop,
+    HerbrandWitness, Verdict, _find, _top, dual_herbrand_search, is_classical_contradiction_prop,
     purely_universal_contradiction, sat_pos_bounded, taut0_bounded,
 )
+# enumerate_structures is no longer called here, but perfbench/tracing.py
+# wraps it at this binding, so the name stays importable from this module.
 from .semantics import (
     DEFAULT_BUDGET, Structure, enumerate_structures, eval, eval_propositional,
 )
@@ -153,13 +155,8 @@ def _propositional_star_check(conjunction: Formula, K: Sequence[FiniteChain]) ->
 
 def _find_b2_model(phi: Formula, max_domain: int, budget: int) -> Optional[Structure]:
     """A B2 structure giving a purely universal sentence value 1, if any in bounds."""
-    b2 = make_boolean_chain()
-    vocab = vocabulary_of(phi)
-    for n in range(1, max_domain + 1):
-        for structure in enumerate_structures(vocab, b2, n, budget=budget):
-            if eval(b2, structure, phi) == 1:
-                return structure
-    return None
+    found = _find([make_boolean_chain()], phi, max_domain, budget, _top)
+    return None if found is None else found[1]
 
 
 def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],

@@ -8,9 +8,10 @@ the domain, so all infima/suprema are attained.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .chains import FiniteChain, StandardChain
 from .syntax import (
@@ -31,6 +32,10 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"search space of {space} structures exceeds budget {budget}")
         self.space = space
         self.budget = budget
+
+
+class EvaluatorMismatchError(RuntimeError):
+    """The compiled evaluator and the reference `eval` disagree: an implementation bug."""
 
 
 DEFAULT_BUDGET = 10**7
@@ -160,6 +165,53 @@ def structure_space_size(vocab: Vocabulary, chain: FiniteChain, domain_size: int
     return space
 
 
+@dataclass(frozen=True)
+class FlatLayout:
+    """Where each symbol's table sits in a flat tuple of values.
+
+    The layout is [constants..., function tables..., predicate tables...],
+    symbols sorted by name within each group and every table row-major over
+    its argument tuples.  `itertools.product(*ranges)` therefore visits the
+    structures in exactly the order of `enumerate_structures`.
+    """
+
+    domain_size: int
+    const_names: tuple[str, ...]
+    functions: tuple[tuple[str, int], ...]
+    predicates: tuple[tuple[str, int], ...]
+    offsets: dict[str, int]
+    ranges: tuple[range, ...]
+
+    def structure(self, values: Sequence[int]) -> Structure:
+        n = self.domain_size
+
+        def tables(symbols):
+            return {name: dict(zip(itertools.product(range(n), repeat=arity),
+                                   values[self.offsets[name]:self.offsets[name] + n ** arity]))
+                    for name, arity in symbols}
+        return Structure(n, dict(zip(self.const_names, values)),
+                         tables(self.functions), tables(self.predicates))
+
+
+def flat_layout(vocab: Vocabulary, chain: FiniteChain, domain_size: int,
+                budget: int = DEFAULT_BUDGET) -> FlatLayout:
+    """The flat layout of every structure for the vocabulary, after the budget check."""
+    space = structure_space_size(vocab, chain, domain_size)
+    if space > budget:
+        raise BudgetExceededError(space, budget)
+    n = domain_size
+    const_names = tuple(sorted(vocab.constants))
+    functions = tuple((f, vocab.functions[f]) for f in sorted(vocab.functions))
+    predicates = tuple((p, vocab.predicates[p]) for p in sorted(vocab.predicates))
+    offsets = {c: i for i, c in enumerate(const_names)}
+    ranges = [range(n)] * len(const_names)
+    for symbols, values in ((functions, range(n)), (predicates, range(chain.size))):
+        for name, arity in symbols:
+            offsets[name] = len(ranges)
+            ranges += [values] * n ** arity
+    return FlatLayout(n, const_names, functions, predicates, offsets, tuple(ranges))
+
+
 def enumerate_structures(vocab: Vocabulary, chain: FiniteChain, domain_size: int,
                          budget: int = DEFAULT_BUDGET) -> Iterator[Structure]:
     """Every structure for the vocabulary, exactly once, deterministically.
@@ -167,39 +219,166 @@ def enumerate_structures(vocab: Vocabulary, chain: FiniteChain, domain_size: int
     Order: constants (sorted by name) outermost, then function tables, then
     predicate tables, each table in row-major rank order.
     """
-    space = structure_space_size(vocab, chain, domain_size)
-    if space > budget:
-        raise BudgetExceededError(space, budget)
-    n = domain_size
-    const_names = sorted(vocab.constants)
-    func_names = sorted(vocab.functions)
-    pred_names = sorted(vocab.predicates)
+    layout = flat_layout(vocab, chain, domain_size, budget)
+    for values in itertools.product(*layout.ranges):
+        yield layout.structure(values)
 
-    func_keys = {f: list(itertools.product(range(n), repeat=vocab.functions[f]))
-                 for f in func_names}
-    pred_keys = {p: list(itertools.product(range(n), repeat=vocab.predicates[p]))
-                 for p in pred_names}
 
-    for const_vals in itertools.product(range(n), repeat=len(const_names)):
-        constants = dict(zip(const_names, const_vals))
-        func_tables_iter = itertools.product(
-            *(itertools.product(range(n), repeat=len(func_keys[f])) for f in func_names)
-        )
-        for func_vals in func_tables_iter:
-            functions = {
-                f: dict(zip(func_keys[f], vals))
-                for f, vals in zip(func_names, func_vals)
-            }
-            pred_tables_iter = itertools.product(
-                *(itertools.product(range(chain.size), repeat=len(pred_keys[p]))
-                  for p in pred_names)
-            )
-            for pred_vals in pred_tables_iter:
-                predicates = {
-                    p: dict(zip(pred_keys[p], vals))
-                    for p, vals in zip(pred_names, pred_vals)
-                }
-                yield Structure(n, constants, functions, predicates)
+# -- compiled evaluation ---------------------------------------------------
+
+def compile_formula(phi: Formula, chain: FiniteChain,
+                    layout: FlatLayout) -> Callable[[Sequence[int]], int]:
+    """phi as a function of a flat value tuple in `layout`, over `chain`.
+
+    Equal to `eval` on `layout.structure(values)` for every values tuple.  The
+    formula becomes nested closures: one integer slot per binder, the chain's
+    t-norm and residuum tables indexed directly, and the meet, join, strong
+    conjunction, implication and both quantifiers cut short once the value is
+    settled.  Raises EvalError here, not per structure, for what `eval` would
+    reject on the first structure.
+    """
+    n = layout.domain_size
+    dom = range(n)
+    offsets = layout.offsets
+    consts = set(layout.const_names)
+    funcs = {f for f, _ in layout.functions}
+    preds = {p for p, _ in layout.predicates}
+    bot, top = chain.bot, chain.top
+    tnorm, res = chain.tnorm_table, chain.residuum_table
+    neg = tuple(row[bot] for row in res)
+    env: list[int] = []
+
+    # A term compiles to ("var", slot), ("const", offset) or ("app", closure).
+    def term(t: Term, scope: dict[str, int]):
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise EvalError(f"unbound variable {t.name}")
+            return "var", scope[t.name]
+        if isinstance(t, Const):
+            if t.name not in consts:
+                raise EvalError(f"uninterpreted constant {t.name}")
+            return "const", offsets[t.name]
+        if t.func not in funcs:
+            raise EvalError(f"uninterpreted function {t.func}")
+        return "app", lookup(offsets[t.func], [term(a, scope) for a in t.args])
+
+    def getter(kind: str, x):
+        if kind == "var":
+            return lambda v: env[x]
+        if kind == "const":
+            return lambda v: v[x]
+        return x
+
+    def lookup(base: int, args: list):
+        """A closure reading v[base + row-major index of the args' values]."""
+        kinds = tuple(kind for kind, _ in args)
+        xs = [x for _, x in args]
+        if kinds == ():
+            return lambda v: v[base]
+        if kinds == ("var",):
+            s0, = xs
+            return lambda v: v[base + env[s0]]
+        if kinds == ("const",):
+            c0, = xs
+            return lambda v: v[base + v[c0]]
+        if kinds == ("var", "var"):
+            s0, s1 = xs
+            return lambda v: v[base + env[s0] * n + env[s1]]
+        getters = [getter(kind, x) for kind, x in args]
+        if len(getters) == 1:
+            g0, = getters
+            return lambda v: v[base + g0(v)]
+
+        def read(v):
+            i = 0
+            for g in getters:
+                i = i * n + g(v)
+            return v[base + i]
+        return read
+
+    def formula(phi: Formula, scope: dict[str, int]):
+        if isinstance(phi, Atom):
+            if phi.pred not in preds:
+                raise EvalError(f"uninterpreted predicate {phi.pred}")
+            return lookup(offsets[phi.pred], [term(t, scope) for t in phi.args])
+        if isinstance(phi, TruthConst):
+            value = top if phi.top else bot
+            return lambda v: value
+        if isinstance(phi, Neg):
+            body = formula(phi.body, scope)
+            return lambda v: neg[body(v)]
+        if isinstance(phi, (Forall, Exists)):
+            slot = len(env)
+            env.append(0)
+            body = formula(phi.body, {**scope, phi.var: slot})
+            if isinstance(phi, Forall):
+                def forall(v):
+                    best = top
+                    for d in dom:
+                        env[slot] = d
+                        x = body(v)
+                        if x < best:
+                            if x == bot:
+                                return bot
+                            best = x
+                    return best
+                return forall
+
+            def exists(v):
+                best = bot
+                for d in dom:
+                    env[slot] = d
+                    x = body(v)
+                    if x > best:
+                        if x == top:
+                            return top
+                        best = x
+                return best
+            return exists
+        if not isinstance(phi, (StrongConj, Impl, Meet, Join, Biimpl)):
+            raise TypeError(f"not a formula: {phi!r}")
+        left = formula(phi.left, scope)
+        if isinstance(phi, StrongConj) and phi.left == phi.right:
+            # the squares the star translation puts on every literal
+            square = tuple(tnorm[x][x] for x in range(chain.size))
+            return lambda v: square[left(v)]
+        right = formula(phi.right, scope)
+        if isinstance(phi, StrongConj):
+            def strong_conj(v):
+                x = left(v)
+                return bot if x == bot else tnorm[x][right(v)]
+            return strong_conj
+        if isinstance(phi, Impl):
+            def impl(v):
+                x = left(v)
+                return top if x == bot else res[x][right(v)]
+            return impl
+        if isinstance(phi, Meet):
+            def meet(v):
+                x = left(v)
+                if x == bot:
+                    return bot
+                y = right(v)
+                return x if x < y else y
+            return meet
+        if isinstance(phi, Join):
+            def join(v):
+                x = left(v)
+                if x == top:
+                    return top
+                y = right(v)
+                return x if x > y else y
+            return join
+
+        def biimpl(v):
+            x = left(v)
+            y = right(v)
+            a = res[x][y]
+            b = res[y][x]
+            return a if a < b else b
+        return biimpl
+
+    return formula(phi, {})
 
 
 # -- structure file format -----------------------------------------------
@@ -215,8 +394,11 @@ def parse_structure_file(text: str, vocab: Optional[Vocabulary] = None) -> Struc
     fun_rows: dict[str, list[int]] = {}
     pred_rows: dict[str, list[TruthValue]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip() if not raw.strip().startswith("pred") else raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.strip()
+        # on pred lines `#k` is a rank, so a comment there is a `#` standing alone
+        line = (_PRED_COMMENT.split(line, 1)[0] if line.startswith("pred")
+                else line.split("#", 1)[0]).strip()
+        if not line:
             continue
         if line.startswith("domain "):
             domain_size = int(line.split()[1])
@@ -236,24 +418,45 @@ def parse_structure_file(text: str, vocab: Optional[Vocabulary] = None) -> Struc
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
     if domain_size is None:
         raise ValueError("structure file must declare 'domain <n>'")
+    if domain_size < 1:
+        raise ValueError(f"domain size must be at least 1, got {domain_size}")
     n = domain_size
-
-    functions = {}
-    for f, vals in fun_rows.items():
-        arity = _infer_arity(len(vals), n, f)
-        keys = list(itertools.product(range(n), repeat=arity))
-        functions[f] = dict(zip(keys, vals))
-    predicates = {}
-    for p, vals in pred_rows.items():
-        if vocab is not None and p in vocab.predicates:
-            arity = vocab.predicates[p]
-            if len(vals) != n ** arity:
-                raise ValueError(f"pred {p}: expected {n ** arity} values, got {len(vals)}")
-        else:
-            arity = _infer_arity(len(vals), n, p)
-        keys = list(itertools.product(range(n), repeat=arity))
-        predicates[p] = dict(zip(keys, vals))
+    functions = {f: _table("fun", f, vals, n, vocab.functions if vocab else {})
+                 for f, vals in fun_rows.items()}
+    predicates = {p: _table("pred", p, vals, n, vocab.predicates if vocab else {})
+                  for p, vals in pred_rows.items()}
     return Structure(n, constants, functions, predicates)
+
+
+_PRED_COMMENT = re.compile(r"(?:^|\s)#(?=\s|$)")
+
+
+def _table(kind: str, name: str, vals: list, n: int, arities: dict[str, int]) -> dict:
+    """Key a row-major table by argument tuples; the vocabulary's arity wins."""
+    if name in arities:
+        arity = arities[name]
+        if len(vals) != n ** arity:
+            raise ValueError(f"{kind} {name}: expected {n ** arity} values, got {len(vals)}")
+    else:
+        arity = _infer_arity(len(vals), n, name)
+    return dict(zip(itertools.product(range(n), repeat=arity), vals))
+
+
+def check_structure(structure: Structure, chain: FiniteChain) -> None:
+    """Raise ValueError unless every value lies in the domain or is a rank of the chain."""
+    n = structure.domain_size
+    for c, v in sorted(structure.constants.items()):
+        if not 0 <= v < n:
+            raise ValueError(f"const {c} = {v} is outside the domain 0..{n - 1}")
+    for f, table in sorted(structure.functions.items()):
+        for v in table.values():
+            if not 0 <= v < n:
+                raise ValueError(f"fun {f}: value {v} is outside the domain 0..{n - 1}")
+    for p, table in sorted(structure.predicates.items()):
+        for v in table.values():
+            if not isinstance(v, int) or not 0 <= v < chain.size:
+                raise ValueError(f"pred {p}: value {_format_value(v)} is not a rank "
+                                 f"#0..#{chain.size - 1} of the size-{chain.size} chain")
 
 
 def _infer_arity(count: int, n: int, name: str) -> int:
@@ -277,6 +480,8 @@ def _parse_value(tok: str) -> TruthValue:
         return int(tok[1:])
     if "/" in tok:
         num, den = tok.split("/")
+        if int(den) == 0:
+            raise ValueError(f"bad truth value {tok!r}: zero denominator")
         return Fraction(int(num), int(den))
     return Fraction(int(tok))
 

@@ -143,6 +143,13 @@ def test_is_lukasiewicz():
     assert not is_lukasiewicz(make_godel_chain(5))
 
 
+def test_is_lukasiewicz_on_every_small_chain():
+    for size in range(2, 6):
+        luk = make_lukasiewicz_chain(size).tnorm_table
+        for chain in enumerate_mtl_chains(size):
+            assert is_lukasiewicz(chain) == (chain.tnorm_table == luk)
+
+
 def test_chain_file_round_trip():
     chain = make_godel_chain(4)
     text = format_chain_file(chain)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from fuzzyfo.cli import run
+from fuzzyfo.cli import build_parser, run
 
 PHI = "exists x. (P(x) <-> ~P(x)) & forall x. exists y. (P(x) <-> (P(y) & P(y)))"
 
@@ -156,3 +156,58 @@ def test_byte_identical_reports(argv):
     second = run(argv)
     assert first == second
     assert first[0] == 0
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_runs():
+    assert build_parser() is build_parser()
+    ok(["decide", "--set", "satpos", "--chain", "luk:3", "--max-domain", "1",
+        "--formula", "P(c)"])
+    code, text = run(["decide", "--set", "satpos", "--max-domain", "1", "--formula", "P(c)"])
+    assert code == 1
+    assert text == "error: provide at least one --chain spec\n"
+
+
+def _eval_struct(tmp_path, struct_text, formula):
+    structure = tmp_path / "m.struct"
+    structure.write_text(struct_text)
+    return run(["eval", "--formula", formula, "--chain", "luk:3", "--structure", str(structure)])
+
+
+def test_eval_rejects_rank_outside_chain(tmp_path):
+    code, text = _eval_struct(tmp_path, "domain 1\nconst c = 0\npred P : #7\n", "P(c)")
+    assert code == 1
+    assert text == "error: pred P: value #7 is not a rank #0..#2 of the size-3 chain\n"
+
+
+def test_eval_rejects_rank_outside_chain_under_tnorm(tmp_path):
+    code, text = _eval_struct(tmp_path, "domain 1\nconst c = 0\npred P : #7\n", "P(c) & P(c)")
+    assert code == 1
+    assert text == "error: pred P: value #7 is not a rank #0..#2 of the size-3 chain\n"
+
+
+def test_eval_pred_line_trailing_comment(tmp_path):
+    code, text = _eval_struct(tmp_path, "domain 1\nconst c = 0\npred P : #1   # one half\n",
+                              "P(c) & P(c)")
+    assert code == 0, text
+    assert "value: 0" in text
+
+
+def test_eval_rejects_other_values_outside_domain_or_chain(tmp_path):
+    cases = [
+        ("domain 2\nconst c = 2\npred P : #1 #0\n", "const c = 2 is outside the domain 0..1"),
+        ("domain 1\nconst c = 0\nfun f : 3\npred P : #1\n", "fun f: value 3"),
+        ("domain 1\nconst c = 0\npred P : 1/2\n", "pred P: value 1/2 is not a rank"),
+        ("domain 1\nconst c = 0\npred P : 1/0\n", "zero denominator"),
+        ("domain 0\npred P : #1\n", "domain size must be at least 1"),
+    ]
+    for struct_text, message in cases:
+        code, text = _eval_struct(tmp_path, struct_text, "P(f(c))" if "fun" in struct_text
+                                  else "P(c)")
+        assert code == 1, struct_text
+        assert text.startswith("error: ") and message in text and text.count("\n") == 1
+
+
+def test_eval_uses_formula_arity_on_singleton_domain(tmp_path):
+    code, text = _eval_struct(tmp_path, "domain 1\nconst c = 0\npred R : #2\n", "R(c, c)")
+    assert code == 0, text
+    assert "value: 2" in text
