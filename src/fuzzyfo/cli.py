@@ -2,7 +2,8 @@
 
 Every command is deterministic: identical invocations produce byte-identical
 reports.  Exit codes: 0 clean completion (including honest `exhausted`
-verdicts), 1 input errors, 2 internal consistency failures.
+verdicts), 1 input errors, 2 internal consistency failures and any other
+internal error.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def cmd_herbrand(args, budget: int) -> Report:
 
 def cmd_bsr(args, budget: int) -> Report:
     formula = _load_formula(args)
-    verdict = decision.bsr_decide(formula)
+    verdict = decision.bsr_decide(formula, budget)
     report = Report()
     report.add("formula", syntax.format_formula(formula))
     _add_verdict(report, verdict)
@@ -413,6 +414,10 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         return 1, f"error: {exc}\n"
     except (reduction.ReductionVerificationError, semantics.EvaluatorMismatchError) as exc:
         return 2, f"internal consistency failure: {exc}\n"
+    except Exception as exc:
+        # a defect, not an input error: report it on one line, never as a
+        # traceback (a BaseException such as KeyboardInterrupt passes)
+        return 2, f"internal error: {type(exc).__name__}: {exc}\n"
     text = report.render(args.format)
     if args.output:
         try:

@@ -9,19 +9,20 @@ reported.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+# make_boolean_chain, enumerate_structures and eval_propositional are no
+# longer called here, but perfbench/tracing.py wraps them at this module's
+# binding, so the names stay importable from it.
 from .chains import FiniteChain, make_boolean_chain
-# enumerate_structures is no longer called here, but perfbench/tracing.py
-# wraps it at this binding, so the name stays importable from this module.
 from .semantics import (
-    DEFAULT_BUDGET, EvaluatorMismatchError, Structure, TruthValue, compile_formula,
-    enumerate_structures, eval, eval_propositional, flat_layout,
+    DEFAULT_BUDGET, BudgetExceededError, EvaluatorMismatchError, Structure, TruthValue,
+    compile_formula, enumerate_structures, eval, eval_propositional, flat_layout,
 )
 from .syntax import (
-    Atom, BOTTOM, TOP, Const, Exists, Forall, Formula, FragmentError, Join,
-    Meet, Neg, TruthConst, Var, Vocabulary, atoms_of, classical_nnf, classify,
+    App, Atom, BOTTOM, TOP, Const, Exists, Forall, Formula, FragmentError, Join,
+    Meet, Neg, Term, TruthConst, Var, atoms_of, classical_nnf, classify,
     ensure_constant, format_formula, herbrand_universe, is_quantifier_free,
     split_universal_prefix, substitute, vocabulary_of,
 )
@@ -155,73 +156,278 @@ def sat1_bounded(K: ChainClass, phi: Formula, max_domain: int,
     return _bounded(K, phi, max_domain, budget, _top, "member_witness")
 
 
-# -- classical propositional checks --------------------------------------
+# -- the ground SAT core ---------------------------------------------------
+#
+# Closed terms and ground atoms are interned to integers.  Each NNF conjunct
+# becomes clauses under the Plaisted-Greenbaum encoding: NNF leaves every
+# subformula in positive polarity, so a fresh variable only has to imply the
+# conjunction it names.  DPLL with two watched literals and unit propagation
+# solves the clauses, branching on the lowest unassigned variable, true first.
+
+class _Grounder:
+    """Interned closed terms and ground atoms; SAT variables number from 1."""
+
+    def __init__(self):
+        self.term_ids: dict = {}  # Const or Var, or (function, argument ids...) -> id
+        self.terms: list[Term] = []
+        self.atom_ids: dict = {}  # (predicate, argument ids...) -> variable
+        self.atom_keys: list = [None]  # variable -> atom key; None for auxiliaries
+
+    def term(self, t: Term) -> int:
+        if isinstance(t, App):
+            return self.app((t.func,) + tuple(self.term(a) for a in t.args))
+        tid = self.term_ids.get(t)
+        if tid is None:
+            tid = self.term_ids[t] = len(self.terms)
+            self.terms.append(t)
+        return tid
+
+    def app(self, key: tuple) -> int:
+        tid = self.term_ids.get(key)
+        if tid is None:
+            tid = self.term_ids[key] = len(self.terms)
+            self.terms.append(App(key[0], tuple(self.terms[i] for i in key[1:])))
+        return tid
+
+    def atom(self, key: tuple) -> int:
+        var = self.atom_ids.get(key)
+        if var is None:
+            var = self.atom_ids[key] = len(self.atom_keys)
+            self.atom_keys.append(key)
+        return var
+
+    def fresh(self) -> int:
+        self.atom_keys.append(None)
+        return len(self.atom_keys) - 1
+
+    def model(self, value: list[int]) -> dict[Atom, int]:
+        """The atoms the solver assigned, with their values."""
+        terms = self.terms
+        return {Atom(key[0], tuple(terms[i] for i in key[1:])): int(value[var] == 1)
+                for var, key in enumerate(self.atom_keys) if key is not None and value[var]}
+
+
+def _operands(phi: Formula, cls: type) -> list[Formula]:
+    """The operands of a chain of cls nodes, left to right."""
+    out: list[Formula] = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, cls):
+            stack += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
+
+
+class _Template:
+    """The clauses of an NNF matrix over slots, grounded once per instance.
+
+    A slot is an atom, kept as (predicate, term templates), or
+    None for a Plaisted-Greenbaum auxiliary; a clause holds slot s as s and
+    its negation as ~s.  A term template is a term id (>= 0), ~k for the
+    instance's k-th argument, or (function, term templates...).  `bind` maps
+    variable names to term templates; any other variable is a constant.
+    """
+
+    def __init__(self, nnf: Formula, grounder: _Grounder, bind: dict[str, int]):
+        self.slots: list = []
+        self.clauses: list[list[int]] = []
+        self._grounder = grounder
+        self._bind = bind
+        self._atom_slots: dict = {}
+        # classical_nnf folds 0 and 1 away below the root, so only a
+        # conjunct can still be a truth constant
+        for conjunct in _operands(nnf, Meet):
+            if isinstance(conjunct, TruthConst):
+                if not conjunct.top:
+                    self.clauses.append([])
+            else:
+                self.clauses.append(self._part(conjunct))
+
+    def _term(self, t: Term):
+        if isinstance(t, Var) and t.name in self._bind:
+            return self._bind[t.name]
+        if isinstance(t, App):
+            args = tuple(self._term(a) for a in t.args)
+            if all(type(a) is int and a >= 0 for a in args):
+                return self._grounder.app((t.func,) + args)
+            return (t.func,) + args
+        return self._grounder.term(t)
+
+    def _slot(self, atom: Atom) -> int:
+        args = tuple(self._term(t) for t in atom.args)
+        key = (atom.pred, args)
+        slot = self._atom_slots.get(key)
+        if slot is None:
+            slot = self._atom_slots[key] = len(self.slots)
+            self.slots.append(key)
+        return slot
+
+    def _part(self, phi: Formula) -> list[int]:
+        """Slot literals whose disjunction implies phi."""
+        if isinstance(phi, Atom):
+            return [self._slot(phi)]
+        if isinstance(phi, Neg) and isinstance(phi.body, Atom):
+            return [~self._slot(phi.body)]
+        if isinstance(phi, Join):
+            return [lit for sub in _operands(phi, Join) for lit in self._part(sub)]
+        if isinstance(phi, Meet):
+            parts = [self._part(sub) for sub in _operands(phi, Meet)]
+            aux = len(self.slots)
+            self.slots.append(None)
+            self.clauses += [[~aux] + part for part in parts]
+            return [aux]
+        raise FragmentError("classical satisfiability needs a quantifier-free formula, "
+                            f"got {format_formula(phi)!r}")
+
+    def ground(self, args: tuple[int, ...]) -> list[list[int]]:
+        """The clauses of the instance whose k-th argument is the term id args[k]."""
+        grounder = self._grounder
+        var = []
+        for slot in self.slots:
+            if slot is None:
+                var.append(grounder.fresh())
+                continue
+            pred, targs = slot
+            var.append(grounder.atom((pred,) + tuple(_ground_term(t, args, grounder)
+                                                     for t in targs)))
+        return [[var[s] if s >= 0 else -var[~s] for s in clause] for clause in self.clauses]
+
+
+def _ground_term(t, args: tuple[int, ...], grounder: _Grounder) -> int:
+    if type(t) is int:
+        return t if t >= 0 else args[~t]
+    return grounder.app((t[0],) + tuple(_ground_term(s, args, grounder) for s in t[1:]))
+
+
+def _dpll(n_vars: int, clauses: list[list[int]], budget: int) -> Optional[list[int]]:
+    """A model as values indexed by literal (1 true, -1 false, 0 unused), or None.
+
+    Negative literals index from the end of the list.  Chronological
+    backtracking; raises BudgetExceededError after `budget` decisions.
+    """
+    value = [0] * (2 * n_vars + 1)
+    watches: list[list[list[int]]] = [[] for _ in range(2 * n_vars + 1)]
+    used = [False] * (n_vars + 1)
+    trail: list[int] = []
+    for clause in clauses:
+        # watches reorder a clause in place, so the solver keeps its own copy;
+        # repeated and complementary literals need no special case
+        if len(clause) > 1:
+            clause = clause[:]
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
+        elif clause:
+            lit = clause[0]
+            if value[lit] == -1:
+                return None
+            if not value[lit]:
+                value[lit], value[-lit] = 1, -1
+                trail.append(lit)
+        else:
+            return None
+        for lit in clause:
+            used[abs(lit)] = True
+
+    levels: list[tuple[int, int, bool]] = []  # (trail length, decision, flipped)
+    head = 0
+    next_var = 1
+    decisions = 0
+    while True:
+        conflict = False
+        while head < len(trail) and not conflict:
+            false_lit = -trail[head]
+            head += 1
+            watching = watches[false_lit]
+            kept = []
+            for i, clause in enumerate(watching):
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
+                first = clause[0]
+                if value[first] == 1:
+                    kept.append(clause)
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] != -1:
+                        clause[1], clause[k] = lit, false_lit
+                        watches[lit].append(clause)
+                        break
+                else:
+                    kept.append(clause)
+                    if value[first] == -1:
+                        kept += watching[i + 1:]
+                        conflict = True
+                        break
+                    value[first], value[-first] = 1, -1
+                    trail.append(first)
+            watches[false_lit] = kept
+        if conflict:
+            while levels:
+                start, lit, flipped = levels.pop()
+                for undone in trail[start:]:
+                    value[undone] = value[-undone] = 0
+                    next_var = min(next_var, abs(undone))
+                del trail[start:]
+                head = start
+                if not flipped:
+                    levels.append((start, -lit, True))
+                    value[-lit], value[lit] = 1, -1
+                    trail.append(-lit)
+                    break
+            else:
+                return None
+            continue
+        while next_var <= n_vars and (value[next_var] or not used[next_var]):
+            next_var += 1
+        if next_var > n_vars:
+            return value
+        decisions += 1
+        if decisions > budget:
+            raise BudgetExceededError(decisions, budget, "SAT decisions")
+        levels.append((len(trail), next_var, False))
+        value[next_var], value[-next_var] = 1, -1
+        trail.append(next_var)
+
+
+class GroundClauses:
+    """Clauses grounded over a grounder's variables, ready for one SAT call."""
+
+    __slots__ = ("grounder", "clauses")
+
+    def __init__(self, grounder: _Grounder, clauses: list[list[int]]):
+        self.grounder = grounder
+        self.clauses = clauses
+
+
+def prop_satisfiable(phi: Formula | Sequence[Formula] | GroundClauses,
+                     budget: int = DEFAULT_BUDGET) -> Optional[dict[Atom, int]]:
+    """Classical satisfiability of closed quantifier-free formulas.
+
+    phi is one formula, a list of conjuncts, or clauses grounded here.
+    Returns a satisfying valuation of the atoms the clauses mention (any
+    other atom may take 0), or None.  Raises BudgetExceededError after
+    `budget` DPLL decisions.
+    """
+    if isinstance(phi, GroundClauses):
+        grounder, clauses = phi.grounder, phi.clauses
+    else:
+        grounder, clauses = _Grounder(), []
+        for conjunct in (phi if isinstance(phi, (list, tuple)) else [phi]):
+            clauses += _Template(classical_nnf(conjunct), grounder, {}).ground(())
+    value = _dpll(len(grounder.atom_keys) - 1, clauses, budget)
+    return None if value is None else grounder.model(value)
+
 
 def is_classical_contradiction_prop(phi: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
-    """Truth-table check over B2, treating closed atoms as letters."""
+    """Unsatisfiability over B2, treating closed atoms as letters."""
     if not is_quantifier_free(phi):
         raise FragmentError("propositional contradiction check needs a quantifier-free formula")
     atoms = atoms_of(phi)
     if len(atoms) > atom_cap:
         raise TooManyAtomsError(f"{len(atoms)} distinct atoms exceed the cap {atom_cap}")
-    b2 = make_boolean_chain()
-    for bits in itertools.product((0, 1), repeat=len(atoms)):
-        valuation = dict(zip(atoms, bits))
-        if eval_propositional(b2, valuation, phi) != 0:
-            return False
-    return True
-
-
-def _simplify_classical(phi: Formula, atom: Atom, value: bool) -> Formula:
-    """Substitute a truth value for an atom and constant-fold, classically."""
-    if isinstance(phi, Atom):
-        return (TOP if value else BOTTOM) if phi == atom else phi
-    if isinstance(phi, TruthConst):
-        return phi
-    if isinstance(phi, Neg):
-        body = _simplify_classical(phi.body, atom, value)
-        if isinstance(body, TruthConst):
-            return BOTTOM if body.top else TOP
-        return Neg(body)
-    if isinstance(phi, (Meet, Join)):
-        left = _simplify_classical(phi.left, atom, value)
-        right = _simplify_classical(phi.right, atom, value)
-        absorb, unit = (BOTTOM, TOP) if isinstance(phi, Meet) else (TOP, BOTTOM)
-        if absorb in (left, right):
-            return absorb
-        if left == unit:
-            return right
-        if right == unit:
-            return left
-        return type(phi)(left, right)
-    raise FragmentError(f"classical satisfiability expects NNF, got {format_formula(phi)!r}")
-
-
-def prop_satisfiable(phi: Formula) -> Optional[dict[Atom, int]]:
-    """Classical satisfiability of a quantifier-free closed formula.
-
-    Returns a satisfying valuation (atoms not mentioned default to 0), or
-    None.  Branches on atoms with constant folding, so it copes with far
-    more atoms than a full truth table.
-    """
-    phi = classical_nnf(phi)
-
-    def go(phi: Formula, picked: dict[Atom, int]) -> Optional[dict[Atom, int]]:
-        if phi == TOP:
-            return picked
-        if phi == BOTTOM:
-            return None
-        atom = atoms_of(phi)[0]
-        for value in (True, False):
-            reduced = _simplify_classical(phi, atom, value)
-            chosen = dict(picked)
-            chosen[atom] = 1 if value else 0
-            result = go(reduced, chosen)
-            if result is not None:
-                return result
-        return None
-
-    return go(phi, {})
+    return prop_satisfiable(phi) is None
 
 
 # -- Bernays-Schonfinkel decider -----------------------------------------
@@ -240,59 +446,44 @@ def _split_bsr_prefix(phi: Formula) -> tuple[list[str], list[str], Formula]:
     return exists_vars, forall_vars, phi
 
 
-def bsr_decide(phi: Formula) -> Verdict:
+def _check_instances(count: int, budget: int) -> None:
+    if count > budget:
+        raise BudgetExceededError(count, budget, "ground instances")
+
+
+def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact classical satisfiability for relational exists*-forall* sentences.
 
-    Satisfiable iff satisfiable in a domain of size max(1, #exists + #consts);
-    decided by exhausting that single domain size over B2 (grounding the
-    sentence and checking propositional satisfiability).
+    Without equality, exists x-bar forall y-bar M is satisfiable iff the
+    instances of M with x-bar read as fresh constants @0, @1, ... and y-bar
+    ranging over those and the sentence's constants (@0 alone when there are
+    neither) are propositionally satisfiable (Herbrand).  That universe has
+    max(1, #exists + #consts) elements, the Bernays-Schonfinkel bound.  The
+    |U|^#forall instances are checked against the budget, grounded, and
+    decided by one SAT call.
     """
     flags = classify(phi)
     if not flags.is_relational:
         raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
     if not flags.is_sentence:
         raise FragmentError("Bernays-Schonfinkel decider needs a sentence")
-    nnf = classical_nnf(phi)
-    exists_vars, forall_vars, matrix = _split_bsr_prefix(nnf)
-    vocab = vocabulary_of(phi)
-    consts = sorted(vocab.constants)
-    bound = max(1, len(exists_vars) + len(consts))
-    elements = [Const(f"@{i}") for i in range(bound)]
-
-    for const_assignment in itertools.product(elements, repeat=len(consts)):
-        const_env = dict(zip(consts, const_assignment))
-        base = _replace_constants(matrix, const_env)
-        for exist_assignment in itertools.product(elements, repeat=len(exists_vars)):
-            env = dict(zip(exists_vars, exist_assignment))
-            grounded = substitute(base, env)
-            conjuncts: Formula = TOP
-            for univ_assignment in itertools.product(elements, repeat=len(forall_vars)):
-                inst = substitute(grounded, dict(zip(forall_vars, univ_assignment)))
-                conjuncts = inst if conjuncts == TOP else Meet(conjuncts, inst)
-            if prop_satisfiable(conjuncts) is not None:
-                return Verdict("decided", decided=True,
-                               reason=f"satisfiable at the Bernays-Schonfinkel bound {bound}",
-                               bounds=f"single domain size {bound}")
-    return Verdict("decided", decided=False,
-                   reason=f"unsatisfiable at the Bernays-Schonfinkel bound {bound}",
+    exists_vars, forall_vars, matrix = _split_bsr_prefix(classical_nnf(phi))
+    grounder = _Grounder()
+    universe = [grounder.term(Const(c)) for c in sorted(vocabulary_of(phi).constants)]
+    skolem = {v: grounder.term(Const(f"@{i}")) for i, v in enumerate(exists_vars)}
+    universe += skolem.values()
+    if not universe:
+        universe.append(grounder.term(Const("@0")))
+    bound = len(universe)
+    _check_instances(bound ** len(forall_vars), budget)
+    template = _Template(matrix, grounder,
+                         {**skolem, **{v: ~k for k, v in enumerate(forall_vars)}})
+    clauses = [clause for args in itertools.product(universe, repeat=len(forall_vars))
+               for clause in template.ground(args)]
+    sat = prop_satisfiable(GroundClauses(grounder, clauses), budget) is not None
+    return Verdict("decided", decided=sat,
+                   reason=f"{'' if sat else 'un'}satisfiable at the Bernays-Schonfinkel bound {bound}",
                    bounds=f"single domain size {bound}")
-
-
-def _replace_constants(phi: Formula, env: dict[str, Const]) -> Formula:
-    def on_term(t):
-        if isinstance(t, Const) and t.name in env:
-            return env[t.name]
-        return t
-
-    if isinstance(phi, Atom):
-        return Atom(phi.pred, tuple(on_term(t) for t in phi.args))
-    if isinstance(phi, TruthConst):
-        return phi
-    if isinstance(phi, Neg):
-        return Neg(_replace_constants(phi.body, env))
-    if isinstance(phi, (Meet, Join)):
-        return type(phi)(_replace_constants(phi.left, env), _replace_constants(phi.right, env))
-    raise FragmentError("constant replacement expects a quantifier-free NNF formula")
 
 
 # -- dual-Herbrand instantiation search ----------------------------------
@@ -313,12 +504,13 @@ class HerbrandWitness:
         return "\n".join(lines)
 
 
-def dual_herbrand_search(phi: Formula, max_depth: int,
-                         instance_cap: int = 4096) -> HerbrandWitness | Verdict:
+def dual_herbrand_search(phi: Formula, max_depth: int, instance_cap: int = 4096,
+                         budget: int = DEFAULT_BUDGET) -> HerbrandWitness | Verdict:
     """Search for a contradictory conjunction of Herbrand instances.
 
-    Works depth by depth; at each depth the full conjunction of all matrix
-    instances over the term universe is tested and, when contradictory,
+    Works depth by depth over the term universe.  Each matrix instance is
+    grounded once, as its own clause group; at each depth one SAT call tests
+    all of them together and, when they are contradictory, the groups are
     greedily minimized (left to right) into the reported witness.  An
     `exhausted` verdict only means no witness up to the depth bound.
     """
@@ -326,25 +518,37 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
         raise FragmentError("dual Herbrand search needs a purely universal sentence")
     prefix, matrix = split_universal_prefix(phi)
     vocab = ensure_constant(vocabulary_of(phi))
+    grounder = _Grounder()
+    template = _Template(classical_nnf(matrix), grounder,
+                         {v: ~k for k, v in enumerate(prefix)})
+    groups: dict[tuple[int, ...], list[list[int]]] = {}
+
+    def contradictory(keys) -> bool:
+        clauses = [clause for key in keys for clause in groups[key]]
+        return prop_satisfiable(GroundClauses(grounder, clauses), budget) is None
+
     for depth in range(max_depth + 1):
         universe = herbrand_universe(vocab, depth)
         tuples = list(itertools.product(universe, repeat=len(prefix)))
         if len(tuples) > instance_cap:
             break
-        instances = [substitute(matrix, dict(zip(prefix, tup))) for tup in tuples]
-        conj = _big_meet(instances) if instances else matrix
-        if prop_satisfiable(conj) is None:
-            keep = list(range(len(instances)))
-            for i in range(len(instances)):
+        _check_instances(len(tuples), budget)
+        keys = list(itertools.product([grounder.term(t) for t in universe], repeat=len(prefix)))
+        for key in keys:
+            if key not in groups:
+                groups[key] = template.ground(key)
+        if contradictory(keys):
+            keep = list(range(len(keys)))
+            for i in range(len(keys)):
                 trial = [j for j in keep if j != i]
-                if trial and prop_satisfiable(_big_meet([instances[j] for j in trial])) is None:
+                if trial and contradictory([keys[j] for j in trial]):
                     keep = trial
-            witness_instances = [instances[j] for j in keep]
+            instances = [substitute(matrix, dict(zip(prefix, tuples[j]))) for j in keep]
             return HerbrandWitness(
                 depth=depth,
                 m=len(keep),
                 instantiations=tuple(tuples[j] for j in keep),
-                conjunction=_big_meet(witness_instances),
+                conjunction=_big_meet(instances),
             )
     return Verdict("exhausted", bounds=f"term depth 0..{max_depth}")
 
@@ -356,7 +560,17 @@ def _big_meet(parts: list[Formula]) -> Formula:
     return out
 
 
-def purely_universal_contradiction(phi: Formula, max_depth: int) -> Verdict:
+def herbrand_verdict(result: HerbrandWitness | Verdict, max_depth: int) -> Verdict:
+    """The contradiction verdict a dual-Herbrand search result gives."""
+    if isinstance(result, HerbrandWitness):
+        return Verdict("decided", decided=True,
+                       reason=f"Herbrand witness with {result.m} instances at depth {result.depth}",
+                       bounds=f"term depth 0..{max_depth}")
+    return result
+
+
+def purely_universal_contradiction(phi: Formula, max_depth: int,
+                                   budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide (relational case) or semi-decide contradictoriness.
 
     Relational purely universal sentences fall into the Bernays-Schonfinkel
@@ -368,12 +582,12 @@ def purely_universal_contradiction(phi: Formula, max_depth: int) -> Verdict:
     if not flags.is_purely_universal:
         raise FragmentError("expected a purely universal sentence")
     if flags.is_relational:
-        sat = bsr_decide(phi)
+        sat = bsr_decide(phi, budget)
         return Verdict("decided", decided=not sat.decided,
                        reason=f"Bernays-Schonfinkel: {sat.reason}", bounds=sat.bounds)
-    result = dual_herbrand_search(phi, max_depth)
-    if isinstance(result, HerbrandWitness):
-        return Verdict("decided", decided=True,
-                       reason=f"Herbrand witness with {result.m} instances at depth {result.depth}",
-                       bounds=f"term depth 0..{max_depth}")
-    return result
+    return herbrand_verdict(dual_herbrand_search(phi, max_depth, budget=budget), max_depth)
+
+
+# BSR grounding no longer maps constants to domain elements, so nothing here
+# calls _replace_constants; perfbench/tracing.py still wraps the name.
+_replace_constants = None

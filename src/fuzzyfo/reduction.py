@@ -14,21 +14,21 @@ from typing import Optional, Sequence
 
 from .chains import FiniteChain, make_boolean_chain
 from .decision import (
-    HerbrandWitness, Verdict, _find, _top, dual_herbrand_search, is_classical_contradiction_prop,
-    purely_universal_contradiction, sat_pos_bounded, taut0_bounded,
+    HerbrandWitness, Verdict, _find, _nonzero, _top, dual_herbrand_search, herbrand_verdict,
+    is_classical_contradiction_prop, purely_universal_contradiction, sat_pos_bounded,
+    taut0_bounded,
 )
-# enumerate_structures is no longer called here, but perfbench/tracing.py
-# wraps it at this binding, so the name stays importable from this module.
+# enumerate_structures and eval_propositional are no longer called here, but
+# perfbench/tracing.py wraps them at this binding, so the names stay
+# importable from this module.
 from .semantics import (
     DEFAULT_BUDGET, Structure, enumerate_structures, eval, eval_propositional,
 )
 from .syntax import (
-    Formula, Neg, Vocabulary, VocabularyError, atoms_of, classical_nnf, classify,
+    Atom, Formula, Join, Meet, Neg, Vocabulary, VocabularyError, atoms_of, classical_nnf, classify,
     format_formula, is_sentence, pull_universals, skolemize, split_universal_prefix,
     star_translate, substitute, vocabulary_of, Forall,
 )
-
-import itertools
 
 
 @dataclass(frozen=True)
@@ -139,18 +139,38 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _propositional_star_check(conjunction: Formula, K: Sequence[FiniteChain]) -> tuple[bool, str]:
-    """Exhaustively confirm the star of a contradictory conjunction is 0 on every chain."""
-    star = star_translate(conjunction)
+def _propositional_star_check(conjunction: Formula, K: Sequence[FiniteChain],
+                              budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
+    """Exhaustively confirm the star of a contradictory conjunction is 0 on every chain.
+
+    A valuation of the conjunction's atoms is a domain-1 structure once each
+    atom is renamed to a 0-ary predicate.  The names sort in `atoms_of`
+    order, so the bounded search visits valuations in the order of
+    `itertools.product(chain.carrier(), repeat=#atoms)`.
+    """
     atoms = atoms_of(conjunction)
-    scanned = 0
-    for chain in K:
-        for values in itertools.product(chain.carrier(), repeat=len(atoms)):
-            valuation = dict(zip(atoms, values))
-            scanned += 1
-            if eval_propositional(chain, valuation, star) != chain.bot:
-                return False, f"nonzero star value under valuation {values} on size-{chain.size} chain"
+    width = len(str(len(atoms)))
+    names = [f"A{i:0{width}d}" for i in range(len(atoms))]
+    letters = {atom: Atom(name) for atom, name in zip(atoms, names)}
+    star = star_translate(_rename_atoms(conjunction, letters))
+    found = _find(K, star, 1, budget, _nonzero)
+    if found is not None:
+        chain, structure, _ = found
+        values = tuple(structure.predicates[name][()] for name in names)
+        return False, f"nonzero star value under valuation {values} on size-{chain.size} chain"
+    scanned = sum(chain.size ** len(atoms) for chain in K)
     return True, f"{scanned} valuations scanned, all zero"
+
+
+def _rename_atoms(phi: Formula, letters: dict[Atom, Atom]) -> Formula:
+    """phi with each atom replaced by its letter; literals under /\\ and \\/ only."""
+    if isinstance(phi, Atom):
+        return letters[phi]
+    if isinstance(phi, Neg):
+        return Neg(_rename_atoms(phi.body, letters))
+    if isinstance(phi, (Meet, Join)):
+        return type(phi)(_rename_atoms(phi.left, letters), _rename_atoms(phi.right, letters))
+    return phi
 
 
 def _find_b2_model(phi: Formula, max_domain: int, budget: int) -> Optional[Structure]:
@@ -171,11 +191,17 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
     on every chain in K.  Disagreement raises ReductionVerificationError.
     """
     pu = trace.purely_universal_form
-    cert = purely_universal_contradiction(pu, max_depth)
+    if classify(pu).is_relational:
+        cert = purely_universal_contradiction(pu, max_depth, budget)
+        found = None
+    else:
+        # the same search certifies the input and gives the witness below
+        found = dual_herbrand_search(pu, max_depth, budget=budget)
+        cert = herbrand_verdict(found, max_depth)
     checks: list[tuple[str, bool, str]] = []
 
     if cert.kind == "decided" and cert.decided:
-        witness = dual_herbrand_search(pu, max_depth)
+        witness = dual_herbrand_search(pu, max_depth, budget=budget) if found is None else found
         if not isinstance(witness, HerbrandWitness):
             raise ReductionVerificationError(
                 "certified contradiction but no Herbrand witness within depth "
@@ -188,7 +214,7 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
         checks.append(("no TAUT0 refutation of the star output",
                        verdict.kind in ("exhausted", "decided"),
                        verdict.kind))
-        ok, detail = _propositional_star_check(witness.conjunction, K)
+        ok, detail = _propositional_star_check(witness.conjunction, K, budget)
         checks.append(("star of witness conjunction vanishes propositionally", ok, detail))
         report = VerificationReport(True, cert.reason, tuple(checks))
     elif cert.kind == "decided" and not cert.decided:

@@ -28,8 +28,8 @@ class EvalError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    def __init__(self, space: int, budget: int):
-        super().__init__(f"search space of {space} structures exceeds budget {budget}")
+    def __init__(self, space: int, budget: int, unit: str = "structures"):
+        super().__init__(f"search space of {space} {unit} exceeds budget {budget}")
         self.space = space
         self.budget = budget
 

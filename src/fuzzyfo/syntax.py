@@ -373,6 +373,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# token kind -> (precedence, node); a higher precedence binds tighter
+_BINARY_TOKENS = {"biimpl": (1, Biimpl), "impl": (2, Impl), "join": (3, Join),
+                  "meet": (4, Meet), "amp": (5, StrongConj)}
+
+# Formulas and terms may nest at most this deep, counting each connective,
+# quantifier and function application on a path, and each open parenthesis.
+# The parser and every recursive transform (NNF, star, printing, evaluation)
+# stay well inside Python's default recursion limit below it.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, vocab: Optional[Vocabulary], infer: bool):
         self.tokens = tokens
@@ -383,6 +394,23 @@ class _Parser:
         self.inferred_funcs: dict[str, int] = {}
         self.bound_stack: list[str] = []
         self.maybe_consts: set[str] = set()
+        self.open = 0  # constructs still open around the current token
+        self.height = 0  # height of the formula or term parsed last
+
+    def _nested(self, pos: int, parse):
+        """parse() inside one more construct, opened at pos."""
+        self.open += 1
+        if self.open > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        result = parse()
+        self.open -= 1
+        return result
+
+    def _rise(self, height: int, pos: int) -> None:
+        """Record the height of the node just built at pos."""
+        if height > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.height = height
 
     def peek(self):
         return self.tokens[self.i]
@@ -398,49 +426,30 @@ class _Parser:
             raise ParseError(f"expected {what}", tok[2])
         return tok
 
-    def formula(self) -> Formula:
-        return self.biimpl()
-
-    def biimpl(self) -> Formula:
-        lhs = self.impl()
-        while self.peek()[0] == "biimpl":
-            self.next()
-            lhs = Biimpl(lhs, self.impl())
-        return lhs
-
-    def impl(self) -> Formula:
-        lhs = self.join()
-        if self.peek()[0] == "impl":
-            self.next()
-            return Impl(lhs, self.impl())
-        return lhs
-
-    def join(self) -> Formula:
-        lhs = self.meet()
-        while self.peek()[0] == "join":
-            self.next()
-            lhs = Join(lhs, self.meet())
-        return lhs
-
-    def meet(self) -> Formula:
-        lhs = self.sconj()
-        while self.peek()[0] == "meet":
-            self.next()
-            lhs = Meet(lhs, self.sconj())
-        return lhs
-
-    def sconj(self) -> Formula:
+    def formula(self, min_prec: int = 1) -> Formula:
+        """Precedence climbing over the binary connectives binding at least min_prec."""
         lhs = self.unary()
-        while self.peek()[0] == "amp":
+        while True:
+            kind, _, pos = self.peek()
+            if kind not in _BINARY_TOKENS or _BINARY_TOKENS[kind][0] < min_prec:
+                return lhs
+            prec, node = _BINARY_TOKENS[kind]
             self.next()
-            lhs = StrongConj(lhs, self.unary())
-        return lhs
+            height = self.height
+            if node is Impl:  # right associative: the right operand nests
+                rhs = self._nested(pos, lambda: self.formula(prec))
+            else:
+                rhs = self.formula(prec + 1)
+            lhs = node(lhs, rhs)
+            self._rise(1 + max(height, self.height), pos)
 
     def unary(self) -> Formula:
         kind, text, pos = self.peek()
         if kind == "neg":
             self.next()
-            return Neg(self.unary())
+            body = self._nested(pos, self.unary)
+            self._rise(self.height + 1, pos)
+            return Neg(body)
         if kind in ("forall", "exists"):
             self.next()
             var = self.expect("name", "variable name")[1]
@@ -448,21 +457,24 @@ class _Parser:
                 raise ParseError("bound variables must be lowercase", pos)
             self.expect("dot", "'.' after quantified variable")
             self.bound_stack.append(var)
-            body = self.unary()
+            body = self._nested(pos, self.unary)
+            self._rise(self.height + 1, pos)
             self.bound_stack.pop()
             return Forall(var, body) if kind == "forall" else Exists(var, body)
         if kind == "lpar":
             self.next()
-            inner = self.formula()
+            inner = self._nested(pos, self.formula)
             tok = self.next()
             if tok[0] != "rpar":
                 raise ParseError("unbalanced parenthesis", tok[2])
             return inner
         if kind == "zero":
             self.next()
+            self.height = 1
             return BOTTOM
         if kind == "one":
             self.next()
+            self.height = 1
             return TOP
         if kind == "name":
             if text[0].isupper():
@@ -474,8 +486,10 @@ class _Parser:
         name_tok = self.next()
         name = name_tok[1]
         args: tuple[Term, ...] = ()
+        self.height = 0
         if self.peek()[0] == "lpar":
             args = self.arg_list()
+        self._rise(self.height + 1, name_tok[2])
         if self.infer:
             arity = self.inferred_preds.setdefault(name, len(args))
             if arity != len(args):
@@ -495,12 +509,15 @@ class _Parser:
     def arg_list(self) -> tuple[Term, ...]:
         self.expect("lpar", "'('")
         args = [self.term()]
+        height = self.height
         while self.peek()[0] == "comma":
             self.next()
             args.append(self.term())
+            height = max(height, self.height)
         tok = self.next()
         if tok[0] != "rpar":
             raise ParseError("unbalanced parenthesis", tok[2])
+        self.height = height
         return tuple(args)
 
     def term(self) -> Term:
@@ -509,7 +526,8 @@ class _Parser:
         if kind != "name" or not text[0].islower():
             raise ParseError("expected a term", pos)
         if self.peek()[0] == "lpar":
-            args = self.arg_list()
+            args = self._nested(pos, self.arg_list)
+            self._rise(self.height + 1, pos)
             if self.infer:
                 arity = self.inferred_funcs.setdefault(text, len(args))
                 if arity != len(args):
@@ -529,6 +547,7 @@ class _Parser:
                         pos,
                     )
             return App(text, args)
+        self.height = 1
         if self.infer:
             if text in self.bound_stack:
                 return Var(text)

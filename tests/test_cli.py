@@ -211,3 +211,49 @@ def test_eval_uses_formula_arity_on_singleton_domain(tmp_path):
     code, text = _eval_struct(tmp_path, "domain 1\nconst c = 0\npred R : #2\n", "R(c, c)")
     assert code == 0, text
     assert "value: 2" in text
+
+
+def test_deep_negation_is_a_parse_error():
+    code, text = run(["bsr", "--formula", "~" * 3000 + "P(c)"])
+    assert code == 1
+    assert text == "error: nesting deeper than 100 levels at position 100\n"
+
+
+def test_deep_parentheses_are_a_parse_error():
+    code, text = run(["bsr", "--formula", "(" * 600 + "P(c)" + ")" * 600])
+    assert code == 1
+    assert text == "error: nesting deeper than 100 levels at position 100\n"
+
+
+def test_long_chains_are_a_parse_error():
+    for op in (" /\\ ", " -> ", " <-> "):
+        code, text = run(["parse", "--formula", op.join(["P"] * 101)])
+        assert code == 1 and text.startswith("error: nesting deeper than 100 levels")
+        assert text.count("\n") == 1
+
+
+def test_nesting_at_the_limit_runs_every_transform():
+    text = ok(["bsr", "--formula", "~" * 98 + "P(c)"])
+    assert "decided: True" in text
+    ok(["reduce", "--verify", "--chain", "luk:3", "--formula",
+        "(" * 100 + " /\\ ".join(["P(c)"] * 99) + ")" * 100])
+
+
+def test_other_exceptions_are_internal_errors(monkeypatch):
+    from fuzzyfo import decision
+
+    def broken(phi, budget):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(decision, "bsr_decide", broken)
+    assert run(["bsr", "--formula", "P(c)"]) == (2, "internal error: KeyError: 'boom'\n")
+
+    class Stop(BaseException):
+        pass
+
+    def stopped(phi, budget):
+        raise Stop()
+
+    monkeypatch.setattr(decision, "bsr_decide", stopped)
+    with pytest.raises(Stop):
+        run(["bsr", "--formula", "P(c)"])
