@@ -2,12 +2,11 @@
 """Walk a classical sentence through the reduction pipeline and verify the
 outcome in both directions."""
 
-from fuzzyfo.chains import enumerate_mtl_chains
-from fuzzyfo.reduction import hardness_reduce, verify_reduction_instance
-from fuzzyfo.syntax import parse
+import sys
 
-K = [chain for size in (2, 3, 4) for chain in enumerate_mtl_chains(size)]
-print(f"chain class K: all {len(K)} MTL-chains of size <= 4\n")
+from fuzzyfo.cli import run
+
+print("chain class K: all MTL-chains of size <= 4 (--chain enum:4)\n")
 
 for text in [
     "exists x. (P(x) /\\ ~P(x))",        # a contradiction
@@ -15,12 +14,10 @@ for text in [
     "forall x. exists y. R(x, y)",        # satisfiable
 ]:
     print("=" * 60)
-    trace = hardness_reduce(parse(text))
-    print(trace.describe())
-    report = verify_reduction_instance(trace, K)
-    print()
-    print(report.describe())
-    print()
+    code, report = run(["reduce", "--formula", text, "--verify", "--chain", "enum:4"])
+    if code:
+        sys.exit(report)
+    print(report)
 
 print("=" * 60)
 print("The star output of a contradiction lands in TAUT0 over any class of")

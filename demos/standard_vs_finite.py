@@ -8,25 +8,27 @@ On the standard chain, truncations of one infinite witness push it as close
 to 1 as you like.
 """
 
-from fuzzyfo.phi import PHI_TEXT, phi_fin_refutation, phi_truncated_witness
+import sys
 
-print("Phi =", PHI_TEXT, "\n")
+from fuzzyfo.cli import run
+
+
+def show(argv):
+    code, report = run(argv)
+    if code:
+        sys.exit(report)
+    print(report)
+
 
 print("== Finite chains: the value never reaches 1 ==\n")
-report = phi_fin_refutation(10)
-print(report.describe())
-print()
+show(["phi-report", "--max-k", "10"])
 print("(an exhaustive scan of every nonempty set of attained P-values; the")
 print(" scan raises if Phi ever hits 1 or its negation ever hits 0)\n")
 
 print("== Standard chain: truncated witnesses approach 1 ==\n")
 print("P(k) = 1 - 2^-(k+1) on an N-element domain gives:")
 print()
-print("N   value of Phi")
-for n in range(1, 13):
-    _, value = phi_truncated_witness(n)
-    print(f"{n:<3} {value}")
-print()
+show(["phi-witness", "--n", "12"])
 print("The values are exactly (2^N - 1)/2^N: computed on exact rationals,")
 print("no floating point involved. So Phi is satisfiable above every")
 print("threshold below 1 on the standard chain, while every finite chain")

@@ -7,7 +7,6 @@ chain works with exact rationals in [0, 1] (fractions.Fraction), never floats.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence

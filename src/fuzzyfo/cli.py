@@ -65,7 +65,7 @@ def _load_formula(args) -> syntax.Formula:
     return syntax.parse(text, vocab)
 
 
-def _parse_chain_spec(spec: str, budget: int) -> list[chains_mod.FiniteChain]:
+def _parse_chain_spec(spec: str) -> list[chains_mod.FiniteChain]:
     kind, _, arg = spec.partition(":")
     if kind == "luk":
         return [chains_mod.make_lukasiewicz_chain(int(arg))]
@@ -82,13 +82,13 @@ def _parse_chain_spec(spec: str, budget: int) -> list[chains_mod.FiniteChain]:
     raise CliError(f"unknown chain spec {spec!r} (use luk:k, godel:k, file:path, enum:size)")
 
 
-def _load_chains(args, budget: int) -> list[chains_mod.FiniteChain]:
+def _load_chains(args) -> list[chains_mod.FiniteChain]:
     specs = getattr(args, "chain", None)
     if not specs:
         raise CliError("provide at least one --chain spec")
     out = []
     for spec in specs:
-        out.extend(_parse_chain_spec(spec, budget))
+        out.extend(_parse_chain_spec(spec))
     return out
 
 
@@ -148,7 +148,7 @@ def cmd_parse(args, budget: int) -> Report:
 
 def cmd_eval(args, budget: int) -> Report:
     formula = _load_formula(args)
-    chains = _load_chains(args, budget)
+    chains = _load_chains(args)
     if len(chains) != 1:
         raise CliError("eval needs exactly one chain")
     vocab = _load_vocab(args) or syntax.vocabulary_of(formula)
@@ -172,7 +172,7 @@ _DECIDERS = {
 
 def cmd_decide(args, budget: int) -> Report:
     formula = _load_formula(args)
-    chains = _load_chains(args, budget)
+    chains = _load_chains(args)
     verdict = _DECIDERS[args.set](chains, formula, args.max_domain, budget=budget)
     report = Report()
     report.add("procedure", args.set)
@@ -229,7 +229,7 @@ def cmd_reduce(args, budget: int) -> Report:
     if trace.fresh_functions:
         report.add("fresh-functions", ", ".join(f"{n}/{a}" for n, a in trace.fresh_functions))
     if args.verify:
-        chains = _load_chains(args, budget)
+        chains = _load_chains(args)
         result = reduction.verify_reduction_instance(
             trace, chains, max_domain=args.max_domain, max_depth=args.max_depth, budget=budget)
         _add_verification(report, result)
@@ -247,7 +247,7 @@ def _add_verification(report: Report, result: reduction.VerificationReport) -> N
 def cmd_verify_reduction(args, budget: int) -> Report:
     formula = _load_formula(args)
     trace = reduction.hardness_reduce(formula)
-    chains = _load_chains(args, budget)
+    chains = _load_chains(args)
     result = reduction.verify_reduction_instance(
         trace, chains, max_domain=args.max_domain, max_depth=args.max_depth, budget=budget)
     report = Report()
@@ -409,8 +409,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         report = args.func(args, budget)
     except (CliError, syntax.ParseError, syntax.VocabularyError, syntax.FragmentError,
             chains_mod.ChainValidationError, chains_mod.EnumerationCapError,
-            semantics.BudgetExceededError, semantics.EvalError,
-            decision.TooManyAtomsError, ValueError) as exc:
+            semantics.BudgetExceededError, semantics.EvalError, ValueError) as exc:
         return 1, f"error: {exc}\n"
     except (reduction.ReductionVerificationError, semantics.EvaluatorMismatchError) as exc:
         return 2, f"internal consistency failure: {exc}\n"

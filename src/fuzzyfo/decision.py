@@ -22,18 +22,12 @@ from .semantics import (
 )
 from .syntax import (
     App, Atom, BOTTOM, TOP, Const, Exists, Forall, Formula, FragmentError, Join,
-    Meet, Neg, Term, TruthConst, Var, atoms_of, classical_nnf, classify,
+    Meet, Neg, Term, TruthConst, Var, classical_nnf, classify,
     ensure_constant, format_formula, herbrand_universe, is_quantifier_free,
     split_universal_prefix, substitute, vocabulary_of,
 )
 
 ChainClass = Sequence[FiniteChain]
-
-DEFAULT_ATOM_CAP = 24
-
-
-class TooManyAtomsError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,23 +44,6 @@ class Verdict:
     decided: Optional[bool] = None
     reason: str = ""
     bounds: str = ""
-
-    def describe(self) -> str:
-        lines = [f"outcome: {self.kind}"]
-        if self.decided is not None:
-            lines.append(f"decided: {self.decided}")
-        if self.value is not None:
-            lines.append(f"value: {self.value}")
-        if self.chain is not None:
-            lines.append(f"chain: size {self.chain.size}")
-        if self.structure is not None:
-            lines.append("structure:")
-            lines.extend("  " + ln for ln in self.structure.describe().splitlines())
-        if self.reason:
-            lines.append(f"reason: {self.reason}")
-        if self.bounds:
-            lines.append(f"bounds: {self.bounds}")
-        return "\n".join(lines)
 
 
 def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
@@ -420,14 +397,14 @@ def prop_satisfiable(phi: Formula | Sequence[Formula] | GroundClauses,
     return None if value is None else grounder.model(value)
 
 
-def is_classical_contradiction_prop(phi: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
-    """Unsatisfiability over B2, treating closed atoms as letters."""
+def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) -> bool:
+    """Unsatisfiability over B2, treating closed atoms as letters.
+
+    Raises BudgetExceededError after `budget` DPLL decisions.
+    """
     if not is_quantifier_free(phi):
         raise FragmentError("propositional contradiction check needs a quantifier-free formula")
-    atoms = atoms_of(phi)
-    if len(atoms) > atom_cap:
-        raise TooManyAtomsError(f"{len(atoms)} distinct atoms exceed the cap {atom_cap}")
-    return prop_satisfiable(phi) is None
+    return prop_satisfiable(phi, budget) is None
 
 
 # -- Bernays-Schonfinkel decider -----------------------------------------
@@ -494,14 +471,6 @@ class HerbrandWitness:
     m: int
     instantiations: tuple[tuple, ...]  # tuples of closed terms, one per instance
     conjunction: Formula
-
-    def describe(self) -> str:
-        from .syntax import format_term
-        lines = [f"depth: {self.depth}", f"instances: {self.m}"]
-        for tup in self.instantiations:
-            lines.append("  (" + ", ".join(format_term(t) for t in tup) + ")")
-        lines.append(f"conjunction: {format_formula(self.conjunction)}")
-        return "\n".join(lines)
 
 
 def dual_herbrand_search(phi: Formula, max_depth: int, instance_cap: int = 4096,

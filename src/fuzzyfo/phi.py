@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .chains import (
     FiniteChain, STANDARD_CHAIN, is_lukasiewicz, make_lukasiewicz_chain,
 )
 from .semantics import (
-    DEFAULT_BUDGET, Structure, TruthValue, enumerate_structures, eval,
+    DEFAULT_BUDGET, Structure, enumerate_structures, eval,
 )
 from .syntax import Formula, Vocabulary, parse
 
@@ -76,13 +76,6 @@ class PhiRefutationRow:
 @dataclass(frozen=True)
 class PhiRefutationReport:
     rows: tuple[PhiRefutationRow, ...]
-
-    def describe(self) -> str:
-        lines = ["finite-chain refutation of 1-satisfiability of Phi",
-                 "k  value-sets  max-value"]
-        for row in self.rows:
-            lines.append(f"{row.k}  {row.value_sets_scanned}  {row.max_value}")
-        return "\n".join(lines)
 
 
 def phi_fin_refutation(max_k: int, cap: int = DEFAULT_K_CAP) -> PhiRefutationReport:
@@ -165,7 +158,3 @@ def phi_truncated_witness(N: int) -> tuple[Structure, Fraction]:
     )
     value = eval(STANDARD_CHAIN, structure, phi_sentence())
     return structure, value
-
-
-def witness_table(max_n: int) -> list[tuple[int, Fraction]]:
-    return [(n, phi_truncated_witness(n)[1]) for n in range(1, max_n + 1)]

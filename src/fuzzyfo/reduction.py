@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .chains import FiniteChain, make_boolean_chain
 from .decision import (
-    HerbrandWitness, Verdict, _find, _nonzero, _top, dual_herbrand_search, herbrand_verdict,
+    HerbrandWitness, _find, _nonzero, _top, dual_herbrand_search, herbrand_verdict,
     is_classical_contradiction_prop, purely_universal_contradiction, sat_pos_bounded,
     taut0_bounded,
 )
@@ -26,8 +26,8 @@ from .semantics import (
 )
 from .syntax import (
     Atom, Formula, Join, Meet, Neg, Vocabulary, VocabularyError, atoms_of, classical_nnf, classify,
-    format_formula, is_sentence, pull_universals, skolemize, split_universal_prefix,
-    star_translate, substitute, vocabulary_of, Forall,
+    is_sentence, pull_universals, skolemize, split_universal_prefix,
+    star_translate, vocabulary_of, Forall,
 )
 
 
@@ -42,23 +42,6 @@ class ReductionTrace:
     vocabulary: Vocabulary
     fresh_constants: tuple[str, ...]
     fresh_functions: tuple[tuple[str, int], ...]
-
-    def describe(self) -> str:
-        lines = [
-            "reduction trace",
-            f"  input:             {format_formula(self.input)}",
-            f"  negation (nnf):    {format_formula(self.negation)}",
-            f"  herbrand form:     {format_formula(self.herbrand_form)}",
-            f"  purely universal:  {format_formula(self.purely_universal_form)}",
-            f"  lattice matrix:    {format_formula(self.lattice_matrix_form)}",
-            f"  star output:       {format_formula(self.star_output)}",
-        ]
-        if self.fresh_constants:
-            lines.append("  fresh constants:   " + ", ".join(self.fresh_constants))
-        if self.fresh_functions:
-            lines.append("  fresh functions:   "
-                         + ", ".join(f"{n}/{a}" for n, a in self.fresh_functions))
-        return "\n".join(lines)
 
 
 def to_purely_universal(phi: Formula, vocab: Optional[Vocabulary] = None) -> tuple[Formula, Vocabulary]:
@@ -128,15 +111,6 @@ class VerificationReport:
     @property
     def consistent(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
-
-    def describe(self) -> str:
-        kind = "contradiction" if self.is_contradiction else "non-contradiction"
-        lines = [f"verification: input certified as {kind}",
-                 f"certificate: {self.certificate}"]
-        for name, ok, detail in self.checks:
-            lines.append(f"  [{'pass' if ok else 'FAIL'}] {name}: {detail}")
-        lines.append(f"consistent: {self.consistent}")
-        return "\n".join(lines)
 
 
 def _propositional_star_check(conjunction: Formula, K: Sequence[FiniteChain],
@@ -208,7 +182,7 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
                 f"{max_depth}: {cert.reason}"
             )
         checks.append(("herbrand witness is a propositional contradiction",
-                       is_classical_contradiction_prop(witness.conjunction),
+                       is_classical_contradiction_prop(witness.conjunction, budget),
                        f"{witness.m} instances at depth {witness.depth}"))
         verdict = taut0_bounded(K, trace.star_output, max_domain, budget=budget)
         checks.append(("no TAUT0 refutation of the star output",
@@ -230,20 +204,25 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
                 f"with domain <= {max_domain}"
             )
         report = _verify_non_contradiction(
-            trace, K, f"B2 model with domain {model.domain_size}", max_domain, budget)
+            trace, K, f"B2 model with domain {model.domain_size}", max_domain, budget, model)
 
     if not report.consistent:
-        raise ReductionVerificationError(report.describe())
+        failed = "; ".join(f"check [{name}] ({detail})"
+                           for name, ok, detail in report.checks if not ok)
+        raise ReductionVerificationError(f"certificate {report.certificate!r} failed {failed}")
     return report
 
 
 def _verify_non_contradiction(trace: ReductionTrace, K: Sequence[FiniteChain],
-                              certificate: str, max_domain: int, budget: int) -> VerificationReport:
+                              certificate: str, max_domain: int, budget: int,
+                              model: Optional[Structure] = None) -> VerificationReport:
+    """Check the non-contradiction certificate; `model` is a B2 model found already."""
     checks: list[tuple[str, bool, str]] = []
-    # a relational purely universal non-contradiction always has a model at
-    # the Bernays-Schonfinkel bound (#constants), which may exceed max_domain
-    bound = max(1, len(vocabulary_of(trace.purely_universal_form).constants))
-    model = _find_b2_model(trace.purely_universal_form, max(max_domain, bound), budget)
+    if model is None:
+        # a relational purely universal non-contradiction always has a model at
+        # the Bernays-Schonfinkel bound (#constants), which may exceed max_domain
+        bound = max(1, len(vocabulary_of(trace.purely_universal_form).constants))
+        model = _find_b2_model(trace.purely_universal_form, max(max_domain, bound), budget)
     checks.append(("B2 model of the purely universal form exists",
                    model is not None,
                    f"domain {model.domain_size}" if model else "none in bounds"))

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .chains import FiniteChain, StandardChain
 from .syntax import (
     Atom, TruthConst, Neg, StrongConj, Meet, Join, Impl, Biimpl, Forall, Exists,
-    Formula, Term, Var, Const, App, Vocabulary, format_term, free_vars,
+    Formula, Term, Var, Const, Vocabulary,
 )
 
 TruthValue = Union[int, Fraction]

@@ -192,10 +192,6 @@ def term_vars(t: Term) -> set[str]:
     return out
 
 
-def term_is_closed(t: Term) -> bool:
-    return not term_vars(t)
-
-
 def term_depth(t: Term) -> int:
     if isinstance(t, App):
         return 1 + max(term_depth(a) for a in t.args)

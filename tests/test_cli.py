@@ -257,3 +257,18 @@ def test_other_exceptions_are_internal_errors(monkeypatch):
     monkeypatch.setattr(decision, "bsr_decide", stopped)
     with pytest.raises(Stop):
         run(["bsr", "--formula", "P(c)"])
+
+
+def test_inconsistent_verification_exits_2_on_one_line(monkeypatch):
+    from fuzzyfo import reduction
+    from fuzzyfo.decision import Verdict
+
+    monkeypatch.setattr(reduction, "taut0_bounded",
+                        lambda K, phi, max_domain, budget: Verdict("refuted", value=1))
+    code, text = run(["reduce", "--formula", "exists x. (P(x) /\\ ~P(x))", "--verify",
+                      "--chain", "luk:3"])
+    assert code == 2
+    assert text == (
+        "internal consistency failure: certificate 'Bernays-Schonfinkel: unsatisfiable at "
+        "the Bernays-Schonfinkel bound 1' failed check [no TAUT0 refutation of the star "
+        "output] (refuted)\n")

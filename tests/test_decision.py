@@ -5,12 +5,12 @@ from fuzzyfo.chains import (
     make_lukasiewicz_chain,
 )
 from fuzzyfo.decision import (
-    HerbrandWitness, TooManyAtomsError, Verdict, bsr_decide,
+    HerbrandWitness, Verdict, bsr_decide,
     dual_herbrand_search, is_classical_contradiction_prop, prop_satisfiable,
     purely_universal_contradiction, sat1_bounded, sat_pos_bounded,
     taut0_bounded, taut_lt1_bounded,
 )
-from fuzzyfo.semantics import eval
+from fuzzyfo.semantics import BudgetExceededError, eval
 from fuzzyfo.syntax import BOTTOM, FragmentError, format_formula, parse
 from fuzzyfo.phi import PHI_TEXT
 
@@ -100,9 +100,15 @@ def test_classical_contradiction_examples():
 def test_classical_contradiction_guards():
     with pytest.raises(FragmentError):
         is_classical_contradiction_prop(parse("forall x. P(x)"))
+    # no cap on the atom count: the SAT core decides any size within its budget
     many = " /\\ ".join(f"P(c{i})" for i in range(30))
-    with pytest.raises(TooManyAtomsError):
-        is_classical_contradiction_prop(parse(many))
+    assert is_classical_contradiction_prop(parse(many)) is False
+    # unit propagation alone settles the conjunction; the disjunction takes
+    # one decision per atom
+    wide = " \\/ ".join(f"P(c{i})" for i in range(30))
+    assert is_classical_contradiction_prop(parse(wide)) is False
+    with pytest.raises(BudgetExceededError, match="SAT decisions"):
+        is_classical_contradiction_prop(parse(wide), budget=3)
 
 
 def test_prop_satisfiable_returns_model():

@@ -1,9 +1,10 @@
 import pytest
 
+from fuzzyfo import reduction
 from fuzzyfo.chains import enumerate_mtl_chains, make_lukasiewicz_chain
 from fuzzyfo.decision import dual_herbrand_search, HerbrandWitness
 from fuzzyfo.reduction import (
-    ReductionVerificationError, hardness_reduce, matrix_to_lattice_literals,
+    ReductionVerificationError, VerificationReport, hardness_reduce, matrix_to_lattice_literals,
     to_purely_universal, verify_reduction_instance,
 )
 from fuzzyfo.syntax import (
@@ -136,3 +137,36 @@ def test_verify_unknown_raises():
         "forall x. (~R(x, x) /\\ R(x, f(x)))"))
     with pytest.raises(ReductionVerificationError):
         verify_reduction_instance(trace, [B2], max_domain=1, max_depth=1)
+
+
+def test_verification_searches_for_the_b2_model_once(monkeypatch):
+    calls = []
+    find = reduction._find_b2_model
+
+    def counted(*args):
+        calls.append(args[1:])
+        return find(*args)
+
+    monkeypatch.setattr(reduction, "_find_b2_model", counted)
+    trace = hardness_reduce(parse("forall x. exists y. R(x, y)"))
+    report = verify_reduction_instance(trace, [L3])
+    assert calls == [(2, 10 ** 7)]
+    assert report == VerificationReport(False, "B2 model with domain 1", (
+        ("B2 model of the purely universal form exists", True, "domain 1"),
+        ("lifted model gives star output top value on size-3 chain", True, "value 2"),
+        ("positive witness on size-3 chain", True, "value 2"),
+    ))
+
+
+def test_witness_contradiction_check_gets_the_verifier_budget(monkeypatch):
+    budgets = []
+    check = reduction.is_classical_contradiction_prop
+
+    def recorded(phi, budget):
+        budgets.append(budget)
+        return check(phi, budget)
+
+    monkeypatch.setattr(reduction, "is_classical_contradiction_prop", recorded)
+    trace = hardness_reduce(parse("forall x. (P(x) /\\ ~P(f(x)))"))
+    assert verify_reduction_instance(trace, [B2], budget=5000).consistent
+    assert budgets == [5000]
