@@ -2,16 +2,15 @@
 
 from .chains import (
     ChainValidationError, FiniteChain, STANDARD_CHAIN, StandardChain,
-    check_square_meet_law, derived_ops, enumerate_mtl_chains,
-    make_chain_from_table, make_godel_chain, make_lukasiewicz_chain,
-    parse_chain_file,
+    check_square_meet_law, enumerate_mtl_chains, make_chain_from_table,
+    make_godel_chain, make_lukasiewicz_chain, parse_chain_file,
 )
 from .syntax import (
     Atom, BOTTOM, Biimpl, Const, Exists, Forall, Formula, FragmentError, Impl,
     Join, Meet, Neg, ParseError, StrongConj, TOP, Term, TruthConst, Var,
     Vocabulary, VocabularyError, classical_nnf, classify, format_formula,
-    format_term, free_vars, herbrand_universe, infer_vocabulary, parse,
-    parse_vocabulary, skolemize, star_translate, substitute, vocabulary_of,
+    format_term, free_vars, herbrand_universe, parse, parse_vocabulary,
+    skolemize, star_translate, substitute, vocabulary_of,
 )
 from .semantics import (
     BudgetExceededError, EvalError, Structure, enumerate_structures, eval,

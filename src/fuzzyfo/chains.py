@@ -13,6 +13,10 @@ from typing import Iterator, Optional, Sequence
 
 DEFAULT_ENUM_CAP = 7
 
+# `luk:k` and `godel:k` build two k x k tuple tables: 73 MB at k = 1200 and
+# ~8M entries at this cap.  Past it a chain spec could exhaust memory.
+MAX_NAMED_CHAIN_SIZE = 2048
+
 
 class ChainValidationError(ValueError):
     """A supplied t-norm table violates one of the chain axioms."""
@@ -74,17 +78,6 @@ class FiniteChain:
         for row in self.tnorm_table:
             lines.append(" ".join(str(v) for v in row))
         return "\n".join(lines)
-
-
-def derived_ops(chain: FiniteChain) -> dict:
-    """Negation, meet, join, square and biimplication as rank functions."""
-    return {
-        "neg": chain.neg,
-        "meet": chain.meet,
-        "join": chain.join,
-        "square": chain.square,
-        "biimpl": chain.biimpl,
-    }
 
 
 def _derive_residuum(size: int, tnorm: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -158,13 +151,20 @@ def make_chain_from_table(size: int, tnorm: Sequence[Sequence[int]]) -> FiniteCh
     return FiniteChain(size, table, residuum)
 
 
+def _check_named_size(k: int) -> None:
+    if k < 2:
+        raise ChainValidationError("size", (k,), "chain needs at least 2 elements")
+    if k > MAX_NAMED_CHAIN_SIZE:
+        raise ChainValidationError(
+            "size", (k,), f"named chains are capped at {MAX_NAMED_CHAIN_SIZE} elements")
+
+
 def make_lukasiewicz_chain(k: int) -> FiniteChain:
     """The k-element Lukasiewicz chain on ranks {0, .., k-1}.
 
     k counts elements (so k=2 is the Boolean chain B2).
     """
-    if k < 2:
-        raise ChainValidationError("size", (k,), "chain needs at least 2 elements")
+    _check_named_size(k)
     top = k - 1
     tnorm = tuple(tuple(max(0, x + y - top) for y in range(k)) for x in range(k))
     residuum = tuple(tuple(min(top, top - x + y) for y in range(k)) for x in range(k))
@@ -173,8 +173,7 @@ def make_lukasiewicz_chain(k: int) -> FiniteChain:
 
 def make_godel_chain(k: int) -> FiniteChain:
     """The k-element Godel chain (t-norm = min)."""
-    if k < 2:
-        raise ChainValidationError("size", (k,), "chain needs at least 2 elements")
+    _check_named_size(k)
     top = k - 1
     tnorm = tuple(tuple(min(x, y) for y in range(k)) for x in range(k))
     residuum = tuple(tuple(top if x <= y else y for y in range(k)) for x in range(k))
@@ -246,45 +245,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _check_unit(x: Fraction) -> Fraction:
-    if not (ZERO <= x <= ONE):
-        raise ValueError(f"truth value {x} outside [0, 1]")
-    return x
-
-
-def std_mult(x: Fraction, y: Fraction) -> Fraction:
-    return max(ZERO, x + y - 1)
-
-
-def std_impl(x: Fraction, y: Fraction) -> Fraction:
-    return min(ONE, 1 - x + y)
-
-
-def std_neg(x: Fraction) -> Fraction:
-    return 1 - x
-
-
-def std_meet(x: Fraction, y: Fraction) -> Fraction:
-    return min(x, y)
-
-
-def std_join(x: Fraction, y: Fraction) -> Fraction:
-    return max(x, y)
-
-
-def std_square(x: Fraction) -> Fraction:
-    return max(ZERO, 2 * x - 1)
-
-
-def std_biimpl(x: Fraction, y: Fraction) -> Fraction:
-    return 1 - abs(x - y)
-
-
 class StandardChain:
     """The standard MV-chain on exact rationals in [0, 1].
 
     Offers the same operation surface as FiniteChain so the evaluator can use
-    either interchangeably.  There is no finite carrier to enumerate.
+    either interchangeably.  There is no finite carrier to enumerate.  The
+    operations do not check their arguments: `semantics.check_structure`
+    checks every value once, where a structure enters evaluation.
     """
 
     size = None
@@ -292,25 +259,25 @@ class StandardChain:
     top = ONE
 
     def tnorm(self, x: Fraction, y: Fraction) -> Fraction:
-        return std_mult(_check_unit(x), _check_unit(y))
+        return max(ZERO, x + y - 1)
 
     def residuum(self, x: Fraction, y: Fraction) -> Fraction:
-        return std_impl(_check_unit(x), _check_unit(y))
+        return min(ONE, 1 - x + y)
 
     def meet(self, x: Fraction, y: Fraction) -> Fraction:
-        return std_meet(x, y)
+        return min(x, y)
 
     def join(self, x: Fraction, y: Fraction) -> Fraction:
-        return std_join(x, y)
+        return max(x, y)
 
     def neg(self, x: Fraction) -> Fraction:
-        return std_neg(_check_unit(x))
+        return 1 - x
 
     def square(self, x: Fraction) -> Fraction:
-        return std_square(_check_unit(x))
+        return max(ZERO, 2 * x - 1)
 
     def biimpl(self, x: Fraction, y: Fraction) -> Fraction:
-        return std_biimpl(_check_unit(x), _check_unit(y))
+        return 1 - abs(x - y)
 
 
 STANDARD_CHAIN = StandardChain()

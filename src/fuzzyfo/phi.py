@@ -128,20 +128,11 @@ def consistency_check_valuesets(k: int, domain_size: int,
     return None
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
-    """Truncations of the standard-chain witness: P(k) = 1 - 2^-(k+1)."""
-
-    N: int
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("witness family needs N >= 1")
-
-
-def witness_family(N: int) -> WitnessFamily:
-    return WitnessFamily(N, tuple(1 - Fraction(1, 2 ** (k + 1)) for k in range(N)))
+def witness_family(N: int) -> tuple[Fraction, ...]:
+    """Truncations of the standard-chain witness: P(k) = 1 - 2^-(k+1) for k < N."""
+    if N < 1:
+        raise ValueError("witness family needs N >= 1")
+    return tuple(1 - Fraction(1, 2 ** (k + 1)) for k in range(N))
 
 
 def phi_truncated_witness(N: int) -> tuple[Structure, Fraction]:
@@ -151,10 +142,9 @@ def phi_truncated_witness(N: int) -> tuple[Structure, Fraction]:
     what drives the second conjunct toward 1 as N grows; the value of Phi on
     the truncation is (2^N - 1)/2^N.
     """
-    family = witness_family(N)
     structure = Structure(
         domain_size=N,
-        predicates={"P": {(k,): family.values[k] for k in range(N)}},
+        predicates={"P": {(k,): v for k, v in enumerate(witness_family(N))}},
     )
     value = eval(STANDARD_CHAIN, structure, phi_sentence())
     return structure, value

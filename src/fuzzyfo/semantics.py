@@ -90,69 +90,54 @@ def eval(chain: Chain, structure: Structure, phi: Formula,
          assignment: Optional[dict[str, int]] = None) -> TruthValue:
     """Truth value of phi in the structure under the assignment.
 
-    Derived connectives are expanded: ~phi = phi -> 0 and <-> is the meet of
-    the two residua.
+    The structure is checked against the chain first (`check_structure`).
     """
-    a = assignment or {}
-    if isinstance(phi, Atom):
-        if phi.pred not in structure.predicates:
-            raise EvalError(f"uninterpreted predicate {phi.pred}")
-        args = tuple(eval_term(structure, t, a) for t in phi.args)
-        return structure.predicates[phi.pred][args]
-    if isinstance(phi, TruthConst):
-        return chain.top if phi.top else chain.bot
-    if isinstance(phi, Neg):
-        return chain.residuum(eval(chain, structure, phi.body, a), chain.bot)
-    if isinstance(phi, StrongConj):
-        return chain.tnorm(eval(chain, structure, phi.left, a), eval(chain, structure, phi.right, a))
-    if isinstance(phi, Impl):
-        return chain.residuum(eval(chain, structure, phi.left, a), eval(chain, structure, phi.right, a))
-    if isinstance(phi, Meet):
-        return chain.meet(eval(chain, structure, phi.left, a), eval(chain, structure, phi.right, a))
-    if isinstance(phi, Join):
-        return chain.join(eval(chain, structure, phi.left, a), eval(chain, structure, phi.right, a))
-    if isinstance(phi, Biimpl):
-        x = eval(chain, structure, phi.left, a)
-        y = eval(chain, structure, phi.right, a)
-        return chain.meet(chain.residuum(x, y), chain.residuum(y, x))
-    if isinstance(phi, (Forall, Exists)):
-        pick = min if isinstance(phi, Forall) else max
-        values = []
-        for d in range(structure.domain_size):
-            inner = dict(a)
-            inner[phi.var] = d
-            values.append(eval(chain, structure, phi.body, inner))
-        return pick(values)
-    raise TypeError(f"not a formula: {phi!r}")
+    check_structure(structure, chain)
+
+    def atom(p: Atom, a: dict[str, int]) -> TruthValue:
+        if p.pred not in structure.predicates:
+            raise EvalError(f"uninterpreted predicate {p.pred}")
+        return structure.predicates[p.pred][tuple(eval_term(structure, t, a) for t in p.args)]
+    return _walk(chain, phi, atom, range(structure.domain_size), assignment or {})
 
 
 def eval_propositional(chain: Chain, valuation: dict[Atom, TruthValue], phi: Formula) -> TruthValue:
-    """Connective-only evaluation of a quantifier-free closed formula."""
+    """Truth value of a quantifier-free closed formula under a valuation of its atoms."""
+    def atom(p: Atom, a: dict[str, int]) -> TruthValue:
+        if p not in valuation:
+            raise EvalError(f"no valuation for atom {p.pred}{p.args}")
+        return valuation[p]
+    return _walk(chain, phi, atom, None, {})
+
+
+_BINARY = {StrongConj: "tnorm", Impl: "residuum", Meet: "meet", Join: "join", Biimpl: "biimpl"}
+
+
+def _walk(chain: Chain, phi: Formula, atom: Callable, domain: Optional[range],
+          a: dict[str, int]) -> TruthValue:
+    """The one recursive evaluator behind `eval` and `eval_propositional`.
+
+    `atom(p, a)` is the value of the atom p under the assignment a.  The
+    connectives are the chain's operations (~ is its negation, x -> 0, and
+    <-> its biimplication, the meet of the two residua).  Quantifiers are
+    min/max over `domain`; with no domain they are refused.
+    """
     if isinstance(phi, Atom):
-        if phi not in valuation:
-            raise EvalError(f"no valuation for atom {phi.pred}{phi.args}")
-        return valuation[phi]
+        return atom(phi, a)
     if isinstance(phi, TruthConst):
         return chain.top if phi.top else chain.bot
     if isinstance(phi, Neg):
-        return chain.residuum(eval_propositional(chain, valuation, phi.body), chain.bot)
-    if isinstance(phi, StrongConj):
-        return chain.tnorm(eval_propositional(chain, valuation, phi.left),
-                           eval_propositional(chain, valuation, phi.right))
-    if isinstance(phi, Impl):
-        return chain.residuum(eval_propositional(chain, valuation, phi.left),
-                              eval_propositional(chain, valuation, phi.right))
-    if isinstance(phi, Meet):
-        return chain.meet(eval_propositional(chain, valuation, phi.left),
-                          eval_propositional(chain, valuation, phi.right))
-    if isinstance(phi, Join):
-        return chain.join(eval_propositional(chain, valuation, phi.left),
-                          eval_propositional(chain, valuation, phi.right))
-    if isinstance(phi, Biimpl):
-        x = eval_propositional(chain, valuation, phi.left)
-        y = eval_propositional(chain, valuation, phi.right)
-        return chain.meet(chain.residuum(x, y), chain.residuum(y, x))
-    raise TypeError(f"quantifier-free formula expected, got {phi!r}")
+        return chain.neg(_walk(chain, phi.body, atom, domain, a))
+    op = _BINARY.get(type(phi))
+    if op is not None:
+        return getattr(chain, op)(_walk(chain, phi.left, atom, domain, a),
+                                  _walk(chain, phi.right, atom, domain, a))
+    if domain is None:
+        raise TypeError(f"quantifier-free formula expected, got {phi!r}")
+    if isinstance(phi, (Forall, Exists)):
+        pick = min if isinstance(phi, Forall) else max
+        return pick(_walk(chain, phi.body, atom, domain, {**a, phi.var: d}) for d in domain)
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def structure_space_size(vocab: Vocabulary, chain: FiniteChain, domain_size: int) -> int:
@@ -442,8 +427,12 @@ def _table(kind: str, name: str, vals: list, n: int, arities: dict[str, int]) ->
     return dict(zip(itertools.product(range(n), repeat=arity), vals))
 
 
-def check_structure(structure: Structure, chain: FiniteChain) -> None:
-    """Raise ValueError unless every value lies in the domain or is a rank of the chain."""
+def check_structure(structure: Structure, chain: Chain) -> None:
+    """Raise ValueError unless every value lies in the domain or the chain.
+
+    On a finite chain a predicate value must be a rank; on the standard chain,
+    an int or Fraction in [0, 1].
+    """
     n = structure.domain_size
     for c, v in sorted(structure.constants.items()):
         if not 0 <= v < n:
@@ -454,7 +443,11 @@ def check_structure(structure: Structure, chain: FiniteChain) -> None:
                 raise ValueError(f"fun {f}: value {v} is outside the domain 0..{n - 1}")
     for p, table in sorted(structure.predicates.items()):
         for v in table.values():
-            if not isinstance(v, int) or not 0 <= v < chain.size:
+            if chain.size is None:
+                if not isinstance(v, (int, Fraction)) or not 0 <= v <= 1:
+                    raise ValueError(f"pred {p}: value {v} is not an int or Fraction "
+                                     f"in [0, 1] of the standard chain")
+            elif not isinstance(v, int) or not 0 <= v < chain.size:
                 raise ValueError(f"pred {p}: value {_format_value(v)} is not a rank "
                                  f"#0..#{chain.size - 1} of the size-{chain.size} chain")
 

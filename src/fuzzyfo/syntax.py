@@ -389,7 +389,6 @@ class _Parser:
         self.inferred_preds: dict[str, int] = {}
         self.inferred_funcs: dict[str, int] = {}
         self.bound_stack: list[str] = []
-        self.maybe_consts: set[str] = set()
         self.open = 0  # constructs still open around the current token
         self.height = 0  # height of the formula or term parsed last
 
@@ -547,7 +546,6 @@ class _Parser:
         if self.infer:
             if text in self.bound_stack:
                 return Var(text)
-            self.maybe_consts.add(text)
             return Const(text)
         if text in self.vocab.constants:
             return Const(text)
@@ -599,12 +597,6 @@ def parse(text: str, vocab: Optional[Vocabulary] = None) -> Formula:
     if tok[0] != "eof":
         raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
     return rename_apart(phi)
-
-
-def infer_vocabulary(text: str, relational: bool = False) -> Vocabulary:
-    """Build the minimal vocabulary that makes the text parse."""
-    phi = parse(text)
-    return vocabulary_of(phi, relational=relational)
 
 
 # -- printer -------------------------------------------------------------

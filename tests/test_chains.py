@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from fuzzyfo.chains import (
     ChainValidationError, EnumerationCapError, check_square_meet_law,
-    derived_ops, embed_rank, enumerate_mtl_chains, format_chain_file,
+    STANDARD_CHAIN, embed_rank, enumerate_mtl_chains, format_chain_file,
     is_lukasiewicz, make_chain_from_table, make_godel_chain,
-    make_lukasiewicz_chain, parse_chain_file, std_biimpl, std_mult, std_square,
+    make_lukasiewicz_chain, parse_chain_file,
 )
 
 
@@ -37,6 +37,14 @@ def test_godel_3_values():
 def test_invalid_size_rejected(factory):
     with pytest.raises(ChainValidationError):
         factory(1)
+
+
+@pytest.mark.parametrize("factory", [make_lukasiewicz_chain, make_godel_chain])
+@pytest.mark.parametrize("k", [2049, 10**9])  # not the cap 2048 itself: ~8M table entries
+def test_sizes_above_the_cap_rejected_before_building(factory, k):
+    with pytest.raises(ChainValidationError) as info:
+        factory(k)
+    assert info.value.axiom == "size" and info.value.witness == (k,)
 
 
 def test_from_table_accepts_godel_3():
@@ -87,10 +95,9 @@ def test_enumeration_cap_refused():
 
 def test_derived_ops_lukasiewicz_3():
     c = make_lukasiewicz_chain(3)
-    ops = derived_ops(c)
-    assert ops["square"](1) == 0
-    assert ops["neg"](1) == 1
-    assert ops["biimpl"](1, 0) == 1
+    assert c.square(1) == 0
+    assert c.neg(1) == 1
+    assert c.biimpl(1, 0) == 1
 
 
 def test_derived_ops_godel_3():
@@ -121,13 +128,12 @@ def test_residuation_law(size, data):
 
 
 def test_std_ops_examples():
-    assert std_mult(Fraction(1, 2), Fraction(7, 10)) == Fraction(1, 5)
-    assert std_square(Fraction(3, 4)) == Fraction(1, 2)
-    assert std_biimpl(Fraction(1, 2), Fraction(1, 2)) == 1
+    assert STANDARD_CHAIN.tnorm(Fraction(1, 2), Fraction(7, 10)) == Fraction(1, 5)
+    assert STANDARD_CHAIN.square(Fraction(3, 4)) == Fraction(1, 2)
+    assert STANDARD_CHAIN.biimpl(Fraction(1, 2), Fraction(1, 2)) == 1
 
 
 def test_std_ops_agree_with_finite_chains():
-    from fuzzyfo.chains import STANDARD_CHAIN
     for k in range(2, 13):
         chain = make_lukasiewicz_chain(k)
         for x in chain.carrier():
@@ -163,3 +169,4 @@ def test_chain_file_comments_and_errors():
         parse_chain_file("0 0\n0 1\n")
     with pytest.raises(ChainValidationError):
         parse_chain_file("chain 2\n0 1\n1 1\n")
+

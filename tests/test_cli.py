@@ -1,6 +1,7 @@
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzyfo.cli import build_parser, run
 
@@ -272,3 +273,81 @@ def test_inconsistent_verification_exits_2_on_one_line(monkeypatch):
         "internal consistency failure: certificate 'Bernays-Schonfinkel: unsatisfiable at "
         "the Bernays-Schonfinkel bound 1' failed check [no TAUT0 refutation of the star "
         "output] (refuted)\n")
+
+
+@pytest.mark.parametrize("spec", ["luk:2049", "godel:2049", "luk:1000000000"])
+def test_named_chain_sizes_above_the_cap_exit_1(spec):
+    code, text = run(["decide", "--set", "sat1", "--chain", spec, "--formula", "P(c)"])
+    assert code == 1
+    assert text == (f"error: size violated at ({spec.split(':')[1]},): "
+                    f"named chains are capped at 2048 elements\n")
+
+
+# -- structure files and chain specs through `eval` ---------------------------
+
+EVAL_FORMULAS = [
+    "P(c)", "P(c) & P(c)", "forall x. P(x)", "exists x. (P(x) -> P(f(x)))",
+    "R(c, c)", "~P(f(c)) \\/ Q", "forall x. exists y. (R(x, y) <-> P(y))",
+]
+_odd_values = st.one_of(
+    st.integers(-1, 20).map(lambda k: f"#{k}"),
+    st.tuples(st.integers(-3, 5), st.integers(-2, 5)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.integers(-1, 4).map(str),
+    st.sampled_from(["#", "#x", "x", "1/2/3", "0.5", "=", ":"]),
+)
+_garbage_lines = st.one_of(
+    st.integers(-1, 3).map(lambda n: f"domain {n}"),
+    st.tuples(st.sampled_from("cd"), st.integers(-1, 4)).map(lambda cv: f"const {cv[0]} = {cv[1]}"),
+    st.lists(st.integers(-1, 4).map(str), max_size=9).map(lambda vs: "fun f : " + " ".join(vs)),
+    st.tuples(st.sampled_from("PQR"), st.lists(_odd_values, max_size=9)).map(
+        lambda pv: f"pred {pv[0]} : " + " ".join(pv[1])),
+    st.text(alphabet="domainctfuprd #:=/-019", max_size=12),
+)
+
+
+@st.composite
+def _structure_lines(draw):
+    """Well-formed tables for the formulas' symbols, then at most one defect."""
+    n = draw(st.integers(1, 3))
+
+    def row(count, value):
+        return " ".join(draw(st.lists(value, min_size=count, max_size=count)))
+    element = st.integers(0, n - 1).map(str)
+    rank = st.integers(0, 3).map(lambda k: f"#{k}")
+    lines = [f"domain {n}", f"const c = {draw(element)}", f"fun f : {row(n, element)}",
+             f"pred P : {row(n, rank)}", f"pred Q : {row(1, rank)}", f"pred R : {row(n * n, rank)}"]
+    defect = draw(st.sampled_from(["none", "none", "drop", "value", "line"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if defect == "drop":
+        del lines[i]
+    elif defect == "value":
+        head = lines[i].rpartition(" ")[0]
+        lines[i] = f"{head} {draw(st.one_of(_odd_values, st.integers(-1, n + 1).map(str)))}"
+    elif defect == "line":
+        lines.insert(i, draw(_garbage_lines))
+    return lines
+
+
+_chain_specs = st.one_of(
+    st.tuples(st.sampled_from(["luk", "godel"]), st.integers(2, 16)).map(
+        lambda kk: f"{kk[0]}:{kk[1]}"),
+    st.sampled_from([f"{kind}:{k}" for kind in ("luk", "godel") for k in (-3, -1, 0, 1, 2049, 10**9)]
+                    + [f"enum:{k}" for k in range(-1, 5)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_structure_lines(), st.lists(_garbage_lines, max_size=6)),
+       st.sampled_from(EVAL_FORMULAS), _chain_specs)
+def test_eval_answers_in_the_chain_or_fails_on_one_line(tmp_path_factory, lines, formula, spec):
+    structure = tmp_path_factory.getbasetemp() / "fuzz.struct"
+    structure.write_text("\n".join(lines) + "\n")
+    code, text = run(["eval", "--formula", formula, "--chain", spec,
+                      "--structure", str(structure)])
+    assert code in (0, 1), text
+    assert "Traceback" not in text
+    if code == 1:
+        assert text.startswith("error: ") and text.count("\n") == 1, text
+    else:
+        report = dict(line.split(": ", 1) for line in text.splitlines())
+        assert 0 <= int(report["value"]) < int(report["chain-size"]), text

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzyfo.chains import make_godel_chain, make_lukasiewicz_chain
+from fuzzyfo.chains import STANDARD_CHAIN, make_godel_chain, make_lukasiewicz_chain
 from fuzzyfo.phi import (
     PHI_TEXT, ValueSet, consistency_check_valuesets, eval_phi_on_valueset,
     phi_fin_refutation, phi_sentence, phi_truncated_witness, witness_family,
@@ -85,11 +85,10 @@ def test_consistency_check_valuesets():
 
 def test_witness_family_invariants():
     fam = witness_family(8)
-    assert fam.values[0] == Fraction(1, 2)
-    assert list(fam.values) == sorted(set(fam.values))
-    from fuzzyfo.chains import std_square
+    assert fam[0] == Fraction(1, 2)
+    assert list(fam) == sorted(set(fam))
     for k in range(7):
-        assert std_square(fam.values[k + 1]) == fam.values[k]
+        assert STANDARD_CHAIN.square(fam[k + 1]) == fam[k]
 
 
 def test_truncated_witness_values():

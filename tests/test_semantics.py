@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,3 +154,30 @@ def test_enumerated_chains_evaluate_consistently():
     for chain in enumerate_mtl_chains(4):
         for s in enumerate_structures(P1, chain, 1):
             assert 0 <= eval(chain, s, phi) <= chain.top
+
+
+@pytest.mark.parametrize("text, value", [
+    ("forall x. P(x)", Fraction(3, 2)),
+    ("exists x. P(x)", Fraction(-1, 2)),
+    ("P(c)", 0.5),
+    ("1", 2),
+])
+def test_standard_chain_values_are_checked_where_the_structure_enters(text, value):
+    message = f"pred P: value {value} is not an int or Fraction in [0, 1]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eval(STANDARD_CHAIN, struct_p(1, [value], c=0), parse(text, P1C))
+
+
+def test_standard_chain_accepts_ints_and_fractions_in_the_unit_interval():
+    s = struct_p(3, [0, Fraction(1, 3), 1], c=0)
+    assert eval(STANDARD_CHAIN, s, parse("exists x. P(x)", P1C)) == 1
+    assert eval(STANDARD_CHAIN, s, parse("forall x. (P(x) \\/ ~P(x))", P1C)) == Fraction(2, 3)
+
+
+def test_one_walk_keeps_each_entrys_error_for_non_formulas():
+    with pytest.raises(TypeError, match="quantifier-free formula expected"):
+        eval_propositional(L3, {}, parse("forall x. P(x)", P1))
+    with pytest.raises(TypeError, match="quantifier-free formula expected"):
+        eval_propositional(L3, {}, "P")
+    with pytest.raises(TypeError, match="not a formula"):
+        eval(L3, struct_p(1, [0]), "P")
