@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 DEFAULT_ENUM_CAP = 7
 
-# `luk:k` and `godel:k` build two k x k tuple tables: 73 MB at k = 1200 and
-# ~8M entries at this cap.  Past it a chain spec could exhaust memory.
+# `luk:k` and `godel:k` build two k x k tuple tables, 8 bytes per entry:
+# 23 MB at k = 1200 and 67 MB at this cap (tracemalloc, Python 3.11).  Past
+# it a chain spec could exhaust memory.
 MAX_NAMED_CHAIN_SIZE = 2048
 
 
@@ -166,17 +167,22 @@ def make_lukasiewicz_chain(k: int) -> FiniteChain:
     """
     _check_named_size(k)
     top = k - 1
-    tnorm = tuple(tuple(max(0, x + y - top) for y in range(k)) for x in range(k))
-    residuum = tuple(tuple(min(top, top - x + y) for y in range(k)) for x in range(k))
+    ramp, zeros, tops = tuple(range(k)), (0,) * k, (top,) * k
+    # row x of max(0, x+y-top) is top-x zeros, then 0..x; of min(top, top-x+y)
+    # it is top-x..top, then top-x tops
+    tnorm = tuple(zeros[:top - x] + ramp[:x + 1] for x in range(k))
+    residuum = tuple(ramp[top - x:] + tops[:top - x] for x in range(k))
     return FiniteChain(k, tnorm, residuum)
 
 
 def make_godel_chain(k: int) -> FiniteChain:
     """The k-element Godel chain (t-norm = min)."""
     _check_named_size(k)
-    top = k - 1
-    tnorm = tuple(tuple(min(x, y) for y in range(k)) for x in range(k))
-    residuum = tuple(tuple(top if x <= y else y for y in range(k)) for x in range(k))
+    ramp, tops = tuple(range(k)), (k - 1,) * k
+    # row x of min(x, y) is 0..x-1, then x; of (top if x <= y else y) it is
+    # 0..x-1, then top
+    tnorm = tuple(ramp[:x] + (x,) * (k - x) for x in range(k))
+    residuum = tuple(ramp[:x] + tops[:k - x] for x in range(k))
     return FiniteChain(k, tnorm, residuum)
 
 
@@ -189,8 +195,9 @@ def enumerate_mtl_chains(size: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Fin
 
     The free entries are t[x][y] for 1 <= x <= y <= size-2 (row 0 and the top
     row/column are forced).  Backtracking assigns them in lexicographic
-    position order with monotonicity pruning; completed tables are checked for
-    associativity.
+    position order with monotonicity pruning, and cuts a branch as soon as
+    a completed row breaks associativity.  Every completed table is still
+    validated in full by `make_chain_from_table`.
     """
     if size < 2:
         raise EnumerationCapError(f"size {size} below minimum 2")
@@ -221,11 +228,28 @@ def enumerate_mtl_chains(size: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Fin
         for v in range(lo, hi + 1):
             table[x][y] = v
             table[y][x] = v
-            yield from assign(idx + 1)
+            if y < top - 1 or _associative_through(table, x):
+                yield from assign(idx + 1)
         table[x][y] = 0
         table[y][x] = 0
 
     yield from assign(0)
+
+
+def _associative_through(t: Sequence[Sequence[int]], x: int) -> bool:
+    """(a*b)*c = a*(b*c) for every c and every a, b with max(a, b) = x.
+
+    Needs rows 0..x complete: a*b, a and b are all at most x, so every
+    product in the law is read from those rows.  Checked as each row is
+    completed, this covers every triple with a, b below the top.
+    """
+    for a in range(x + 1):
+        for p, q in ((a, x), (x, a)):
+            row_pq, row_p, row_q = t[t[p][q]], t[p], t[q]
+            for c, pq_c in enumerate(row_pq):
+                if pq_c != row_p[row_q[c]]:
+                    return False
+    return True
 
 
 def check_square_meet_law(chain: FiniteChain) -> Optional[int]:
@@ -241,10 +265,6 @@ def check_square_meet_law(chain: FiniteChain) -> Optional[int]:
 
 # -- standard Lukasiewicz chain on [0, 1] --------------------------------
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 class StandardChain:
     """The standard MV-chain on exact rationals in [0, 1].
 
@@ -252,32 +272,38 @@ class StandardChain:
     either interchangeably.  There is no finite carrier to enumerate.  The
     operations do not check their arguments: `semantics.check_structure`
     checks every value once, where a structure enters evaluation.
+
+    With an integer `top` d the same operations act on the ranks 0..d of
+    the subalgebra {0, 1/d, .., 1}, scaled by d: `semantics.eval` evaluates
+    standard-chain structures this way, on integers.
     """
 
     size = None
-    bot = ZERO
-    top = ONE
 
-    def tnorm(self, x: Fraction, y: Fraction) -> Fraction:
-        return max(ZERO, x + y - 1)
+    def __init__(self, top: Union[int, Fraction] = Fraction(1)):
+        self.top = top
+        self.bot = top - top  # 0, of top's type
 
-    def residuum(self, x: Fraction, y: Fraction) -> Fraction:
-        return min(ONE, 1 - x + y)
+    def tnorm(self, x, y):
+        return max(self.bot, x + y - self.top)
 
-    def meet(self, x: Fraction, y: Fraction) -> Fraction:
+    def residuum(self, x, y):
+        return min(self.top, self.top - x + y)
+
+    def meet(self, x, y):
         return min(x, y)
 
-    def join(self, x: Fraction, y: Fraction) -> Fraction:
+    def join(self, x, y):
         return max(x, y)
 
-    def neg(self, x: Fraction) -> Fraction:
-        return 1 - x
+    def neg(self, x):
+        return self.top - x
 
-    def square(self, x: Fraction) -> Fraction:
-        return max(ZERO, 2 * x - 1)
+    def square(self, x):
+        return max(self.bot, 2 * x - self.top)
 
-    def biimpl(self, x: Fraction, y: Fraction) -> Fraction:
-        return 1 - abs(x - y)
+    def biimpl(self, x, y):
+        return self.top - abs(x - y)
 
 
 STANDARD_CHAIN = StandardChain()

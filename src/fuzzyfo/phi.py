@@ -54,13 +54,21 @@ def eval_phi_on_valueset(vs: ValueSet) -> int:
     lives); first conjunct = best fixed-point-of-negation candidate, second =
     worst x of the best square-matching y.
     """
-    chain = vs.chain
+    _require_lukasiewicz(vs.chain)
+    return _phi_on_values(vs.chain, vs.values)
+
+
+def _require_lukasiewicz(chain: FiniteChain) -> None:
     if not is_lukasiewicz(chain):
         raise ValueError("value-set evaluation is only supported on Lukasiewicz chains")
-    first = max(chain.biimpl(a, chain.neg(a)) for a in vs.values)
+
+
+def _phi_on_values(chain: FiniteChain, values) -> int:
+    """`eval_phi_on_valueset` without its guard, for a chain already checked."""
+    first = max(chain.biimpl(a, chain.neg(a)) for a in values)
     second = min(
-        max(chain.biimpl(a, chain.square(b)) for b in vs.values)
-        for a in vs.values
+        max(chain.biimpl(a, chain.square(b)) for b in values)
+        for a in values
     )
     return chain.tnorm(first, second)
 
@@ -89,12 +97,12 @@ def phi_fin_refutation(max_k: int, cap: int = DEFAULT_K_CAP) -> PhiRefutationRep
     rows = []
     for k in range(2, max_k + 1):
         chain = make_lukasiewicz_chain(k)
+        _require_lukasiewicz(chain)  # once per chain, not per value set
         best = 0
         scanned = 0
         for r in range(1, k + 1):
             for subset in itertools.combinations(range(k), r):
-                vs = ValueSet(chain, frozenset(subset))
-                value = eval_phi_on_valueset(vs)
+                value = _phi_on_values(chain, subset)
                 scanned += 1
                 if value >= chain.top:
                     raise AssertionError(

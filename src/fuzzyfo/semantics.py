@@ -8,6 +8,7 @@ the domain, so all infima/suprema are attained.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,8 +83,15 @@ def eval_term(structure: Structure, t: Term, assignment: dict[str, int]) -> int:
         return structure.constants[t.name]
     if t.func not in structure.functions:
         raise EvalError(f"uninterpreted function {t.func}")
-    args = tuple(eval_term(structure, a, assignment) for a in t.args)
-    return structure.functions[t.func][args]
+    return _entry(structure.functions, t.func,
+                  tuple(eval_term(structure, a, assignment) for a in t.args))
+
+
+def _entry(tables: dict, name: str, args: tuple):
+    try:
+        return tables[name][args]
+    except KeyError:
+        raise EvalError(f"{name} has no entry for the arguments {args}") from None
 
 
 def eval(chain: Chain, structure: Structure, phi: Formula,
@@ -91,14 +99,24 @@ def eval(chain: Chain, structure: Structure, phi: Formula,
     """Truth value of phi in the structure under the assignment.
 
     The structure is checked against the chain first (`check_structure`).
+    On the standard chain the values are then scaled to integer ranks over
+    their least common denominator d and evaluated in the Lukasiewicz chain
+    {0, 1/d, .., 1}, a subalgebra of [0, 1]; the result is a Fraction.
     """
     check_structure(structure, chain)
+    predicates = structure.predicates
+    if chain.size is None:
+        d = math.lcm(*(v.denominator for table in predicates.values() for v in table.values()))
+        chain = StandardChain(d)
+        predicates = {p: {key: v.numerator * (d // v.denominator) for key, v in table.items()}
+                      for p, table in predicates.items()}
 
     def atom(p: Atom, a: dict[str, int]) -> TruthValue:
-        if p.pred not in structure.predicates:
+        if p.pred not in predicates:
             raise EvalError(f"uninterpreted predicate {p.pred}")
-        return structure.predicates[p.pred][tuple(eval_term(structure, t, a) for t in p.args)]
-    return _walk(chain, phi, atom, range(structure.domain_size), assignment or {})
+        return _entry(predicates, p.pred, tuple(eval_term(structure, t, a) for t in p.args))
+    value = _walk(chain, phi, atom, range(structure.domain_size), assignment or {})
+    return value if chain.size else Fraction(value, chain.top)
 
 
 def eval_propositional(chain: Chain, valuation: dict[Atom, TruthValue], phi: Formula) -> TruthValue:
@@ -363,7 +381,11 @@ def compile_formula(phi: Formula, chain: FiniteChain,
             return a if a < b else b
         return biimpl
 
-    return formula(phi, {})
+    compiled = formula(phi, {})
+    # `formula` refers to itself and holds the chain's tables: unlinked, they
+    # are freed with the compiled closures, not at a later cyclic collection
+    del formula
+    return compiled
 
 
 # -- structure file format -----------------------------------------------
@@ -385,20 +407,22 @@ def parse_structure_file(text: str, vocab: Optional[Vocabulary] = None) -> Struc
                 else line.split("#", 1)[0]).strip()
         if not line:
             continue
-        if line.startswith("domain "):
-            domain_size = int(line.split()[1])
-        elif line.startswith("const "):
-            body = line[len("const "):]
-            name, _, val = body.partition("=")
-            constants[name.strip()] = int(val.strip())
-        elif line.startswith("fun "):
-            body = line[len("fun "):]
-            name, _, vals = body.partition(":")
-            fun_rows[name.strip()] = [int(v) for v in vals.split()]
-        elif line.startswith("pred "):
-            body = line[len("pred "):]
-            name, _, vals = body.partition(":")
-            pred_rows[name.strip()] = [_parse_value(v) for v in vals.split()]
+        keyword, _, body = line.partition(" ")
+        if keyword == "domain":
+            domain_size = _parse_token(lineno, "domain", body.strip(), int)
+        elif keyword == "const":
+            name, eq, val = (part.strip() for part in body.partition("="))
+            if not name or not eq:
+                raise ValueError(f"line {lineno}: expected 'const <name> = <element>'")
+            constants[name] = _parse_token(lineno, f"const {name}", val, int)
+        elif keyword in ("fun", "pred"):
+            name, colon, vals = (part.strip() for part in body.partition(":"))
+            if not name or not colon:
+                raise ValueError(f"line {lineno}: expected '{keyword} <name> : <values>'")
+            parse_one = int if keyword == "fun" else _parse_value
+            rows = fun_rows if keyword == "fun" else pred_rows
+            rows[name] = [_parse_token(lineno, f"{keyword} {name}", v, parse_one)
+                          for v in vals.split()]
         else:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
     if domain_size is None:
@@ -428,20 +452,27 @@ def _table(kind: str, name: str, vals: list, n: int, arities: dict[str, int]) ->
 
 
 def check_structure(structure: Structure, chain: Chain) -> None:
-    """Raise ValueError unless every value lies in the domain or the chain.
+    """Raise ValueError unless the tables are total and every value lies in
+    the domain or the chain.
 
-    On a finite chain a predicate value must be a rank; on the standard chain,
-    an int or Fraction in [0, 1].
+    Constants and function values must be int elements of the domain, and
+    each table's keys exactly the argument tuples of one arity.  On a finite
+    chain a predicate value must be a rank; on the standard chain, an int or
+    Fraction in [0, 1].
     """
     n = structure.domain_size
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"domain size must be an int of at least 1, got {n!r}")
     for c, v in sorted(structure.constants.items()):
-        if not 0 <= v < n:
-            raise ValueError(f"const {c} = {v} is outside the domain 0..{n - 1}")
+        if not isinstance(v, int) or not 0 <= v < n:
+            raise ValueError(f"const {c} = {v!r} is outside the domain 0..{n - 1}")
     for f, table in sorted(structure.functions.items()):
+        _check_keys("fun", f, table, n)
         for v in table.values():
-            if not 0 <= v < n:
-                raise ValueError(f"fun {f}: value {v} is outside the domain 0..{n - 1}")
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise ValueError(f"fun {f}: value {v!r} is outside the domain 0..{n - 1}")
     for p, table in sorted(structure.predicates.items()):
+        _check_keys("pred", p, table, n)
         for v in table.values():
             if chain.size is None:
                 if not isinstance(v, (int, Fraction)) or not 0 <= v <= 1:
@@ -450,6 +481,14 @@ def check_structure(structure: Structure, chain: Chain) -> None:
             elif not isinstance(v, int) or not 0 <= v < chain.size:
                 raise ValueError(f"pred {p}: value {_format_value(v)} is not a rank "
                                  f"#0..#{chain.size - 1} of the size-{chain.size} chain")
+
+
+def _check_keys(kind: str, name: str, table: dict, n: int) -> None:
+    first = next(iter(table), None)
+    arity = len(first) if isinstance(first, tuple) else 0
+    if set(table) != set(itertools.product(range(n), repeat=arity)):
+        raise ValueError(f"{kind} {name}: the table's keys are not the {n ** arity} "
+                         f"argument tuples of arity {arity} over the domain 0..{n - 1}")
 
 
 def _infer_arity(count: int, n: int, name: str) -> int:
@@ -468,15 +507,21 @@ def _infer_arity(count: int, n: int, name: str) -> int:
     return arity
 
 
+def _parse_token(lineno: int, symbol: str, tok: str, parse_one: Callable):
+    """parse_one(tok), or a one-line ValueError naming the line and the symbol."""
+    try:
+        return parse_one(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        reason = ": zero denominator" if isinstance(exc, ZeroDivisionError) else ""
+        raise ValueError(f"line {lineno}: {symbol}: bad value {tok!r}{reason}") from None
+
+
 def _parse_value(tok: str) -> TruthValue:
+    """A rank `#k`, or a rational `p/q` or `p`."""
     if tok.startswith("#"):
         return int(tok[1:])
-    if "/" in tok:
-        num, den = tok.split("/")
-        if int(den) == 0:
-            raise ValueError(f"bad truth value {tok!r}: zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(tok))
+    num, slash, den = tok.partition("/")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def format_structure_file(structure: Structure) -> str:

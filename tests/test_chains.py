@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fuzzyfo.chains import (
-    ChainValidationError, EnumerationCapError, check_square_meet_law,
-    STANDARD_CHAIN, embed_rank, enumerate_mtl_chains, format_chain_file,
+    ChainValidationError, EnumerationCapError, MAX_NAMED_CHAIN_SIZE, check_square_meet_law,
+    STANDARD_CHAIN, StandardChain, embed_rank, enumerate_mtl_chains, format_chain_file,
     is_lukasiewicz, make_chain_from_table, make_godel_chain,
     make_lukasiewicz_chain, parse_chain_file,
 )
@@ -47,6 +47,35 @@ def test_sizes_above_the_cap_rejected_before_building(factory, k):
     assert info.value.axiom == "size" and info.value.witness == (k,)
 
 
+@pytest.mark.parametrize("k", range(2, 65))
+def test_named_tables_equal_their_entry_formulas(k):
+    top = k - 1
+    r = range(k)
+    luk, godel = make_lukasiewicz_chain(k), make_godel_chain(k)
+    assert luk.tnorm_table == tuple(tuple(max(0, x + y - top) for y in r) for x in r)
+    assert luk.residuum_table == tuple(tuple(min(top, top - x + y) for y in r) for x in r)
+    assert godel.tnorm_table == tuple(tuple(min(x, y) for y in r) for x in r)
+    assert godel.residuum_table == tuple(tuple(top if x <= y else y for y in r) for x in r)
+
+
+@pytest.mark.parametrize("factory", [make_lukasiewicz_chain, make_godel_chain])
+def test_named_chains_at_the_cap_are_built(factory):
+    k = MAX_NAMED_CHAIN_SIZE
+    chain = factory(k)
+    top = k - 1
+    assert chain.size == k and len(chain.tnorm_table) == len(chain.residuum_table) == k
+    for x in (0, 1, 2, k // 3, 1000, top - 1, top):
+        tnorm, res = chain.tnorm_table[x], chain.residuum_table[x]
+        assert len(tnorm) == len(res) == k
+        for y in (0, 1, k // 2, top - x, top - x + 1, x, top - 1, top):
+            if y > top:
+                continue
+            if factory is make_lukasiewicz_chain:
+                assert (tnorm[y], res[y]) == (max(0, x + y - top), min(top, top - x + y))
+            else:
+                assert (tnorm[y], res[y]) == (min(x, y), top if x <= y else y)
+
+
 def test_from_table_accepts_godel_3():
     table = [[min(x, y) for y in range(3)] for x in range(3)]
     chain = make_chain_from_table(3, table)
@@ -78,6 +107,38 @@ def test_from_table_names_commutativity_witness():
 def test_enumeration_counts(size, count):
     # size 2 and 3 derived by hand; 4..6 frozen from the enumeration itself
     assert len(list(enumerate_mtl_chains(size))) == count
+
+
+def unpruned_mtl_chains(size):
+    """The enumeration without associativity pruning: every table filled in
+    with monotonicity pruning only, then kept if it validates in full."""
+    top = size - 1
+    positions = [(x, y) for x in range(1, top) for y in range(x, top)]
+    table = [[0] * size for _ in range(size)]
+    for x in range(size):
+        table[x][top] = table[top][x] = x
+
+    def assign(idx):
+        if idx == len(positions):
+            try:
+                yield make_chain_from_table(size, [row[:] for row in table])
+            except ChainValidationError:
+                pass
+            return
+        x, y = positions[idx]
+        lo = max(table[x - 1][y], table[x][y - 1] if y - 1 >= x else 0)
+        for v in range(lo, x + 1):
+            table[x][y] = table[y][x] = v
+            yield from assign(idx + 1)
+        table[x][y] = table[y][x] = 0
+
+    yield from assign(0)
+
+
+@pytest.mark.parametrize("size", range(2, 8))
+def test_pruned_enumeration_equals_unpruned(size):
+    pruned = [(c.tnorm_table, c.residuum_table) for c in enumerate_mtl_chains(size)]
+    assert pruned == [(c.tnorm_table, c.residuum_table) for c in unpruned_mtl_chains(size)]
 
 
 def test_enumeration_deduplicated_and_valid():
@@ -142,6 +203,18 @@ def test_std_ops_agree_with_finite_chains():
                 assert STANDARD_CHAIN.tnorm(ex, ey) == embed_rank(chain, chain.tnorm(x, y))
                 assert STANDARD_CHAIN.residuum(ex, ey) == embed_rank(chain, chain.residuum(x, y))
                 assert STANDARD_CHAIN.biimpl(ex, ey) == embed_rank(chain, chain.biimpl(x, y))
+
+
+def test_scaled_standard_chain_is_the_finite_lukasiewicz_chain():
+    # with top d the standard operations act on the ranks of {0, 1/d, .., 1}
+    for k in range(2, 13):
+        chain, scaled = make_lukasiewicz_chain(k), StandardChain(k - 1)
+        assert (scaled.bot, scaled.top) == (chain.bot, chain.top)
+        for x in chain.carrier():
+            assert (scaled.neg(x), scaled.square(x)) == (chain.neg(x), chain.square(x))
+            for y in chain.carrier():
+                for op in ("tnorm", "residuum", "meet", "join", "biimpl"):
+                    assert getattr(scaled, op)(x, y) == getattr(chain, op)(x, y)
 
 
 def test_is_lukasiewicz():

@@ -208,6 +208,21 @@ def test_eval_rejects_other_values_outside_domain_or_chain(tmp_path):
         assert text.startswith("error: ") and message in text and text.count("\n") == 1
 
 
+@pytest.mark.parametrize("struct_text, message", [
+    ("domain 1\nconst c = 0\npred P : 1/2/3\n", "line 3: pred P: bad value '1/2/3'"),
+    ("domain 1\nconst c = x\npred P : #1\n", "line 2: const c: bad value 'x'"),
+    ("domain 1\nconst c = 0\npred P : #x\n", "line 3: pred P: bad value '#x'"),
+    ("domain 1\nconst c = 0\nfun f : a\npred P : #1\n", "line 3: fun f: bad value 'a'"),
+    ("domain x\nconst c = 0\npred P : #1\n", "line 1: domain: bad value 'x'"),
+    ("domain 1\nconst c = 0\npred P : 1/0\n", "line 3: pred P: bad value '1/0': zero denominator"),
+    ("domain 1\nconst c 0\npred P : #1\n", "line 2: expected 'const <name> = <element>'"),
+    ("domain 1\nconst c = 0\npred : #1\n", "line 3: expected 'pred <name> : <values>'"),
+])
+def test_eval_names_the_line_and_symbol_of_a_bad_token(tmp_path, struct_text, message):
+    code, text = _eval_struct(tmp_path, struct_text, "P(f(c))" if "fun" in struct_text else "P(c)")
+    assert (code, text) == (1, f"error: {message}\n")
+
+
 def test_eval_uses_formula_arity_on_singleton_domain(tmp_path):
     code, text = _eval_struct(tmp_path, "domain 1\nconst c = 0\npred R : #2\n", "R(c, c)")
     assert code == 0, text

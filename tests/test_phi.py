@@ -72,6 +72,18 @@ def test_fin_refutation_maxima():
     assert by_k[3].value_sets_scanned == 7
 
 
+def test_fin_refutation_checks_each_chain_once(monkeypatch):
+    from fuzzyfo import phi
+    checked = []
+    monkeypatch.setattr(phi, "is_lukasiewicz", lambda chain: checked.append(chain.size) or True)
+    phi.phi_fin_refutation(6)
+    assert checked == [2, 3, 4, 5, 6]
+    monkeypatch.undo()
+    monkeypatch.setattr(phi, "make_lukasiewicz_chain", make_godel_chain)
+    with pytest.raises(ValueError, match="only supported on Lukasiewicz chains"):
+        phi.phi_fin_refutation(3)
+
+
 def test_fin_refutation_cap():
     with pytest.raises(ValueError):
         phi_fin_refutation(13)
@@ -92,9 +104,9 @@ def test_witness_family_invariants():
 
 
 def test_truncated_witness_values():
-    for n, expected in [(1, Fraction(1, 2)), (2, Fraction(3, 4)), (5, Fraction(31, 32))]:
+    for n in range(1, 65):
         _, value = phi_truncated_witness(n)
-        assert value == expected
+        assert value == Fraction(2 ** n - 1, 2 ** n)
 
 
 def test_truncated_witness_matches_oracle_and_increases():

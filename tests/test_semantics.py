@@ -1,7 +1,9 @@
+import itertools
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzyfo.chains import (
     STANDARD_CHAIN, embed_rank, enumerate_mtl_chains, make_boolean_chain,
@@ -13,8 +15,10 @@ from fuzzyfo.semantics import (
     structure_space_size,
 )
 from fuzzyfo.syntax import (
-    Atom, Const, Vocabulary, classical_nnf, parse, star_translate,
+    App, Atom, Biimpl, Const, Exists, Forall, Impl, Join, Meet, Neg, StrongConj,
+    TruthConst, Var, Vocabulary, classical_nnf, parse, star_translate,
 )
+from test_compiled import sentences
 
 L3 = make_lukasiewicz_chain(3)
 B2 = make_boolean_chain()
@@ -181,3 +185,93 @@ def test_one_walk_keeps_each_entrys_error_for_non_formulas():
         eval_propositional(L3, {}, "P")
     with pytest.raises(TypeError, match="not a formula"):
         eval(L3, struct_p(1, [0]), "P")
+
+
+def test_structures_with_partial_tables_or_non_int_elements_are_refused():
+    forall_p = parse("forall x. P(x)", P1)
+    cases = [
+        (struct_p(2, [0, 1], c=Fraction(1, 2)), parse("P(c)", P1C), "const c = Fraction(1, 2) is outside"),
+        (Structure(2, {}, {}, {"P": {(0,): 1}}), forall_p, "pred P: the table's keys"),
+        (Structure(2, {}, {}, {"P": {}}), forall_p, "pred P: the table's keys"),
+        (Structure(2, {}, {}, {"P": {(0,): 1, (1,): 0, (2,): 0}}), forall_p,
+         "pred P: the table's keys"),
+        (Structure(2, {"c": 0}, {"f": {(0,): 1}}, {"P": {(0,): 1, (1,): 0}}),
+         parse("P(f(c))", Vocabulary(predicates={"P": 1}, constants=frozenset({"c"}),
+                                     functions={"f": 1})), "fun f: the table's keys"),
+        (Structure(1, {"c": 0}, {"f": {(0,): Fraction(0)}}, {"P": {(0,): 1}}),
+         parse("P(f(c))", Vocabulary(predicates={"P": 1}, constants=frozenset({"c"}),
+                                     functions={"f": 1})), "fun f: value Fraction(0, 1) is outside"),
+        (Structure(0, {}, {}, {}), parse("forall x. 1", Vocabulary()), "domain size"),
+    ]
+    for structure, phi, message in cases:
+        for chain in (L3, STANDARD_CHAIN):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                eval(chain, structure, phi)
+
+
+def test_an_atom_of_the_wrong_arity_is_an_eval_error():
+    structure = struct_p(2, [0, 1], c=0)
+    for chain in (L3, STANDARD_CHAIN):
+        with pytest.raises(EvalError, match=re.escape("P has no entry for the arguments (0, 0)")):
+            eval(chain, structure, parse("P(c, c)", Vocabulary(predicates={"P": 2},
+                                                                constants=frozenset({"c"}))))
+
+
+# -- the standard chain against a plain Fraction walk ---------------------
+
+def fraction_eval(structure, phi, a):
+    """Phi over [0, 1] in Fraction arithmetic, one connective at a time."""
+    def term(t):
+        if isinstance(t, Var):
+            return a[t.name]
+        if isinstance(t, Const):
+            return structure.constants[t.name]
+        return structure.functions[t.func][tuple(term(u) for u in t.args)]
+
+    def go(phi, a):
+        return fraction_eval(structure, phi, a)
+    if isinstance(phi, Atom):
+        return Fraction(structure.predicates[phi.pred][tuple(term(t) for t in phi.args)])
+    if isinstance(phi, TruthConst):
+        return Fraction(phi.top)
+    if isinstance(phi, Neg):
+        return 1 - go(phi.body, a)
+    if isinstance(phi, (Forall, Exists)):
+        values = [go(phi.body, {**a, phi.var: d}) for d in range(structure.domain_size)]
+        return min(values) if isinstance(phi, Forall) else max(values)
+    x, y = go(phi.left, a), go(phi.right, a)
+    if isinstance(phi, StrongConj):
+        return max(Fraction(0), x + y - 1)
+    if isinstance(phi, Impl):
+        return min(Fraction(1), 1 - x + y)
+    if isinstance(phi, Meet):
+        return min(x, y)
+    if isinstance(phi, Join):
+        return max(x, y)
+    assert isinstance(phi, Biimpl)
+    return 1 - abs(x - y)
+
+
+unit_values = st.one_of(st.sampled_from([0, 1]),
+                        st.fractions(min_value=0, max_value=1, max_denominator=60))
+
+
+@st.composite
+def standard_structures(draw):
+    """Structures for sentences over P/1, R/2, Q/0, c and f/1 (see `sentences`)."""
+    n = draw(st.integers(1, 3))
+
+    def table(arity, values):
+        return {key: draw(values) for key in itertools.product(range(n), repeat=arity)}
+    return Structure(n, {"c": draw(st.integers(0, n - 1))},
+                     {"f": table(1, st.integers(0, n - 1))},
+                     {"P": table(1, unit_values), "R": table(2, unit_values),
+                      "Q": table(0, unit_values)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=sentences(), structure=standard_structures())
+def test_scaled_standard_chain_eval_equals_the_fraction_walk(phi, structure):
+    value = eval(STANDARD_CHAIN, structure, phi)
+    assert type(value) is Fraction
+    assert value == fraction_eval(structure, phi, {})
