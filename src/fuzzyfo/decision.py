@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import reduce
+from typing import Callable, NamedTuple, Optional, Sequence
 
 # make_boolean_chain, enumerate_structures and eval_propositional are no
 # longer called here, but perfbench/tracing.py wraps them at this module's
@@ -21,7 +22,7 @@ from .semantics import (
     compile_formula, enumerate_structures, eval, eval_propositional, flat_layout,
 )
 from .syntax import (
-    App, Atom, BOTTOM, TOP, Const, Exists, Forall, Formula, FragmentError, Join,
+    App, Atom, BOTTOM, TOP, Const, Exists, Formula, FragmentError, Join,
     Meet, Neg, Term, TruthConst, Var, classical_nnf, classify,
     ensure_constant, format_formula, herbrand_universe, is_quantifier_free,
     split_universal_prefix, substitute, vocabulary_of,
@@ -368,14 +369,11 @@ def _dpll(n_vars: int, clauses: list[list[int]], budget: int) -> Optional[list[i
         trail.append(next_var)
 
 
-class GroundClauses:
+class GroundClauses(NamedTuple):
     """Clauses grounded over a grounder's variables, ready for one SAT call."""
 
-    __slots__ = ("grounder", "clauses")
-
-    def __init__(self, grounder: _Grounder, clauses: list[list[int]]):
-        self.grounder = grounder
-        self.clauses = clauses
+    grounder: _Grounder
+    clauses: list[list[int]]
 
 
 def prop_satisfiable(phi: Formula | Sequence[Formula] | GroundClauses,
@@ -407,26 +405,41 @@ def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) 
     return prop_satisfiable(phi, budget) is None
 
 
+# -- instance grounding ----------------------------------------------------
+
+class _Instances:
+    """The instances of a matrix over universes of term ids, each grounded once.
+
+    The prefix variables range over the universe and `bind` fixes any others
+    to term ids.  An instance is its tuple of term ids; its clauses are kept
+    as one group, so a set of instances is one SAT call.
+    """
+
+    def __init__(self, matrix: Formula, grounder: _Grounder, bind: dict[str, int],
+                 prefix: list[str]):
+        self.grounder = grounder
+        self.arity = len(prefix)
+        self.template = _Template(matrix, grounder,
+                                  {**bind, **{v: ~k for k, v in enumerate(prefix)}})
+        self.groups: dict[tuple[int, ...], list[list[int]]] = {}
+
+    def over(self, universe: list[int], budget: int) -> list[tuple[int, ...]]:
+        """Every instance over the universe, grounded; the count is checked first."""
+        count = len(universe) ** self.arity
+        if count > budget:
+            raise BudgetExceededError(count, budget, "ground instances")
+        keys = list(itertools.product(universe, repeat=self.arity))
+        for key in keys:
+            if key not in self.groups:
+                self.groups[key] = self.template.ground(key)
+        return keys
+
+    def contradictory(self, keys: Sequence[tuple[int, ...]], budget: int) -> bool:
+        clauses = [clause for key in keys for clause in self.groups[key]]
+        return prop_satisfiable(GroundClauses(self.grounder, clauses), budget) is None
+
+
 # -- Bernays-Schonfinkel decider -----------------------------------------
-
-def _split_bsr_prefix(phi: Formula) -> tuple[list[str], list[str], Formula]:
-    exists_vars: list[str] = []
-    while isinstance(phi, Exists):
-        exists_vars.append(phi.var)
-        phi = phi.body
-    forall_vars: list[str] = []
-    while isinstance(phi, Forall):
-        forall_vars.append(phi.var)
-        phi = phi.body
-    if not is_quantifier_free(phi):
-        raise FragmentError("not an exists*-forall* prefix sentence")
-    return exists_vars, forall_vars, phi
-
-
-def _check_instances(count: int, budget: int) -> None:
-    if count > budget:
-        raise BudgetExceededError(count, budget, "ground instances")
-
 
 def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact classical satisfiability for relational exists*-forall* sentences.
@@ -444,26 +457,31 @@ def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
         raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
     if not flags.is_sentence:
         raise FragmentError("Bernays-Schonfinkel decider needs a sentence")
-    exists_vars, forall_vars, matrix = _split_bsr_prefix(classical_nnf(phi))
     grounder = _Grounder()
     universe = [grounder.term(Const(c)) for c in sorted(vocabulary_of(phi).constants)]
-    skolem = {v: grounder.term(Const(f"@{i}")) for i, v in enumerate(exists_vars)}
+    matrix, skolem = classical_nnf(phi), {}
+    while isinstance(matrix, Exists):
+        skolem[matrix.var] = grounder.term(Const(f"@{len(skolem)}"))
+        matrix = matrix.body
+    forall_vars, matrix = split_universal_prefix(matrix)
+    if not is_quantifier_free(matrix):
+        raise FragmentError("not an exists*-forall* prefix sentence")
     universe += skolem.values()
     if not universe:
         universe.append(grounder.term(Const("@0")))
+    instances = _Instances(matrix, grounder, skolem, forall_vars)
+    sat = not instances.contradictory(instances.over(universe, budget), budget)
     bound = len(universe)
-    _check_instances(bound ** len(forall_vars), budget)
-    template = _Template(matrix, grounder,
-                         {**skolem, **{v: ~k for k, v in enumerate(forall_vars)}})
-    clauses = [clause for args in itertools.product(universe, repeat=len(forall_vars))
-               for clause in template.ground(args)]
-    sat = prop_satisfiable(GroundClauses(grounder, clauses), budget) is not None
     return Verdict("decided", decided=sat,
                    reason=f"{'' if sat else 'un'}satisfiable at the Bernays-Schonfinkel bound {bound}",
                    bounds=f"single domain size {bound}")
 
 
 # -- dual-Herbrand instantiation search ----------------------------------
+
+# Past depth 0, a depth is searched only while its instance count is at most this.
+HERBRAND_INSTANCE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class HerbrandWitness:
@@ -473,64 +491,83 @@ class HerbrandWitness:
     conjunction: Formula
 
 
-def dual_herbrand_search(phi: Formula, max_depth: int, instance_cap: int = 4096,
+def dual_herbrand_search(phi: Formula, max_depth: int,
                          budget: int = DEFAULT_BUDGET) -> HerbrandWitness | Verdict:
     """Search for a contradictory conjunction of Herbrand instances.
 
     Works depth by depth over the term universe.  Each matrix instance is
     grounded once, as its own clause group; at each depth one SAT call tests
     all of them together and, when they are contradictory, the groups are
-    greedily minimized (left to right) into the reported witness.  An
-    `exhausted` verdict only means no witness up to the depth bound.
+    greedily minimized (left to right) into the reported witness.  Depth 0 is
+    always searched, a deeper one while its instance count is within
+    HERBRAND_INSTANCE_CAP.  Without function symbols or universal variables
+    depth 0 holds every instance, so the search stops there with an exact
+    answer; otherwise `exhausted` only means no witness at the depths named.
     """
     if not classify(phi).is_purely_universal:
         raise FragmentError("dual Herbrand search needs a purely universal sentence")
+    if max_depth < 0:
+        raise ValueError(f"max depth must be at least 0, got {max_depth}")
     prefix, matrix = split_universal_prefix(phi)
     vocab = ensure_constant(vocabulary_of(phi))
     grounder = _Grounder()
-    template = _Template(classical_nnf(matrix), grounder,
-                         {v: ~k for k, v in enumerate(prefix)})
-    groups: dict[tuple[int, ...], list[list[int]]] = {}
-
-    def contradictory(keys) -> bool:
-        clauses = [clause for key in keys for clause in groups[key]]
-        return prop_satisfiable(GroundClauses(grounder, clauses), budget) is None
-
+    instances = _Instances(classical_nnf(matrix), grounder, {}, prefix)
+    searched = 0
+    size = len(vocab.constants)  # of the universe at `depth`, known before it is built
     for depth in range(max_depth + 1):
-        universe = herbrand_universe(vocab, depth)
-        tuples = list(itertools.product(universe, repeat=len(prefix)))
-        if len(tuples) > instance_cap:
+        if depth and size ** len(prefix) > HERBRAND_INSTANCE_CAP:
             break
-        _check_instances(len(tuples), budget)
-        keys = list(itertools.product([grounder.term(t) for t in universe], repeat=len(prefix)))
-        for key in keys:
-            if key not in groups:
-                groups[key] = template.ground(key)
-        if contradictory(keys):
-            keep = list(range(len(keys)))
-            for i in range(len(keys)):
-                trial = [j for j in keep if j != i]
-                if trial and contradictory([keys[j] for j in trial]):
-                    keep = trial
-            instances = [substitute(matrix, dict(zip(prefix, tuples[j]))) for j in keep]
-            return HerbrandWitness(
-                depth=depth,
-                m=len(keep),
-                instantiations=tuple(tuples[j] for j in keep),
-                conjunction=_big_meet(instances),
-            )
-    return Verdict("exhausted", bounds=f"term depth 0..{max_depth}")
+        universe = [grounder.term(t) for t in herbrand_universe(vocab, depth)]
+        keys = instances.over(universe, budget)
+        if instances.contradictory(keys, budget):
+            keep = _greedy_minimal(len(keys), lambda idx: instances.contradictory(
+                [keys[i] for i in idx], budget))
+            terms = tuple(tuple(grounder.terms[t] for t in keys[i]) for i in keep)
+            return HerbrandWitness(depth, len(keep), terms, reduce(Meet, [
+                substitute(matrix, dict(zip(prefix, args))) for args in terms]))
+        searched = depth
+        if not (vocab.functions and prefix):
+            break
+        size = len(vocab.constants) + sum(size ** a for a in vocab.functions.values())
+    return Verdict("exhausted", bounds=f"term depth 0..{searched}")
 
 
-def _big_meet(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Meet(out, p)
-    return out
+def _greedy_minimal(n: int, contradictory: Callable[[list[int]], bool]) -> list[int]:
+    """What left-to-right greedy deletion keeps of a contradictory 0..n-1.
+
+    Deletion drops i when the instances kept before it and all after it stay
+    contradictory (and are not none).  Contradiction is monotone, so a run
+    i..j-1 drops at once when the kept ones and j.. stay contradictory; a run
+    that cannot drop is halved.  Keeping m of n costs O(m log n) calls.
+    """
+    keep: list[int] = []
+    i, run = 0, n
+    while i < n:
+        rest = keep + list(range(i + run, n))
+        if rest and contradictory(rest):
+            i += run
+            run = min(run, n - i)
+        elif run > 1:
+            run //= 2
+        else:
+            keep.append(i)
+            i += 1
+            run = n - i
+    return keep
 
 
-def herbrand_verdict(result: HerbrandWitness | Verdict, max_depth: int) -> Verdict:
-    """The contradiction verdict a dual-Herbrand search result gives."""
+def herbrand_verdict(phi: Formula, result: HerbrandWitness | Verdict, max_depth: int) -> Verdict:
+    """The contradiction verdict the dual-Herbrand search on phi gives.
+
+    Without function symbols the search covered the Bernays-Schonfinkel
+    bound, so either answer is exact.
+    """
+    vocab = ensure_constant(vocabulary_of(phi))
+    if not vocab.functions:
+        unsat, bound = isinstance(result, HerbrandWitness), len(vocab.constants)
+        return Verdict("decided", decided=unsat, bounds=f"single domain size {bound}",
+                       reason=f"Bernays-Schonfinkel: {'un' if unsat else ''}satisfiable "
+                              f"at the Bernays-Schonfinkel bound {bound}")
     if isinstance(result, HerbrandWitness):
         return Verdict("decided", decided=True,
                        reason=f"Herbrand witness with {result.m} instances at depth {result.depth}",
@@ -543,18 +580,12 @@ def purely_universal_contradiction(phi: Formula, max_depth: int,
     """Decide (relational case) or semi-decide contradictoriness.
 
     Relational purely universal sentences fall into the Bernays-Schonfinkel
-    fragment, so contradiction = unsatisfiability is decided exactly at the
-    finite-model bound.  With function symbols the answer is the dual-Herbrand
-    semi-decision: a witness proves contradiction, exhaustion proves nothing.
+    fragment, where the dual-Herbrand search is complete at depth 0, so
+    contradiction = unsatisfiability is decided exactly.  With function
+    symbols the answer is a semi-decision: a witness proves contradiction,
+    exhaustion proves nothing.
     """
-    flags = classify(phi)
-    if not flags.is_purely_universal:
-        raise FragmentError("expected a purely universal sentence")
-    if flags.is_relational:
-        sat = bsr_decide(phi, budget)
-        return Verdict("decided", decided=not sat.decided,
-                       reason=f"Bernays-Schonfinkel: {sat.reason}", bounds=sat.bounds)
-    return herbrand_verdict(dual_herbrand_search(phi, max_depth, budget=budget), max_depth)
+    return herbrand_verdict(phi, dual_herbrand_search(phi, max_depth, budget), max_depth)
 
 
 # BSR grounding no longer maps constants to domain elements, so nothing here

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chains import FiniteChain, make_boolean_chain
+# purely_universal_contradiction, enumerate_structures and eval_propositional
+# are no longer called here, but perfbench/tracing.py wraps them at this
+# binding, so the names stay importable from this module.
 from .decision import (
     HerbrandWitness, _find, _nonzero, _top, dual_herbrand_search, herbrand_verdict,
     is_classical_contradiction_prop, purely_universal_contradiction, sat_pos_bounded,
     taut0_bounded,
 )
-# enumerate_structures and eval_propositional are no longer called here, but
-# perfbench/tracing.py wraps them at this binding, so the names stay
-# importable from this module.
 from .semantics import (
     DEFAULT_BUDGET, Structure, enumerate_structures, eval, eval_propositional,
 )
@@ -165,33 +165,23 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
     on every chain in K.  Disagreement raises ReductionVerificationError.
     """
     pu = trace.purely_universal_form
-    if classify(pu).is_relational:
-        cert = purely_universal_contradiction(pu, max_depth, budget)
-        found = None
-    else:
-        # the same search certifies the input and gives the witness below
-        found = dual_herbrand_search(pu, max_depth, budget=budget)
-        cert = herbrand_verdict(found, max_depth)
+    # one search certifies the input and, for a contradiction, gives the witness
+    found = dual_herbrand_search(pu, max_depth, budget=budget)
+    cert = herbrand_verdict(pu, found, max_depth)
     checks: list[tuple[str, bool, str]] = []
 
-    if cert.kind == "decided" and cert.decided:
-        witness = dual_herbrand_search(pu, max_depth, budget=budget) if found is None else found
-        if not isinstance(witness, HerbrandWitness):
-            raise ReductionVerificationError(
-                "certified contradiction but no Herbrand witness within depth "
-                f"{max_depth}: {cert.reason}"
-            )
+    if isinstance(found, HerbrandWitness):
         checks.append(("herbrand witness is a propositional contradiction",
-                       is_classical_contradiction_prop(witness.conjunction, budget),
-                       f"{witness.m} instances at depth {witness.depth}"))
+                       is_classical_contradiction_prop(found.conjunction, budget),
+                       f"{found.m} instances at depth {found.depth}"))
         verdict = taut0_bounded(K, trace.star_output, max_domain, budget=budget)
         checks.append(("no TAUT0 refutation of the star output",
                        verdict.kind in ("exhausted", "decided"),
                        verdict.kind))
-        ok, detail = _propositional_star_check(witness.conjunction, K, budget)
+        ok, detail = _propositional_star_check(found.conjunction, K, budget)
         checks.append(("star of witness conjunction vanishes propositionally", ok, detail))
         report = VerificationReport(True, cert.reason, tuple(checks))
-    elif cert.kind == "decided" and not cert.decided:
+    elif cert.kind == "decided":
         report = _verify_non_contradiction(trace, K, cert.reason, max_domain, budget)
     else:
         # full-vocabulary input with no witness in depth: try to certify
@@ -200,7 +190,7 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
         if model is None:
             raise ReductionVerificationError(
                 "cannot certify the input either way within bounds: "
-                f"Herbrand search exhausted at depth {max_depth} and no B2 model "
+                f"Herbrand search exhausted at {found.bounds} and no B2 model "
                 f"with domain <= {max_domain}"
             )
         report = _verify_non_contradiction(

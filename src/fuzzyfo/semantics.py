@@ -400,6 +400,7 @@ def parse_structure_file(text: str, vocab: Optional[Vocabulary] = None) -> Struc
     constants: dict[str, int] = {}
     fun_rows: dict[str, list[int]] = {}
     pred_rows: dict[str, list[TruthValue]] = {}
+    declared: dict[str, int] = {}  # "domain" or "<keyword> <name>" -> its line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         # on pred lines `#k` is a rank, so a comment there is a `#` standing alone
@@ -425,6 +426,10 @@ def parse_structure_file(text: str, vocab: Optional[Vocabulary] = None) -> Struc
                           for v in vals.split()]
         else:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+        symbol = keyword if keyword == "domain" else f"{keyword} {name}"
+        if symbol in declared:
+            raise ValueError(f"line {lineno}: {symbol} is already declared on line {declared[symbol]}")
+        declared[symbol] = lineno
     if domain_size is None:
         raise ValueError("structure file must declare 'domain <n>'")
     if domain_size < 1:

@@ -666,20 +666,14 @@ def star_translate(phi: Formula) -> Formula:
 
 def _fold(phi: Formula) -> Formula:
     """Drop truth constants from lattice combinations where possible."""
-    if isinstance(phi, Meet):
-        if phi.left == TOP:
+    if isinstance(phi, (Meet, Join)):
+        unit, zero = (TOP, BOTTOM) if isinstance(phi, Meet) else (BOTTOM, TOP)
+        if phi.left == unit:
             return phi.right
-        if phi.right == TOP:
+        if phi.right == unit:
             return phi.left
-        if BOTTOM in (phi.left, phi.right):
-            return BOTTOM
-    if isinstance(phi, Join):
-        if phi.left == BOTTOM:
-            return phi.right
-        if phi.right == BOTTOM:
-            return phi.left
-        if TOP in (phi.left, phi.right):
-            return TOP
+        if zero in (phi.left, phi.right):
+            return zero
     return phi
 
 
@@ -691,53 +685,30 @@ def classical_nnf(phi: Formula) -> Formula:
     contains only literals, truth constants, /\\, \\/ and quantifiers.
     """
 
-    def pos(phi: Formula) -> Formula:
-        if isinstance(phi, (Atom, TruthConst)):
-            return phi
-        if isinstance(phi, Neg):
-            return neg(phi.body)
-        if isinstance(phi, (Meet, StrongConj)):
-            return _fold(Meet(pos(phi.left), pos(phi.right)))
-        if isinstance(phi, Join):
-            return _fold(Join(pos(phi.left), pos(phi.right)))
-        if isinstance(phi, Impl):
-            return _fold(Join(neg(phi.left), pos(phi.right)))
-        if isinstance(phi, Biimpl):
-            return _fold(Meet(
-                _fold(Join(neg(phi.left), pos(phi.right))),
-                _fold(Join(neg(phi.right), pos(phi.left))),
-            ))
-        if isinstance(phi, Forall):
-            return Forall(phi.var, pos(phi.body))
-        if isinstance(phi, Exists):
-            return Exists(phi.var, pos(phi.body))
-        raise TypeError(f"not a formula: {phi!r}")
-
-    def neg(phi: Formula) -> Formula:
+    def nnf(phi: Formula, positive: bool) -> Formula:
+        """phi, or its negation when not positive, in negation normal form."""
         if isinstance(phi, Atom):
-            return Neg(phi)
+            return phi if positive else Neg(phi)
         if isinstance(phi, TruthConst):
-            return BOTTOM if phi.top else TOP
+            return phi if positive else TruthConst(not phi.top)
         if isinstance(phi, Neg):
-            return pos(phi.body)
-        if isinstance(phi, (Meet, StrongConj)):
-            return _fold(Join(neg(phi.left), neg(phi.right)))
-        if isinstance(phi, Join):
-            return _fold(Meet(neg(phi.left), neg(phi.right)))
-        if isinstance(phi, Impl):
-            return _fold(Meet(pos(phi.left), neg(phi.right)))
+            return nnf(phi.body, not positive)
         if isinstance(phi, Biimpl):
-            return _fold(Join(
-                _fold(Meet(pos(phi.left), neg(phi.right))),
-                _fold(Meet(pos(phi.right), neg(phi.left))),
-            ))
-        if isinstance(phi, Forall):
-            return Exists(phi.var, neg(phi.body))
-        if isinstance(phi, Exists):
-            return Forall(phi.var, neg(phi.body))
+            return nnf(Meet(Impl(phi.left, phi.right), Impl(phi.right, phi.left)), positive)
+        if isinstance(phi, _QUANT):
+            quantifier = type(phi) if positive else _DUAL[type(phi)]
+            return quantifier(phi.var, nnf(phi.body, positive))
+        if isinstance(phi, _BINARY):
+            # a -> b is ~a \/ b; negation swaps /\ and \/
+            op = Join if isinstance(phi, (Join, Impl)) else Meet
+            left = nnf(phi.left, positive != isinstance(phi, Impl))
+            return _fold((op if positive else _DUAL[op])(left, nnf(phi.right, positive)))
         raise TypeError(f"not a formula: {phi!r}")
 
-    return pos(phi)
+    return nnf(phi, True)
+
+
+_DUAL = {Meet: Join, Join: Meet, Forall: Exists, Exists: Forall}
 
 
 # -- Skolemization -------------------------------------------------------

@@ -223,6 +223,21 @@ def test_eval_names_the_line_and_symbol_of_a_bad_token(tmp_path, struct_text, me
     assert (code, text) == (1, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("struct_text, message", [
+    ("domain 1\nconst c = 0\npred P : #1\ndomain 2\n",
+     "line 4: domain is already declared on line 1"),
+    ("domain 2\nconst c = 0\nconst c = 1\npred P : #1 #2\n",
+     "line 3: const c is already declared on line 2"),
+    ("domain 2\nconst c = 0\nfun f : 1 0\nfun f : 0 0\npred P : #1 #2\n",
+     "line 4: fun f is already declared on line 3"),
+    ("domain 2\nconst c = 0\npred P : #1 #1\npred P : #2 #2\n",
+     "line 4: pred P is already declared on line 3"),
+])
+def test_eval_rejects_a_repeated_declaration(tmp_path, struct_text, message):
+    code, text = _eval_struct(tmp_path, struct_text, "P(f(c))" if "fun" in struct_text else "P(c)")
+    assert (code, text) == (1, f"error: {message}\n")
+
+
 def test_eval_uses_formula_arity_on_singleton_domain(tmp_path):
     code, text = _eval_struct(tmp_path, "domain 1\nconst c = 0\npred R : #2\n", "R(c, c)")
     assert code == 0, text

@@ -5,17 +5,19 @@ in `tests/oracles.py`, its models against `eval_propositional` on B2, and
 `is_classical_contradiction_prop` against a truth table kept in this file.
 """
 
+import random
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzyfo import reduction
+from fuzzyfo import decision, reduction
 from fuzzyfo.chains import enumerate_mtl_chains, make_boolean_chain
 from fuzzyfo.cli import run
 from fuzzyfo.decision import (
-    bsr_decide, dual_herbrand_search, is_classical_contradiction_prop, prop_satisfiable,
-    purely_universal_contradiction,
+    HERBRAND_INSTANCE_CAP, HerbrandWitness, _greedy_minimal, bsr_decide, dual_herbrand_search,
+    is_classical_contradiction_prop, prop_satisfiable, purely_universal_contradiction,
 )
 from fuzzyfo.reduction import _propositional_star_check, hardness_reduce, verify_reduction_instance
 from fuzzyfo.semantics import BudgetExceededError, eval_propositional
@@ -266,9 +268,149 @@ def test_verification_runs_the_herbrand_search_once(monkeypatch):
         return dual_herbrand_search(*args, **kwargs)
 
     monkeypatch.setattr(reduction, "dual_herbrand_search", counted)
-    trace = hardness_reduce(parse("forall x. exists y. (P(x) /\\ ~P(y))"))
-    report = verify_reduction_instance(trace, [B2])
-    assert len(calls) == 1
-    assert report.is_contradiction
-    assert report.certificate == "Herbrand witness with 2 instances at depth 1"
-    assert report.consistent
+    monkeypatch.setattr(decision, "dual_herbrand_search", counted)
+    for text, certificate, contradiction in [
+        ("forall x. exists y. (P(x) /\\ ~P(y))",
+         "Herbrand witness with 2 instances at depth 1", True),
+        ("exists x. forall y. (P(x) /\\ ~P(y))",
+         "Bernays-Schonfinkel: unsatisfiable at the Bernays-Schonfinkel bound 1", True),
+        ("exists x. forall y. (Q(x) \\/ ~Q(y))",
+         "Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 1", False),
+    ]:
+        calls.clear()
+        report = verify_reduction_instance(hardness_reduce(parse(text)), [B2])
+        assert len(calls) == 1, text
+        assert report.is_contradiction == contradiction
+        assert report.certificate == certificate
+        assert report.consistent
+
+
+# -- the dual-Herbrand search: limits and minimisation ---------------------
+
+def test_herbrand_search_checks_the_count_before_building_instances():
+    # depth 3 has 730**3 instances; the search stops at the cap without
+    # building them, and names only the depths it searched
+    phi = parse("forall x. forall y. forall z. (P(x) \\/ ~P(g(y, z, x)))")
+    tracemalloc.start()
+    try:
+        out = dual_herbrand_search(phi, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.kind, out.bounds) == ("exhausted", "term depth 0..2")
+    assert peak < 20_000_000
+    code, text = run(["reduce", "--verify", "--chain", "luk:3", "--max-depth", "3",
+                      "--formula", "forall x. forall y. forall z. (P(x) \\/ ~P(g(y, z, x)))"])
+    assert code == 0, text
+
+
+def test_herbrand_search_sizes_a_universe_before_building_it():
+    # depth 4 would hold 730**3 + 1 closed terms
+    out = dual_herbrand_search(parse("forall x. (P(x) \\/ ~P(g(x, x, x)))"), 4)
+    assert (out.kind, out.bounds) == ("exhausted", "term depth 0..3")
+
+
+def test_herbrand_search_bounds_name_only_the_depths_searched():
+    # depth 2 has 9 terms, so 9**4 instances: past the cap, and not searched
+    phi = parse("forall x. forall y. forall z. forall w. (P(x) \\/ ~P(g(y, z, w)))")
+    assert 9 ** 4 > HERBRAND_INSTANCE_CAP
+    out = dual_herbrand_search(phi, 2)
+    assert (out.kind, out.bounds) == ("exhausted", "term depth 0..1")
+
+
+def test_herbrand_search_stops_where_no_depth_adds_an_instance():
+    for text in ("forall x. (P(x) \\/ Q(c))", "P(g(c, c, c)) \\/ Q(c)"):
+        out = dual_herbrand_search(parse(text), 9)
+        assert (out.kind, out.bounds) == ("exhausted", "term depth 0..0"), text
+
+
+def test_herbrand_search_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="max depth must be at least 0, got -1"):
+        dual_herbrand_search(parse("forall x. P(x)"), -1)
+    assert run(["reduce", "--verify", "--chain", "luk:3", "--max-depth", "-1",
+                "--formula", "forall x. P(x)"]) == (
+        1, "error: max depth must be at least 0, got -1\n")
+
+
+def test_depth_0_is_bounded_only_by_the_budget():
+    # 9**4 depth-0 instances, past the cap that limits deeper depths: the
+    # certificate and the witness come from the same search
+    clash = " /\\ ".join(f"Q(c{i})" for i in range(9))
+    text = f"forall x. forall y. forall z. forall w. ((P(x) /\\ ~P(y)) /\\ {clash})"
+    code, report = run(["reduce", "--verify", "--chain", "luk:3", "--formula", text])
+    assert code == 0, report
+    assert ("certificate: Bernays-Schonfinkel: unsatisfiable at the Bernays-Schonfinkel bound 9"
+            in report.splitlines())
+    assert "check [herbrand witness is a propositional contradiction]: pass " \
+           "(1 instances at depth 0)" in report.splitlines()
+    assert report.endswith("consistent: True\n")
+
+
+def greedy_one_at_a_time(n, contradictory):
+    """Left-to-right greedy deletion, one SAT call per instance."""
+    keep = list(range(n))
+    for i in range(n):
+        trial = [j for j in keep if j != i]
+        if trial and contradictory(trial):
+            keep = trial
+    return keep
+
+
+def _monotone_oracle(rng, n):
+    """Contradictory iff the set holds one of a few random cores."""
+    cores = [frozenset(rng.sample(range(n), rng.randint(1, min(n, 4))))
+             for _ in range(rng.randint(1, 4))]
+    calls = []
+
+    def contradictory(indices):
+        calls.append(len(indices))
+        return any(core <= set(indices) for core in cores)
+    return contradictory, calls
+
+
+def test_greedy_minimal_equals_one_at_a_time_deletion():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        n = rng.randint(1, 60)
+        contradictory, calls = _monotone_oracle(rng, n)
+        kept = _greedy_minimal(n, contradictory)
+        assert kept == greedy_one_at_a_time(n, contradictory)
+        calls.clear()
+        _greedy_minimal(n, contradictory)
+        # at most one halving search, 2 calls per halving, per kept instance
+        assert len(calls) <= len(kept) * 2 * n.bit_length(), (n, kept, len(calls))
+
+
+def test_greedy_minimal_keeps_the_cost_logarithmic():
+    calls = []
+
+    def contradictory(indices):
+        calls.append(1)
+        return {1000, 4000} <= set(indices)
+    assert _greedy_minimal(6561, contradictory) == [1000, 4000]
+    assert len(calls) < 60
+
+
+def _random_universal(rng):
+    """forall x. forall y. over a conjunction of 3-8 clauses of 1-2 literals."""
+    terms = ["x", "y", "c", "f(x)", "f(y)"]
+
+    def literal():
+        atom = rng.choice([f"P({rng.choice(terms)})", f"Q({rng.choice(terms)})",
+                           f"R({rng.choice(terms)}, {rng.choice(terms)})"])
+        return atom if rng.random() < 0.5 else f"~{atom}"
+    clauses = [" \\/ ".join(literal() for _ in range(rng.randint(1, 2)))
+               for _ in range(rng.randint(3, 8))]
+    return "forall x. forall y. (" + " /\\ ".join(f"({c})" for c in clauses) + ")"
+
+
+def test_herbrand_witnesses_equal_one_at_a_time_deletion(monkeypatch):
+    rng = random.Random(8)
+    texts = [_random_universal(rng) for _ in range(400)]
+    found = [dual_herbrand_search(parse(text), 2) for text in texts]
+    monkeypatch.setattr(decision, "_greedy_minimal", greedy_one_at_a_time)
+    witnesses = 0
+    for text, out in zip(texts, found):
+        assert dual_herbrand_search(parse(text), 2) == out, text
+        witnesses += isinstance(out, HerbrandWitness) and out.m > 1
+    assert witnesses >= 40

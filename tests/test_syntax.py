@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzyfo.syntax import (
     Atom, BOTTOM, Biimpl, Const, Exists, Forall, FragmentError, Impl, Join,
-    Meet, Neg, ParseError, StrongConj, TOP, Var, App, Vocabulary,
+    Meet, Neg, ParseError, StrongConj, TOP, TruthConst, Var, App, Vocabulary,
     VocabularyError, classical_nnf, classify, format_formula, format_term,
     free_vars, herbrand_universe, parse, parse_vocabulary, skolemize,
     split_universal_prefix, star_translate, substitute, vocabulary_of,
@@ -168,6 +168,94 @@ def test_classical_nnf_quantifier_free_is_lattice_literal():
     for text in ["P(c) -> (Q(c) <-> ~P(d))", "~(P(c) & ~Q(c))", "~~P(c)"]:
         nnf = classical_nnf(parse(text, VOCAB))
         assert classify(nnf).is_lattice_literal_combination
+
+
+def _fold(phi):
+    if isinstance(phi, Meet):
+        if phi.left == TOP:
+            return phi.right
+        if phi.right == TOP:
+            return phi.left
+        if BOTTOM in (phi.left, phi.right):
+            return BOTTOM
+    if isinstance(phi, Join):
+        if phi.left == BOTTOM:
+            return phi.right
+        if phi.right == BOTTOM:
+            return phi.left
+        if TOP in (phi.left, phi.right):
+            return TOP
+    return phi
+
+
+def nnf_reference(phi):
+    """Classical NNF as the mirrored pos/neg pair (and the Meet/Join-mirrored
+    folding of truth constants) that `classical_nnf` replaced."""
+
+    def pos(phi):
+        if isinstance(phi, (Atom, TruthConst)):
+            return phi
+        if isinstance(phi, Neg):
+            return neg(phi.body)
+        if isinstance(phi, (Meet, StrongConj)):
+            return _fold(Meet(pos(phi.left), pos(phi.right)))
+        if isinstance(phi, Join):
+            return _fold(Join(pos(phi.left), pos(phi.right)))
+        if isinstance(phi, Impl):
+            return _fold(Join(neg(phi.left), pos(phi.right)))
+        if isinstance(phi, Biimpl):
+            return _fold(Meet(
+                _fold(Join(neg(phi.left), pos(phi.right))),
+                _fold(Join(neg(phi.right), pos(phi.left))),
+            ))
+        if isinstance(phi, Forall):
+            return Forall(phi.var, pos(phi.body))
+        return Exists(phi.var, pos(phi.body))
+
+    def neg(phi):
+        if isinstance(phi, Atom):
+            return Neg(phi)
+        if isinstance(phi, TruthConst):
+            return BOTTOM if phi.top else TOP
+        if isinstance(phi, Neg):
+            return pos(phi.body)
+        if isinstance(phi, (Meet, StrongConj)):
+            return _fold(Join(neg(phi.left), neg(phi.right)))
+        if isinstance(phi, Join):
+            return _fold(Meet(neg(phi.left), neg(phi.right)))
+        if isinstance(phi, Impl):
+            return _fold(Meet(pos(phi.left), neg(phi.right)))
+        if isinstance(phi, Biimpl):
+            return _fold(Join(
+                _fold(Meet(pos(phi.left), neg(phi.right))),
+                _fold(Meet(pos(phi.right), neg(phi.left))),
+            ))
+        if isinstance(phi, Forall):
+            return Exists(phi.var, neg(phi.body))
+        return Forall(phi.var, neg(phi.body))
+
+    return pos(phi)
+
+
+nnf_inputs = st.recursive(
+    st.sampled_from([Atom("P", (Var("u"),)), Atom("Q", (Const("c"),)), Atom("R", (Var("u"), Var("v"))),
+                     TOP, BOTTOM]),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.tuples(st.sampled_from([Forall, Exists]), st.sampled_from("uv"), sub).map(
+            lambda t: t[0](t[1], t[2])),
+        st.tuples(st.sampled_from([StrongConj, Meet, Join, Impl, Biimpl]), sub, sub).map(
+            lambda t: t[0](t[1], t[2])),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=500)
+@given(nnf_inputs)
+def test_classical_nnf_is_the_pos_neg_pair(phi):
+    assert classical_nnf(phi) == nnf_reference(phi)
+    assert classical_nnf(Neg(phi)) == nnf_reference(Neg(phi))
 
 
 def test_skolemize_forall_exists():
