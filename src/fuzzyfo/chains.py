@@ -7,6 +7,7 @@ chain works with exact rationals in [0, 1] (fractions.Fraction), never floats.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -82,18 +83,12 @@ class FiniteChain:
 
 
 def _derive_residuum(size: int, tnorm: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    # residuum[x][y] = max { z : tnorm[x][z] <= y }
-    res = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            best = 0
-            for z in range(size):
-                if tnorm[x][z] <= y:
-                    best = z
-            row.append(best)
-        res.append(tuple(row))
-    return tuple(res)
+    # residuum[x][y] = max { z : tnorm[x][z] <= y }.  Needs the identity and
+    # monotonicity checks passed: then each row is nondecreasing and starts
+    # at t[x][0] = t[0][x] <= t[0][top] = 0, so the max is a bisection.
+    return tuple(
+        tuple(bisect_right(row, y) - 1 for y in range(size)) for row in tnorm
+    )
 
 
 def make_chain_from_table(size: int, tnorm: Sequence[Sequence[int]]) -> FiniteChain:

@@ -196,6 +196,11 @@ def cmd_herbrand(args, budget: int) -> Report:
         vocab = syntax.vocabulary_of(_load_formula(args))
     else:
         raise CliError("provide --vocab or a formula to draw symbols from")
+    # sizes never shrink with depth, so the first one over the budget stops
+    # the count before it grows out of reach
+    for depth, size in zip(range(args.depth + 1), syntax.herbrand_universe_sizes(vocab)):
+        if size > budget:
+            raise semantics.BudgetExceededError(size, budget, f"terms at depth {depth}")
     terms = syntax.herbrand_universe(vocab, args.depth)
     report = Report()
     report.add("depth", args.depth)

@@ -24,8 +24,8 @@ from .semantics import (
 from .syntax import (
     App, Atom, BOTTOM, TOP, Const, Exists, Formula, FragmentError, Join,
     Meet, Neg, Term, TruthConst, Var, classical_nnf, classify,
-    ensure_constant, format_formula, herbrand_universe, is_quantifier_free,
-    split_universal_prefix, substitute, vocabulary_of,
+    ensure_constant, format_formula, herbrand_universe, herbrand_universe_sizes,
+    is_quantifier_free, split_universal_prefix, substitute, vocabulary_of,
 )
 
 ChainClass = Sequence[FiniteChain]
@@ -513,8 +513,7 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     grounder = _Grounder()
     instances = _Instances(classical_nnf(matrix), grounder, {}, prefix)
     searched = 0
-    size = len(vocab.constants)  # of the universe at `depth`, known before it is built
-    for depth in range(max_depth + 1):
+    for depth, size in zip(range(max_depth + 1), herbrand_universe_sizes(vocab)):
         if depth and size ** len(prefix) > HERBRAND_INSTANCE_CAP:
             break
         universe = [grounder.term(t) for t in herbrand_universe(vocab, depth)]
@@ -528,7 +527,6 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
         searched = depth
         if not (vocab.functions and prefix):
             break
-        size = len(vocab.constants) + sum(size ** a for a in vocab.functions.values())
     return Verdict("exhausted", bounds=f"term depth 0..{searched}")
 
 

@@ -796,6 +796,19 @@ def ensure_constant(vocab: Vocabulary) -> Vocabulary:
     return vocab.with_constants([DEFAULT_HERBRAND_CONSTANT])
 
 
+def herbrand_universe_sizes(vocab: Vocabulary) -> Iterator[int]:
+    """The sizes of `herbrand_universe(vocab, d)` for d = 0, 1, .., unbuilt.
+
+    |U_0| counts the constants and |U_d| = |U_0| + the sum over each
+    function f of |U_{d-1}|^arity(f).
+    """
+    vocab = ensure_constant(vocab)
+    size = len(vocab.constants)
+    while True:
+        yield size
+        size = len(vocab.constants) + sum(size ** a for a in vocab.functions.values())
+
+
 def herbrand_universe(vocab: Vocabulary, depth: int) -> list[Term]:
     """All closed terms of nesting depth <= depth, by depth then lexicographically."""
     vocab = ensure_constant(vocab)

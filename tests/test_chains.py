@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fuzzyfo.chains import (
-    ChainValidationError, EnumerationCapError, MAX_NAMED_CHAIN_SIZE, check_square_meet_law,
+    ChainValidationError, EnumerationCapError, MAX_NAMED_CHAIN_SIZE, _derive_residuum,
+    check_square_meet_law,
     STANDARD_CHAIN, StandardChain, embed_rank, enumerate_mtl_chains, format_chain_file,
     is_lukasiewicz, make_chain_from_table, make_godel_chain,
     make_lukasiewicz_chain, parse_chain_file,
@@ -139,6 +140,32 @@ def unpruned_mtl_chains(size):
 def test_pruned_enumeration_equals_unpruned(size):
     pruned = [(c.tnorm_table, c.residuum_table) for c in enumerate_mtl_chains(size)]
     assert pruned == [(c.tnorm_table, c.residuum_table) for c in unpruned_mtl_chains(size)]
+
+
+def reference_residuum(size, tnorm):
+    """residuum[x][y] = max { z : tnorm[x][z] <= y }, by the triple loop."""
+    res = []
+    for x in range(size):
+        row = []
+        for y in range(size):
+            best = 0
+            for z in range(size):
+                if tnorm[x][z] <= y:
+                    best = z
+            row.append(best)
+        res.append(tuple(row))
+    return tuple(res)
+
+
+def test_derived_residuum_equals_the_triple_loop():
+    for size in range(2, 7):
+        for chain in enumerate_mtl_chains(size):
+            assert _derive_residuum(size, chain.tnorm_table) == \
+                reference_residuum(size, chain.tnorm_table) == chain.residuum_table
+    for k in range(2, 33):
+        for chain in (make_lukasiewicz_chain(k), make_godel_chain(k)):
+            assert _derive_residuum(k, chain.tnorm_table) == \
+                reference_residuum(k, chain.tnorm_table) == chain.residuum_table
 
 
 def test_enumeration_deduplicated_and_valid():

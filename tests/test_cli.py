@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,16 @@ def test_herbrand_command(tmp_path):
     assert "f(f(c))" in text
 
 
+def test_herbrand_universe_over_the_budget_exit_1(monkeypatch):
+    # |U_4| = 1 + 730^3 terms: refused from the count, before any is built
+    monkeypatch.delenv("FUZZYFO_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, text = run(["herbrand", "--formula", "P(g(c, c, c))", "--depth", "4"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert text == "error: search space of 389017001 terms at depth 4 exceeds budget 10000000\n"
+
+
 def test_bsr_command():
     text = ok(["bsr", "--formula", "exists x. forall y. (P(x) /\\ ~P(y))"])
     assert "decided: False" in text
@@ -93,6 +104,14 @@ def test_phi_report_command():
     text = ok(["phi-report", "--max-k", "3"])
     assert "k=2: 3 0" in text
     assert "k=3: 7 1/2" in text
+
+
+def test_phi_report_up_to_the_cap():
+    text = ok(["phi-report", "--max-k", "64"])
+    assert "k=64: 18446744073709551615 61/63" in text
+    code, text = run(["phi-report", "--max-k", "65"])
+    assert code == 1
+    assert text == "error: max_k 65 above cap 64\n"
 
 
 def test_phi_witness_command():

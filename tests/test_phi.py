@@ -1,11 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fuzzyfo.chains import STANDARD_CHAIN, make_godel_chain, make_lukasiewicz_chain
+from fuzzyfo.chains import (
+    STANDARD_CHAIN, enumerate_mtl_chains, make_godel_chain, make_lukasiewicz_chain,
+)
 from fuzzyfo.phi import (
-    PHI_TEXT, ValueSet, consistency_check_valuesets, eval_phi_on_valueset,
-    phi_fin_refutation, phi_sentence, phi_truncated_witness, witness_family,
+    DEFAULT_K_CAP, PHI_TEXT, PhiRefutationRow, ValueSet, _greatest_supported_sets,
+    consistency_check_valuesets, eval_phi_on_valueset, phi_fin_refutation, phi_maximum,
+    phi_sentence, phi_truncated_witness, witness_family,
 )
 from fuzzyfo.syntax import FragmentError, classify, format_formula, parse, star_translate
 
@@ -20,8 +25,30 @@ def oracle_phi_value(values):
     return max(Fraction(0), first + second - 1)
 
 
+def phi_on_values(chain, values):
+    """Phi's value-set formula on any chain, straight from its definition."""
+    first = max(chain.biimpl(a, chain.neg(a)) for a in values)
+    second = min(
+        max(chain.biimpl(a, chain.square(b)) for b in values)
+        for a in values
+    )
+    return chain.tnorm(first, second)
+
+
+def scanned_maximum(chain):
+    """The maximum of Phi over every nonempty value set, one set at a time,
+    and the number of sets scanned (2^k - 1)."""
+    best, scanned = chain.bot, 0
+    for r in range(1, chain.size + 1):
+        for values in itertools.combinations(chain.carrier(), r):
+            best = max(best, phi_on_values(chain, values))
+            scanned += 1
+    return best, scanned
+
+
 def test_phi_parses_back():
     assert parse(PHI_TEXT, None) == parse(format_formula(phi_sentence()), None)
+    assert phi_sentence() is phi_sentence()
 
 
 def test_phi_classification():
@@ -48,7 +75,6 @@ def test_valueset_examples():
 def test_valueset_agrees_with_rational_oracle():
     for k in range(2, 8):
         chain = make_lukasiewicz_chain(k)
-        import itertools
         for r in range(1, k + 1):
             for subset in itertools.combinations(range(k), r):
                 rank = eval_phi_on_valueset(ValueSet(chain, frozenset(subset)))
@@ -85,8 +111,69 @@ def test_fin_refutation_checks_each_chain_once(monkeypatch):
 
 
 def test_fin_refutation_cap():
+    assert DEFAULT_K_CAP == 64
     with pytest.raises(ValueError):
-        phi_fin_refutation(13)
+        phi_fin_refutation(DEFAULT_K_CAP + 1)
+
+
+def test_fin_refutation_rows_equal_the_subset_scan():
+    rows = []
+    for k in range(2, 13):
+        best, scanned = scanned_maximum(make_lukasiewicz_chain(k))
+        rows.append(PhiRefutationRow(k, scanned, best, Fraction(best, k - 1)))
+    assert phi_fin_refutation(12).rows == tuple(rows)
+
+
+def test_fixpoint_maximum_equals_the_subset_scan_on_every_small_chain():
+    chains = [make_lukasiewicz_chain(k) for k in range(2, 13)]
+    for size in range(2, 7):
+        chains.extend(enumerate_mtl_chains(size))
+    for chain in chains:
+        best, values = phi_maximum(chain)
+        assert best == scanned_maximum(chain)[0]
+        assert phi_on_values(chain, values) == best
+
+
+@st.composite
+def weight_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
+
+
+@given(weight_matrices())
+def test_supported_sets_are_the_union_of_all_supported_sets(weight):
+    n = len(weight)
+    expected = []
+    for t in range(n):
+        union = set()
+        for r in range(1, n + 1):
+            for subset in itertools.combinations(range(n), r):
+                if all(any(weight[a][b] >= t for b in subset) for a in subset):
+                    union.update(subset)
+        if not union:
+            break
+        expected.append((t, tuple(sorted(union))))
+    assert list(_greatest_supported_sets(weight)) == expected
+
+
+def test_fin_refutation_rows_past_the_scan():
+    # observed, not proved: the max rank on Luk_k is k-2 for odd k, k-3 for even k
+    for row in phi_fin_refutation(DEFAULT_K_CAP).rows[11:]:
+        assert row.value_sets_scanned == 2 ** row.k - 1
+        assert row.max_value_rank == (row.k - 2 if row.k % 2 else row.k - 3)
+
+
+def test_fin_refutation_checks_the_maximum(monkeypatch):
+    from fuzzyfo import phi
+    monkeypatch.setattr(phi, "phi_maximum", lambda chain: (chain.top, (chain.top,)))
+    with pytest.raises(AssertionError, match="Phi attained the top value on Lukasiewicz chain k=2"):
+        phi.phi_fin_refutation(3)
+    # on Godel_3 the rank 1 is below top, yet its negation is bottom
+    monkeypatch.setattr(phi, "make_lukasiewicz_chain", make_godel_chain)
+    monkeypatch.setattr(phi, "is_lukasiewicz", lambda chain: True)
+    monkeypatch.setattr(phi, "phi_maximum", lambda chain: (chain.top - 1, (chain.top - 1,)))
+    with pytest.raises(AssertionError, match="~Phi vanished on Lukasiewicz chain k=3"):
+        phi.phi_fin_refutation(3)
 
 
 def test_consistency_check_valuesets():

@@ -5,7 +5,7 @@ from fuzzyfo.syntax import (
     Atom, BOTTOM, Biimpl, Const, Exists, Forall, FragmentError, Impl, Join,
     Meet, Neg, ParseError, StrongConj, TOP, TruthConst, Var, App, Vocabulary,
     VocabularyError, classical_nnf, classify, format_formula, format_term,
-    free_vars, herbrand_universe, parse, parse_vocabulary, skolemize,
+    free_vars, herbrand_universe, herbrand_universe_sizes, parse, parse_vocabulary, skolemize,
     split_universal_prefix, star_translate, substitute, vocabulary_of,
 )
 
@@ -330,3 +330,15 @@ def test_substitute_is_capture_free_on_renamed_input():
     phi = parse("forall x. R(x, y)", VOCAB)
     out = substitute(phi, {"y": Var("x_9")})
     assert out == Forall("x", Atom("R", (Var("x"), Var("x_9"))))
+
+
+@pytest.mark.parametrize("vocab", [
+    Vocabulary(predicates={"P": 1}),
+    Vocabulary(predicates={"P": 1}, functions={"f": 1}, constants=frozenset({"c", "d"})),
+    Vocabulary(predicates={"P": 1}, functions={"h": 3}, constants=frozenset({"c"})),
+    VOCAB,
+], ids=["no-symbols", "unary", "ternary", "unary-binary"])
+def test_herbrand_universe_sizes_count_the_universe(vocab):
+    sizes = herbrand_universe_sizes(vocab)
+    for depth in range(4):
+        assert next(sizes) == len(herbrand_universe(vocab, depth))
