@@ -54,15 +54,15 @@ def _load_vocab(args) -> Optional[syntax.Vocabulary]:
     return None
 
 
-def _load_formula(args) -> syntax.Formula:
+def _load_formula(args, vocab: Optional[syntax.Vocabulary] = None) -> syntax.Formula:
+    """The formula, parsed over vocab if given and otherwise over --vocab."""
     if getattr(args, "formula_file", None):
         text = _read_file(args.formula_file).strip()
     elif getattr(args, "formula", None):
         text = args.formula
     else:
         raise CliError("provide --formula or --formula-file")
-    vocab = _load_vocab(args)
-    return syntax.parse(text, vocab)
+    return syntax.parse(text, vocab or _load_vocab(args))
 
 
 def _parse_chain_spec(spec: str) -> list[chains_mod.FiniteChain]:
@@ -101,9 +101,6 @@ class Report:
     def add(self, key: str, value) -> None:
         self.items.append((key, str(value)))
 
-    def add_block(self, key: str, text: str) -> None:
-        self.items.append((key, text))
-
     def render(self, fmt: str) -> str:
         lines = []
         for key, value in self.items:
@@ -124,7 +121,7 @@ def _add_verdict(report: Report, verdict: decision.Verdict) -> None:
     if verdict.chain is not None:
         report.add("chain-size", verdict.chain.size)
     if verdict.structure is not None:
-        report.add_block("witness", verdict.structure.describe())
+        report.add("witness", verdict.structure.describe())
     if verdict.reason:
         report.add("reason", verdict.reason)
     if verdict.bounds:
@@ -147,11 +144,12 @@ def cmd_parse(args, budget: int) -> Report:
 
 
 def cmd_eval(args, budget: int) -> Report:
-    formula = _load_formula(args)
+    vocab = _load_vocab(args)
+    formula = _load_formula(args, vocab)
     chains = _load_chains(args)
     if len(chains) != 1:
         raise CliError("eval needs exactly one chain")
-    vocab = _load_vocab(args) or syntax.vocabulary_of(formula)
+    vocab = vocab or syntax.vocabulary_of(formula)
     structure = semantics.parse_structure_file(_read_file(args.structure), vocab)
     value = semantics.eval(chains[0], structure, formula)
     report = Report()
@@ -197,15 +195,16 @@ def cmd_herbrand(args, budget: int) -> Report:
     else:
         raise CliError("provide --vocab or a formula to draw symbols from")
     # sizes never shrink with depth, so the first one over the budget stops
-    # the count before it grows out of reach
-    for depth, size in zip(range(args.depth + 1), syntax.herbrand_universe_sizes(vocab)):
+    # the count before it grows out of reach; no term nests past MAX_NESTING
+    depths = range(min(args.depth, syntax.MAX_NESTING) + 1)
+    for depth, size in zip(depths, syntax.herbrand_universe_sizes(vocab)):
         if size > budget:
             raise semantics.BudgetExceededError(size, budget, f"terms at depth {depth}")
     terms = syntax.herbrand_universe(vocab, args.depth)
     report = Report()
     report.add("depth", args.depth)
     report.add("count", len(terms))
-    report.add_block("terms", "\n".join(syntax.format_term(t) for t in terms))
+    report.add("terms", "\n".join(syntax.format_term(t) for t in terms))
     return report
 
 
@@ -218,9 +217,13 @@ def cmd_bsr(args, budget: int) -> Report:
     return report
 
 
+def _load_trace(args) -> reduction.ReductionTrace:
+    vocab = _load_vocab(args)
+    return reduction.hardness_reduce(_load_formula(args, vocab), vocab)
+
+
 def cmd_reduce(args, budget: int) -> Report:
-    formula = _load_formula(args)
-    trace = reduction.hardness_reduce(formula)
+    trace = _load_trace(args)
     report = Report()
     report.add("input", syntax.format_formula(trace.input))
     report.add("negation-nnf", syntax.format_formula(trace.negation))
@@ -249,8 +252,7 @@ def _add_verification(report: Report, result: reduction.VerificationReport) -> N
 
 
 def cmd_verify_reduction(args, budget: int) -> Report:
-    formula = _load_formula(args)
-    trace = reduction.hardness_reduce(formula)
+    trace = _load_trace(args)
     chains = _load_chains(args)
     result = reduction.verify_reduction_instance(
         trace, chains, max_domain=args.max_domain, max_depth=args.max_depth, budget=budget)
@@ -268,7 +270,7 @@ def cmd_enum_chains(args, budget: int) -> Report:
     report.add("count", len(found))
     if args.tables:
         for i, chain in enumerate(found):
-            report.add_block(f"chain {i}", chain.describe())
+            report.add(f"chain {i}", chain.describe())
     return report
 
 
@@ -281,7 +283,7 @@ def cmd_check_lemma1(args, budget: int) -> Report:
             witness = chains_mod.check_square_meet_law(chain)
             if witness is not None:
                 report.add("result", f"FAILED at rank {witness} on a size-{size} chain")
-                report.add_block("chain", chain.describe())
+                report.add("chain", chain.describe())
                 return report
     for k in range(2, args.luk + 1):
         for chain in (chains_mod.make_lukasiewicz_chain(k), chains_mod.make_godel_chain(k)):

@@ -22,9 +22,9 @@ from .semantics import (
     compile_formula, enumerate_structures, eval, eval_propositional, flat_layout,
 )
 from .syntax import (
-    App, Atom, BOTTOM, TOP, Const, Exists, Formula, FragmentError, Join,
+    App, Atom, BOTTOM, MAX_NESTING, TOP, Const, Exists, Formula, FragmentError, Join,
     Meet, Neg, Term, TruthConst, Var, classical_nnf, classify,
-    ensure_constant, format_formula, herbrand_universe, herbrand_universe_sizes,
+    ensure_constant, format_formula, herbrand_levels, herbrand_universe_sizes,
     is_quantifier_free, split_universal_prefix, substitute, vocabulary_of,
 )
 
@@ -495,14 +495,15 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
                          budget: int = DEFAULT_BUDGET) -> HerbrandWitness | Verdict:
     """Search for a contradictory conjunction of Herbrand instances.
 
-    Works depth by depth over the term universe.  Each matrix instance is
-    grounded once, as its own clause group; at each depth one SAT call tests
-    all of them together and, when they are contradictory, the groups are
-    greedily minimized (left to right) into the reported witness.  Depth 0 is
-    always searched, a deeper one while its instance count is within
-    HERBRAND_INSTANCE_CAP.  Without function symbols or universal variables
-    depth 0 holds every instance, so the search stops there with an exact
-    answer; otherwise `exhausted` only means no witness at the depths named.
+    Works depth by depth, extending the term universe by one level at a time.
+    Each matrix instance is grounded once, as its own clause group; at each
+    depth one SAT call tests all of them together and, when they are
+    contradictory, the groups are greedily minimized (left to right) into the
+    reported witness.  Depth 0 is always searched, a deeper one up to
+    MAX_NESTING while its instance count is within HERBRAND_INSTANCE_CAP.
+    Without function symbols or universal variables depth 0 holds every
+    instance, so the search stops there with an exact answer; otherwise
+    `exhausted` only means no witness at the depths named.
     """
     if not classify(phi).is_purely_universal:
         raise FragmentError("dual Herbrand search needs a purely universal sentence")
@@ -512,11 +513,14 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     vocab = ensure_constant(vocabulary_of(phi))
     grounder = _Grounder()
     instances = _Instances(classical_nnf(matrix), grounder, {}, prefix)
+    levels = herbrand_levels(vocab)
+    universe: list[int] = []
     searched = 0
-    for depth, size in zip(range(max_depth + 1), herbrand_universe_sizes(vocab)):
+    depths = range(min(max_depth, MAX_NESTING) + 1)
+    for depth, size in zip(depths, herbrand_universe_sizes(vocab)):
         if depth and size ** len(prefix) > HERBRAND_INSTANCE_CAP:
             break
-        universe = [grounder.term(t) for t in herbrand_universe(vocab, depth)]
+        universe += [grounder.term(t) for t in next(levels)]
         keys = instances.over(universe, budget)
         if instances.contradictory(keys, budget):
             keep = _greedy_minimal(len(keys), lambda idx: instances.contradictory(

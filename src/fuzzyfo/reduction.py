@@ -17,17 +17,16 @@ from .chains import FiniteChain, make_boolean_chain
 # are no longer called here, but perfbench/tracing.py wraps them at this
 # binding, so the names stay importable from this module.
 from .decision import (
-    HerbrandWitness, _find, _nonzero, _top, dual_herbrand_search, herbrand_verdict,
-    is_classical_contradiction_prop, purely_universal_contradiction, sat_pos_bounded,
-    taut0_bounded,
+    HerbrandWitness, dual_herbrand_search, herbrand_verdict, is_classical_contradiction_prop,
+    purely_universal_contradiction, sat1_bounded, sat_pos_bounded, taut0_bounded,
 )
 from .semantics import (
     DEFAULT_BUDGET, Structure, enumerate_structures, eval, eval_propositional,
 )
 from .syntax import (
-    Atom, Formula, Join, Meet, Neg, Vocabulary, VocabularyError, atoms_of, classical_nnf, classify,
-    is_sentence, pull_universals, skolemize, split_universal_prefix,
-    star_translate, vocabulary_of, Forall,
+    Atom, Forall, Formula, Neg, Vocabulary, VocabularyError, atoms_of, classical_nnf, classify,
+    is_sentence, pull_universals, rebuild, skolemize, split_universal_prefix,
+    star_translate, vocabulary_of,
 )
 
 
@@ -127,30 +126,24 @@ def _propositional_star_check(conjunction: Formula, K: Sequence[FiniteChain],
     names = [f"A{i:0{width}d}" for i in range(len(atoms))]
     letters = {atom: Atom(name) for atom, name in zip(atoms, names)}
     star = star_translate(_rename_atoms(conjunction, letters))
-    found = _find(K, star, 1, budget, _nonzero)
-    if found is not None:
-        chain, structure, _ = found
-        values = tuple(structure.predicates[name][()] for name in names)
-        return False, f"nonzero star value under valuation {values} on size-{chain.size} chain"
+    verdict = sat_pos_bounded(K, star, 1, budget)
+    if verdict.kind == "member_witness":
+        values = tuple(verdict.structure.predicates[name][()] for name in names)
+        return False, f"nonzero star value under valuation {values} on size-{verdict.chain.size} chain"
     scanned = sum(chain.size ** len(atoms) for chain in K)
     return True, f"{scanned} valuations scanned, all zero"
 
 
 def _rename_atoms(phi: Formula, letters: dict[Atom, Atom]) -> Formula:
-    """phi with each atom replaced by its letter; literals under /\\ and \\/ only."""
+    """phi with each atom replaced by its letter."""
     if isinstance(phi, Atom):
         return letters[phi]
-    if isinstance(phi, Neg):
-        return Neg(_rename_atoms(phi.body, letters))
-    if isinstance(phi, (Meet, Join)):
-        return type(phi)(_rename_atoms(phi.left, letters), _rename_atoms(phi.right, letters))
-    return phi
+    return rebuild(phi, lambda sub: _rename_atoms(sub, letters))
 
 
 def _find_b2_model(phi: Formula, max_domain: int, budget: int) -> Optional[Structure]:
     """A B2 structure giving a purely universal sentence value 1, if any in bounds."""
-    found = _find([make_boolean_chain()], phi, max_domain, budget, _top)
-    return None if found is None else found[1]
+    return sat1_bounded([make_boolean_chain()], phi, max_domain, budget).structure
 
 
 def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],

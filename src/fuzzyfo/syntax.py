@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 
 class ParseError(ValueError):
@@ -181,38 +181,43 @@ _BINARY = (StrongConj, Meet, Join, Impl, Biimpl)
 _QUANT = (Forall, Exists)
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Const):
-        return set()
-    out: set[str] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+def children(phi: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of phi."""
+    if isinstance(phi, _BINARY):
+        return phi.left, phi.right
+    if isinstance(phi, (Atom, TruthConst)):
+        return ()
+    if isinstance(phi, (Neg,) + _QUANT):
+        return (phi.body,)
+    raise TypeError(f"not a formula: {phi!r}")
 
 
-def term_depth(t: Term) -> int:
-    if isinstance(t, App):
-        return 1 + max(term_depth(a) for a in t.args)
-    return 0
+def rebuild(phi: Formula, f: Callable[[Formula], Formula]) -> Formula:
+    """phi with f applied to each direct subformula."""
+    if isinstance(phi, _BINARY):
+        return type(phi)(f(phi.left), f(phi.right))
+    if isinstance(phi, (Atom, TruthConst)):
+        return phi
+    if isinstance(phi, Neg):
+        return Neg(f(phi.body))
+    if isinstance(phi, _QUANT):
+        return type(phi)(phi.var, f(phi.body))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def term_vars(*terms: Term) -> set[str]:
+    return {s.name for s in _walk_terms(*terms) if isinstance(s, Var)}
 
 
 def free_vars(phi: Formula) -> set[str]:
     if isinstance(phi, Atom):
-        out: set[str] = set()
-        for t in phi.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(phi, TruthConst):
-        return set()
-    if isinstance(phi, Neg):
-        return free_vars(phi.body)
-    if isinstance(phi, _BINARY):
-        return free_vars(phi.left) | free_vars(phi.right)
+        return term_vars(*phi.args)
     if isinstance(phi, _QUANT):
         return free_vars(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    out: set[str] = set()
+    for sub in children(phi):
+        out |= free_vars(sub)
+    return out
 
 
 def is_sentence(phi: Formula) -> bool:
@@ -221,13 +226,8 @@ def is_sentence(phi: Formula) -> bool:
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
     yield phi
-    if isinstance(phi, Neg):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, _BINARY):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, _QUANT):
-        yield from subformulas(phi.body)
+    for sub in children(phi):
+        yield from subformulas(sub)
 
 
 def atoms_of(phi: Formula) -> list[Atom]:
@@ -278,8 +278,7 @@ def classify(phi: Formula) -> Classification:
         isinstance(t, App)
         for s in subformulas(phi)
         if isinstance(s, Atom)
-        for arg in s.args
-        for t in _walk_terms(arg)
+        for t in _walk_terms(*s.args)
     )
     return Classification(
         is_literal=is_literal(phi),
@@ -290,14 +289,15 @@ def classify(phi: Formula) -> Classification:
     )
 
 
-def _walk_terms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from _walk_terms(a)
+def _walk_terms(*terms: Term) -> Iterator[Term]:
+    """The terms and their subterms, in preorder."""
+    for t in terms:
+        yield t
+        if isinstance(t, App):
+            yield from _walk_terms(*t.args)
 
 
-def vocabulary_of(phi: Formula, relational: bool = False) -> Vocabulary:
+def vocabulary_of(phi: Formula) -> Vocabulary:
     """The minimal vocabulary of the symbols occurring in a formula."""
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
@@ -305,15 +305,12 @@ def vocabulary_of(phi: Formula, relational: bool = False) -> Vocabulary:
     for sub in subformulas(phi):
         if isinstance(sub, Atom):
             preds.setdefault(sub.pred, len(sub.args))
-            for arg in sub.args:
-                for t in _walk_terms(arg):
-                    if isinstance(t, Const):
-                        consts.add(t.name)
-                    elif isinstance(t, App):
-                        funcs.setdefault(t.func, len(t.args))
-    if relational and funcs:
-        raise VocabularyError("formula uses function symbols in a relational context")
-    return Vocabulary(preds, funcs, frozenset(consts), relational)
+            for t in _walk_terms(*sub.args):
+                if isinstance(t, Const):
+                    consts.add(t.name)
+                elif isinstance(t, App):
+                    funcs.setdefault(t.func, len(t.args))
+    return Vocabulary(preds, funcs, frozenset(consts))
 
 
 # -- substitution --------------------------------------------------------
@@ -330,16 +327,10 @@ def substitute(phi: Formula, env: dict[str, Term]) -> Formula:
     """Capture-free substitution; assumes bound variables are renamed apart."""
     if isinstance(phi, Atom):
         return Atom(phi.pred, tuple(subst_term(t, env) for t in phi.args))
-    if isinstance(phi, TruthConst):
-        return phi
-    if isinstance(phi, Neg):
-        return Neg(substitute(phi.body, env))
-    if isinstance(phi, _BINARY):
-        return type(phi)(substitute(phi.left, env), substitute(phi.right, env))
     if isinstance(phi, _QUANT):
         inner = {k: v for k, v in env.items() if k != phi.var}
         return type(phi)(phi.var, substitute(phi.body, inner))
-    raise TypeError(f"not a formula: {phi!r}")
+    return rebuild(phi, lambda sub: substitute(sub, env))
 
 
 # -- parser --------------------------------------------------------------
@@ -374,9 +365,10 @@ _BINARY_TOKENS = {"biimpl": (1, Biimpl), "impl": (2, Impl), "join": (3, Join),
                   "meet": (4, Meet), "amp": (5, StrongConj)}
 
 # Formulas and terms may nest at most this deep, counting each connective,
-# quantifier and function application on a path, and each open parenthesis.
-# The parser and every recursive transform (NNF, star, printing, evaluation)
-# stay well inside Python's default recursion limit below it.
+# quantifier and function application on a path, and each open parenthesis;
+# Herbrand universes stop at this term depth too.  So the recursive walks
+# (NNF, star, printing, evaluation, grounding) stay well inside Python's
+# default recursion limit.
 MAX_NESTING = 100
 
 
@@ -572,18 +564,10 @@ def rename_apart(phi: Formula) -> Formula:
     def walk(phi: Formula, env: dict[str, str]) -> Formula:
         if isinstance(phi, Atom):
             return substitute(phi, {k: Var(v) for k, v in env.items()})
-        if isinstance(phi, TruthConst):
-            return phi
-        if isinstance(phi, Neg):
-            return Neg(walk(phi.body, env))
-        if isinstance(phi, _BINARY):
-            return type(phi)(walk(phi.left, env), walk(phi.right, env))
         if isinstance(phi, _QUANT):
             new = fresh(phi.var)
-            inner = dict(env)
-            inner[phi.var] = new
-            return type(phi)(new, walk(phi.body, inner))
-        raise TypeError(f"not a formula: {phi!r}")
+            return type(phi)(new, walk(phi.body, {**env, phi.var: new}))
+        return rebuild(phi, lambda sub: walk(sub, env))
 
     return walk(phi, {})
 
@@ -652,10 +636,8 @@ def star_translate(phi: Formula) -> Formula:
     """
     if is_literal(phi):
         return StrongConj(phi, phi)
-    if isinstance(phi, (Meet, Join)):
-        return type(phi)(star_translate(phi.left), star_translate(phi.right))
-    if isinstance(phi, _QUANT):
-        return type(phi)(phi.var, star_translate(phi.body))
+    if isinstance(phi, (Meet, Join) + _QUANT):
+        return rebuild(phi, star_translate)
     raise FragmentError(
         f"star translation undefined on node {format_formula(phi)!r}: "
         "only literals combined with /\\, \\/ and quantifiers are allowed"
@@ -738,12 +720,6 @@ def skolemize(phi: Formula, vocab: Vocabulary) -> tuple[Formula, Vocabulary]:
 
     def walk(phi: Formula, universals: tuple[str, ...]) -> Formula:
         nonlocal new_vocab
-        if isinstance(phi, (Atom, TruthConst)):
-            return phi
-        if isinstance(phi, Neg):
-            return Neg(walk(phi.body, universals))
-        if isinstance(phi, _BINARY):
-            return type(phi)(walk(phi.left, universals), walk(phi.right, universals))
         if isinstance(phi, Forall):
             return Forall(phi.var, walk(phi.body, universals + (phi.var,)))
         if isinstance(phi, Exists):
@@ -761,7 +737,7 @@ def skolemize(phi: Formula, vocab: Vocabulary) -> tuple[Formula, Vocabulary]:
                 new_vocab = new_vocab.with_constants([name])
                 term = Const(name)
             return walk(substitute(phi.body, {phi.var: term}), universals)
-        raise TypeError(f"not a formula: {phi!r}")
+        return rebuild(phi, lambda sub: walk(sub, universals))
 
     return walk(phi, ()), new_vocab
 
@@ -809,22 +785,37 @@ def herbrand_universe_sizes(vocab: Vocabulary) -> Iterator[int]:
         size = len(vocab.constants) + sum(size ** a for a in vocab.functions.values())
 
 
-def herbrand_universe(vocab: Vocabulary, depth: int) -> list[Term]:
-    """All closed terms of nesting depth <= depth, by depth then lexicographically."""
+def herbrand_levels(vocab: Vocabulary) -> Iterator[list[Term]]:
+    """The closed terms of each exact depth 0, 1, .., each level sorted by text.
+
+    Level d+1 applies each function to the argument tuples holding a level-d
+    term, split at the first such position: shallower terms before it, terms
+    of depth <= d after it.  So every term is built once and none is filtered
+    out.  Without function symbols only level 0 is yielded.  Raises
+    ValueError instead of building a level deeper than MAX_NESTING.
+    """
     vocab = ensure_constant(vocab)
-    by_depth: list[list[Term]] = [
-        sorted((Const(c) for c in vocab.constants), key=format_term)
-    ]
-    universe: list[Term] = list(by_depth[0])
-    for d in range(1, depth + 1):
-        level: list[Term] = []
-        shallower = [t for lvl in by_depth for t in lvl]
+    level: list[Term] = sorted((Const(c) for c in vocab.constants), key=format_term)
+    shallower: list[Term] = []
+    for depth in itertools.count(1):
+        yield level
+        if not vocab.functions:
+            return
+        if depth > MAX_NESTING:
+            raise ValueError(f"term depth {depth} exceeds the nesting limit {MAX_NESTING}")
+        upto = shallower + level
+        new: list[Term] = []
         for f in sorted(vocab.functions):
             arity = vocab.functions[f]
-            for args in itertools.product(shallower, repeat=arity):
-                if max(term_depth(a) for a in args) == d - 1:
-                    level.append(App(f, args))
-        level.sort(key=format_term)
-        by_depth.append(level)
-        universe.extend(level)
-    return universe
+            for i in range(arity):
+                pools = [shallower] * i + [level] + [upto] * (arity - 1 - i)
+                new += (App(f, args) for args in itertools.product(*pools))
+        new.sort(key=format_term)
+        shallower, level = upto, new
+
+
+def herbrand_universe(vocab: Vocabulary, depth: int) -> list[Term]:
+    """All closed terms of nesting depth <= depth, by depth then lexicographically."""
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
+    return [t for level in itertools.islice(herbrand_levels(vocab), depth + 1) for t in level]

@@ -72,6 +72,61 @@ def test_herbrand_universe_over_the_budget_exit_1(monkeypatch):
     assert text == "error: search space of 389017001 terms at depth 4 exceeds budget 10000000\n"
 
 
+def test_herbrand_lists_terms_up_to_the_nesting_limit():
+    text = ok(["herbrand", "--formula", "P(f(c))", "--depth", "100"])
+    assert "count: 101\n" in text
+    assert "f(" * 100 + "c" + ")" * 100 in text
+    for depth in ("101", "400"):
+        assert run(["herbrand", "--formula", "P(f(c))", "--depth", depth]) == (
+            1, "error: term depth 101 exceeds the nesting limit 100\n")
+
+
+def test_herbrand_without_functions_at_any_depth():
+    start = time.perf_counter()
+    text = ok(["herbrand", "--formula", "P(c)", "--depth", "1000000"])
+    assert time.perf_counter() - start < 0.5
+    assert text == "depth: 1000000\ncount: 1\nterms: c\n"
+
+
+def test_deep_herbrand_search_stops_at_the_nesting_limit():
+    start = time.perf_counter()
+    text = ok(["reduce", "--verify", "--chain", "luk:2", "--max-depth", "150",
+               "--formula", "forall x. (P(x) \\/ ~P(f(x)))"])
+    assert time.perf_counter() - start < 1
+    assert "certified: non-contradiction\n" in text
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify-reduction"])
+def test_reduce_honours_a_relational_vocabulary(tmp_path, command):
+    vocab = tmp_path / "rel.voc"
+    vocab.write_text("relational\npred R/2\n")
+    argv = [command, "--vocab", str(vocab), "--chain", "luk:2"]
+    code, text = run(argv + ["--formula", "forall x. exists y. R(x, y)"])
+    assert code == 1
+    assert text.startswith("error: Skolemizing 'exists y' under universals ['x'] needs a function")
+    assert text.count("\n") == 1
+    text = ok(argv + ["--formula", "exists y. forall x. R(x, y)"])
+    assert "star-output: forall x. (R(x, sk_0) & R(x, sk_0))\n" in text
+    if command == "reduce":
+        assert "fresh-constants: sk_0\n" in text
+
+
+def test_eval_reads_the_vocabulary_once(tmp_path, monkeypatch):
+    from fuzzyfo import syntax
+    vocab = tmp_path / "v.voc"
+    vocab.write_text("pred P/1\nconst c\n")
+    structure = tmp_path / "m.struct"
+    structure.write_text("domain 1\nconst c = 0\npred P : #2\n")
+    calls = []
+    parse_vocabulary = syntax.parse_vocabulary
+    monkeypatch.setattr(syntax, "parse_vocabulary",
+                        lambda text: calls.append(text) or parse_vocabulary(text))
+    text = ok(["eval", "--vocab", str(vocab), "--formula", "P(c)", "--chain", "luk:3",
+               "--structure", str(structure)])
+    assert "value: 2" in text
+    assert len(calls) == 1
+
+
 def test_bsr_command():
     text = ok(["bsr", "--formula", "exists x. forall y. (P(x) /\\ ~P(y))"])
     assert "decided: False" in text

@@ -324,6 +324,15 @@ def test_herbrand_search_stops_where_no_depth_adds_an_instance():
         assert (out.kind, out.bounds) == ("exhausted", "term depth 0..0"), text
 
 
+def test_herbrand_search_stops_at_the_nesting_limit():
+    # a satisfiable sentence with few instances per depth: only the nesting
+    # limit ends the search, and the bounds name the depths searched
+    phi = parse("forall x. (P(x) \\/ ~P(f(x)))")
+    out = dual_herbrand_search(phi, 200)
+    assert (out.kind, out.bounds) == ("exhausted", "term depth 0..100")
+    assert dual_herbrand_search(phi, 7).bounds == "term depth 0..7"
+
+
 def test_herbrand_search_rejects_a_negative_depth():
     with pytest.raises(ValueError, match="max depth must be at least 0, got -1"):
         dual_herbrand_search(parse("forall x. P(x)"), -1)

@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzyfo.syntax import (
     Atom, BOTTOM, Biimpl, Const, Exists, Forall, FragmentError, Impl, Join,
     Meet, Neg, ParseError, StrongConj, TOP, TruthConst, Var, App, Vocabulary,
-    VocabularyError, classical_nnf, classify, format_formula, format_term,
-    free_vars, herbrand_universe, herbrand_universe_sizes, parse, parse_vocabulary, skolemize,
+    VocabularyError, MAX_NESTING, children, classical_nnf, classify, ensure_constant,
+    format_formula, format_term, free_vars, herbrand_levels, herbrand_universe,
+    herbrand_universe_sizes, parse, parse_vocabulary, rebuild, skolemize,
     split_universal_prefix, star_translate, substitute, vocabulary_of,
 )
 
@@ -342,3 +345,72 @@ def test_herbrand_universe_sizes_count_the_universe(vocab):
     sizes = herbrand_universe_sizes(vocab)
     for depth in range(4):
         assert next(sizes) == len(herbrand_universe(vocab, depth))
+
+
+# -- the term universe, level by level ---------------------------------------
+
+def _term_depth(t):
+    return 1 + max(_term_depth(a) for a in t.args) if isinstance(t, App) else 0
+
+
+def _filtered_universe(vocab, depth):
+    """The reference: at each depth, every argument tuple over the shallower
+    terms, filtered to those holding a term one level down."""
+    vocab = ensure_constant(vocab)
+    by_depth = [sorted((Const(c) for c in vocab.constants), key=format_term)]
+    for d in range(1, depth + 1):
+        shallower = [t for lvl in by_depth for t in lvl]
+        level = [App(f, args) for f in sorted(vocab.functions)
+                 for args in itertools.product(shallower, repeat=vocab.functions[f])
+                 if max(_term_depth(a) for a in args) == d - 1]
+        by_depth.append(sorted(level, key=format_term))
+    return [t for lvl in by_depth for t in lvl]
+
+
+@pytest.mark.parametrize("vocab", [
+    Vocabulary(predicates={"P": 1}, constants=frozenset({"c"})),
+    Vocabulary(predicates={"P": 1}, functions={"f": 1}, constants=frozenset({"c", "d"})),
+    Vocabulary(predicates={"P": 1}, functions={"f": 1, "g": 2}, constants=frozenset({"c"})),
+    Vocabulary(predicates={"P": 1}, functions={"h": 3}, constants=frozenset({"c"})),
+], ids=["constant", "unary", "unary-binary", "ternary"])
+def test_herbrand_levels_equal_the_filtered_universe(vocab):
+    for depth in range(4):
+        assert herbrand_universe(vocab, depth) == _filtered_universe(vocab, depth)
+    for depth, level in zip(range(4), herbrand_levels(vocab)):
+        assert all(_term_depth(t) == depth for t in level)
+
+
+def test_herbrand_levels_stop_at_the_nesting_limit():
+    unary = Vocabulary(predicates={"P": 1}, functions={"f": 1}, constants=frozenset({"c"}))
+    levels = herbrand_levels(unary)
+    assert [len(next(levels)) for _ in range(MAX_NESTING + 1)] == [1] * (MAX_NESTING + 1)
+    with pytest.raises(ValueError, match="term depth 101 exceeds the nesting limit 100"):
+        next(levels)
+    assert len(herbrand_universe(unary, MAX_NESTING)) == MAX_NESTING + 1
+    # without function symbols there is one level, at any depth
+    constants = Vocabulary(predicates={"P": 1}, constants=frozenset({"c", "d"}))
+    assert len(list(herbrand_levels(constants))) == 1
+    assert len(herbrand_universe(constants, 10 ** 6)) == 2
+    with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+        herbrand_universe(constants, -1)
+
+
+# -- the structural recursion --------------------------------------------------
+
+def test_children_and_rebuild_follow_each_node_kind():
+    p, q = Atom("P", (Var("x"),)), Atom("Q")
+    assert children(p) == children(TOP) == ()
+    assert children(Neg(p)) == children(Forall("x", p)) == (p,)
+    assert children(Impl(p, q)) == (p, q)
+    swap = {p: q, q: p}.get
+    assert rebuild(Exists("x", p), swap) == Exists("x", q)
+    assert rebuild(Biimpl(p, q), swap) == Biimpl(q, p)
+    assert rebuild(p, swap) == p
+
+
+@pytest.mark.parametrize("node", [Var("x"), Const("c"), "P(c)", None])
+def test_children_and_rebuild_reject_a_non_formula(node):
+    with pytest.raises(TypeError, match="not a formula"):
+        children(node)
+    with pytest.raises(TypeError, match="not a formula"):
+        rebuild(node, lambda sub: sub)
