@@ -75,6 +75,8 @@ def _parse_chain_spec(spec: str) -> list[chains_mod.FiniteChain]:
         return [chains_mod.parse_chain_file(_read_file(arg))]
     if kind == "enum":
         size = int(arg)
+        if size < 2:
+            raise CliError(f"size {size} below minimum 2")
         out = []
         for s in range(2, size + 1):
             out.extend(chains_mod.enumerate_mtl_chains(s))

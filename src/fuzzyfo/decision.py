@@ -9,6 +9,7 @@ reported.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .chains import FiniteChain, make_boolean_chain
 from .semantics import (
     DEFAULT_BUDGET, BudgetExceededError, EvaluatorMismatchError, Structure, TruthValue,
-    compile_formula, enumerate_structures, eval, eval_propositional, flat_layout,
+    compile_chunks, compile_formula, enumerate_structures, eval, eval_propositional, flat_layout,
 )
 from .syntax import (
     App, Atom, BOTTOM, MAX_NESTING, TOP, Const, Exists, Formula, FragmentError, Join,
@@ -47,6 +48,11 @@ class Verdict:
     bounds: str = ""
 
 
+# The first structures of each (chain, domain size) space go through the
+# closures of `compile_formula`, so an early witness compiles no chunks.
+CLOSURE_FIRST = 64
+
+
 def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
           accept: Callable[[FiniteChain, TruthValue], bool],
           ) -> Optional[tuple[FiniteChain, Structure, TruthValue]]:
@@ -55,9 +61,12 @@ def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
     The order is chains in K, then domain sizes 1..max_domain, then the
     structures in `enumerate_structures` order.  The budget is checked per
     (chain, domain size) before that space is searched.  phi is compiled
-    once per (chain, domain size); the witness is rebuilt as a Structure and
-    re-evaluated with the reference `eval`, and a disagreement raises
-    EvaluatorMismatchError instead of returning it.
+    once per (chain, domain size).  The first CLOSURE_FIRST structures are
+    evaluated one by one; the rest chunk by chunk (`compile_chunks`), or one
+    by one on a chain too large for chunks.  The witness is rebuilt as a
+    Structure, and its value must be accepted and agree with the closures
+    and with the reference `eval`, or EvaluatorMismatchError is raised
+    instead of returning it.
     """
     vocab = vocabulary_of(phi)
     for chain in K:
@@ -65,17 +74,48 @@ def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
         for n in range(1, max_domain + 1):
             layout = flat_layout(vocab, chain, n, budget)
             value_of = compile_formula(phi, chain, layout)
-            for values in itertools.product(*layout.ranges):
-                value = value_of(values)
-                if value in accepted:
-                    structure = layout.structure(values)
-                    reference = eval(chain, structure, phi)
-                    if reference != value:
-                        raise EvaluatorMismatchError(
-                            f"compiled value {value} but reference value {reference} "
-                            f"on a size-{chain.size} chain for {format_formula(phi)}:\n"
-                            f"{structure.describe()}")
-                    return chain, structure, value
+            structures = itertools.product(*layout.ranges)
+            found = _first(itertools.islice(structures, CLOSURE_FIRST), value_of, accepted)
+            if found is None and math.prod(map(len, layout.ranges)) > CLOSURE_FIRST:
+                chunks = compile_chunks(phi, chain, layout)
+                found = (_first(structures, value_of, accepted) if chunks is None
+                         else _first_in_chunks(chunks, layout, accepted))
+            if found is not None:
+                values, value = found
+                structure = layout.structure(values)
+                compiled = value_of(values)
+                reference = eval(chain, structure, phi)
+                if not (value == compiled == reference and value in accepted):
+                    raise EvaluatorMismatchError(
+                        f"found value {value}, compiled value {compiled} but reference value "
+                        f"{reference} on a size-{chain.size} chain for {format_formula(phi)}:\n"
+                        f"{structure.describe()}")
+                return chain, structure, value
+    return None
+
+
+def _first(structures, value_of, accepted: frozenset) -> Optional[tuple[tuple[int, ...], int]]:
+    """(values, value) of the first structure whose value is in `accepted`, or None."""
+    for values in structures:
+        value = value_of(values)
+        if value in accepted:
+            return values, value
+    return None
+
+
+def _first_in_chunks(chunks, layout, accepted: frozenset) -> Optional[tuple[tuple[int, ...], int]]:
+    """(values, value) of the first structure from CLOSURE_FIRST on whose
+    chunk rank is in `accepted`, or None."""
+    size, prefixes, evaluate = chunks
+    table = bytes(r in accepted for r in range(256))
+    chunk, start = divmod(CLOSURE_FIRST, size)
+    for prefix in itertools.islice(itertools.product(*prefixes), chunk, None):
+        ranks = evaluate(prefix)
+        i = ranks.translate(table).find(1, start)
+        if i >= 0:
+            rest = itertools.product(*layout.ranges[len(prefix):])
+            return prefix + next(itertools.islice(rest, i, None)), ranks[i]
+        start = 0
     return None
 
 
@@ -93,7 +133,14 @@ def _bounds_text(K: ChainClass, max_domain: int) -> str:
 
 
 def _bounded(K: ChainClass, phi: Formula, max_domain: int, budget: int,
-             accept: Callable[[FiniteChain, TruthValue], bool], kind: str) -> Verdict:
+             accept: Callable[[FiniteChain, TruthValue], bool], kind: str,
+             settled: Optional[Verdict] = None) -> Verdict:
+    """The shared entry of the four deciders: `settled` when phi's form
+    already answers, otherwise the first structure whose value `accept`s."""
+    if max_domain < 1:
+        raise ValueError(f"max domain must be at least 1, got {max_domain}")
+    if settled is not None:
+        return settled
     found = _find(K, phi, max_domain, budget, accept)
     if found is None:
         return Verdict("exhausted", bounds=_bounds_text(K, max_domain))
@@ -105,27 +152,25 @@ def _bounded(K: ChainClass, phi: Formula, max_domain: int, budget: int,
 def taut0_bounded(K: ChainClass, phi: Formula, max_domain: int,
                   budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a refutation of `phi takes value 0 everywhere`."""
-    if phi == BOTTOM:
-        return Verdict("decided", decided=True, reason="the constant 0 is 0 everywhere")
-    return _bounded(K, phi, max_domain, budget, _nonzero, "refuted")
+    settled = (Verdict("decided", decided=True, reason="the constant 0 is 0 everywhere")
+               if phi == BOTTOM else None)
+    return _bounded(K, phi, max_domain, budget, _nonzero, "refuted", settled)
 
 
 def sat_pos_bounded(K: ChainClass, phi: Formula, max_domain: int,
                     budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a structure giving phi a value above 0."""
-    if phi == BOTTOM:
-        return Verdict("decided", decided=False, reason="the constant 0 is 0 everywhere")
-    return _bounded(K, phi, max_domain, budget, _nonzero, "member_witness")
+    settled = (Verdict("decided", decided=False, reason="the constant 0 is 0 everywhere")
+               if phi == BOTTOM else None)
+    return _bounded(K, phi, max_domain, budget, _nonzero, "member_witness", settled)
 
 
 def taut_lt1_bounded(K: ChainClass, phi: Formula, max_domain: int,
                      budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a structure where phi attains the top value."""
-    if phi == TOP:
-        return Verdict("refuted", value=K[0].top, chain=K[0],
-                       structure=Structure(1),
-                       bounds=_bounds_text(K, max_domain))
-    return _bounded(K, phi, max_domain, budget, _top, "refuted")
+    settled = (Verdict("refuted", value=K[0].top, chain=K[0], structure=Structure(1),
+                       bounds=_bounds_text(K, max_domain)) if phi == TOP else None)
+    return _bounded(K, phi, max_domain, budget, _top, "refuted", settled)
 
 
 def sat1_bounded(K: ChainClass, phi: Formula, max_domain: int,

@@ -157,6 +157,8 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
     B2 model of the purely universal form must lift to a top-value witness
     on every chain in K.  Disagreement raises ReductionVerificationError.
     """
+    if max_domain < 1:
+        raise ValueError(f"max domain must be at least 1, got {max_domain}")
     pu = trace.purely_universal_form
     # one search certifies the input and, for a contradiction, gives the witness
     found = dual_herbrand_search(pu, max_depth, budget=budget)

@@ -388,6 +388,149 @@ def compile_formula(phi: Formula, chain: FiniteChain,
     return compiled
 
 
+# -- byte-sliced evaluation ------------------------------------------------
+
+# The most structures a chunk holds.
+CHUNK_LIMIT = 4096
+# Two ranks of a chain up to this size pack into one byte, four bits each.
+MAX_SLICED_CHAIN = 16
+
+
+def _pair_table(op: Callable[[int, int], int], k: int) -> bytes:
+    """op over ranks below k, indexed by the packed byte (x << 4) | y."""
+    table = bytearray(256)
+    for x in range(k):
+        for y in range(k):
+            table[x << 4 | y] = op(x, y)
+    return bytes(table)
+
+
+_MIN = bytes(min(i >> 4, i & 15) for i in range(256))
+_MAX = bytes(max(i >> 4, i & 15) for i in range(256))
+
+
+def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
+                   ) -> Optional[tuple[int, tuple[range, ...], Callable[[Sequence[int]], bytes]]]:
+    """phi over chunks of consecutive structures, as (size, prefix, evaluate).
+
+    A chunk is the `size` structures that share every slot but the longest
+    trailing run of predicate slots with at most CHUNK_LIMIT structures.
+    The j-th chunk is fixed by the j-th tuple of `itertools.product(*prefix)`,
+    and `evaluate(that tuple)` gives phi's rank on each of its structures,
+    in enumeration order, one byte each.  None when the chain has more than
+    MAX_SLICED_CHAIN ranks or no predicate slot fits in a chunk.
+
+    phi must be one `compile_formula` accepted.  Constants and function
+    tables sit in the prefix, so terms are plain elements.  An atom is its
+    slot's periodic digit pattern, or one rank repeated for a prefix slot;
+    ~ and squares are one `bytes.translate`; every other connective and the
+    quantifier folds pack both operands' ranks into one byte per structure
+    and translate through a pair table, and stop once the value is settled.
+    """
+    k = chain.size
+    ranges = layout.ranges
+    first_pred = len(ranges) - sum(layout.domain_size ** arity for _, arity in layout.predicates)
+    size, cut = 1, len(ranges)
+    while cut > first_pred and size * k <= CHUNK_LIMIT:
+        size *= k
+        cut -= 1
+    if k > MAX_SLICED_CHAIN or cut == len(ranges):
+        return None
+    n = layout.domain_size
+    later = range(1, n)
+    offsets = layout.offsets
+    tnorm, res = chain.tnorm_table, chain.residuum_table
+    fill = [bytes([r]) * size for r in range(k)]
+    all_bot, all_top = fill[chain.bot], fill[chain.top]
+    # cells[i] is the predicate slot first_pred + i over the current chunk;
+    # the last slot's digit changes with every structure, the one before it
+    # every k structures, and so on
+    cells = [all_bot] * (cut - first_pred) + [
+        b"".join(fill[r][:k ** p] for r in range(k)) * (size // k ** (p + 1))
+        for p in reversed(range(len(ranges) - cut))]
+    neg = bytes(row[chain.bot] for row in res).ljust(256, b"\0")
+    square = bytes(tnorm[r][r] for r in range(k)).ljust(256, b"\0")
+    env: list[int] = []
+
+    def pair(x: bytes, y: bytes, table: bytes) -> bytes:
+        packed = int.from_bytes(x, "big") << 4 | int.from_bytes(y, "big")
+        return packed.to_bytes(size, "big").translate(table)
+
+    def index(base: int, args: Sequence[Term], scope: dict[str, int]):
+        """A closure giving base + the row-major index of the args' elements."""
+        getters = [term(t, scope) for t in args]
+
+        def at(v):
+            i = 0
+            for get in getters:
+                i = i * n + get(v)
+            return base + i
+        return at
+
+    def term(t: Term, scope: dict[str, int]):
+        if isinstance(t, Var):
+            slot = scope[t.name]
+            return lambda v: env[slot]
+        if isinstance(t, Const):
+            return lambda v, at=offsets[t.name]: v[at]
+        at = index(offsets[t.func], t.args, scope)
+        return lambda v: v[at(v)]
+
+    # (pair table, left value that settles the result, the result then)
+    binary = {
+        StrongConj: (_pair_table(lambda x, y: tnorm[x][y], k), all_bot, all_bot),
+        Impl: (_pair_table(lambda x, y: res[x][y], k), all_bot, all_top),
+        Meet: (_MIN, all_bot, all_bot),
+        Join: (_MAX, all_top, all_top),
+        Biimpl: (_pair_table(lambda x, y: min(res[x][y], res[y][x]), k), None, None),
+    }
+
+    def formula(phi: Formula, scope: dict[str, int]):
+        if isinstance(phi, Atom):
+            at = index(offsets[phi.pred] - first_pred, phi.args, scope)
+            return lambda v: cells[at(v)]
+        if isinstance(phi, TruthConst):
+            return lambda v, value=all_top if phi.top else all_bot: value
+        if isinstance(phi, Neg):
+            body = formula(phi.body, scope)
+            return lambda v: body(v).translate(neg)
+        if isinstance(phi, (Forall, Exists)):
+            slot = len(env)
+            env.append(0)
+            body = formula(phi.body, {**scope, phi.var: slot})
+            table, settled = (_MIN, all_bot) if isinstance(phi, Forall) else (_MAX, all_top)
+
+            def fold(v):
+                env[slot] = 0
+                acc = body(v)
+                for d in later:
+                    if acc == settled:
+                        break
+                    env[slot] = d
+                    acc = pair(acc, body(v), table)
+                return acc
+            return fold
+        left = formula(phi.left, scope)
+        if isinstance(phi, StrongConj) and phi.left == phi.right:
+            return lambda v: left(v).translate(square)
+        right = formula(phi.right, scope)
+        table, stop, settled = binary[type(phi)]
+
+        def connective(v):
+            x = left(v)
+            return settled if x == stop else pair(x, right(v), table)
+        return connective
+
+    root = formula(phi, {})
+    # unlinked from themselves, as in `compile_formula`
+    del formula, term
+
+    def evaluate(prefix: Sequence[int]) -> bytes:
+        cells[:cut - first_pred] = [fill[r] for r in prefix[first_pred:]]
+        return root(prefix)
+    return size, ranges[:cut], evaluate
+
+
 # -- structure file format -----------------------------------------------
 
 def parse_structure_file(text: str, vocab: Optional[Vocabulary] = None) -> Structure:

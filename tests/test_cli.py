@@ -387,6 +387,54 @@ def test_named_chain_sizes_above_the_cap_exit_1(spec):
                     f"named chains are capped at 2048 elements\n")
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["decide", "--set", "satpos", "--formula", "P(c)"], "0"),
+    (["decide", "--set", "tautlt1", "--formula", "1"], "-2"),
+    (["decide", "--set", "taut0", "--formula", "0"], "0"),
+    (["reduce", "--verify", "--formula", "P(c) /\\ ~P(c)"], "-1"),
+    (["verify-reduction", "--formula", "P(c)"], "0"),
+], ids=["decide", "decide-settled-top", "decide-settled-bottom", "reduce", "verify-reduction"])
+def test_max_domain_below_1_exit_1(argv, bound):
+    code, text = run(argv + ["--chain", "luk:3", "--max-domain", bound])
+    assert (code, text) == (1, f"error: max domain must be at least 1, got {bound}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["decide", "--set", "satpos", "--formula", "P(c)"],
+    ["reduce", "--verify", "--formula", "P(c) /\\ ~P(c)"],
+    ["verify-reduction", "--formula", "P(c)"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("size", ["0", "1", "-3"])
+def test_enum_chain_spec_below_size_2_exit_1(command, size):
+    code, text = run(command + ["--chain", f"enum:{size}"])
+    assert (code, text) == (1, f"error: size {size} below minimum 2\n")
+    assert run(["enum-chains", "--size", "1"]) == (1, "error: size 1 below minimum 2\n")
+
+
+R_SENTENCE = ("exists x. (R(x,x) <-> ~R(x,x)) & "
+              "forall x. exists y. (R(x,y) <-> (R(y,x) & R(y,x)))")
+
+
+def test_r_sentence_search_to_domain_3_is_fast():
+    # 4^9 structures at domain 3, searched chunk by chunk
+    start = time.perf_counter()
+    text = ok(["decide", "--set", "sat1", "--chain", "luk:4", "--max-domain", "3",
+               "--formula", R_SENTENCE])
+    assert time.perf_counter() - start < 0.5
+    assert "outcome: exhausted\n" in text
+
+
+def test_seven_atom_chain_contradiction_verifies_on_luk3():
+    # the TAUT0 search on the star output covers 2 * 3^14 structures at domain 2
+    links = " /\\ ".join(f"(~P{i}(c) \\/ P{i + 1}(c))" for i in range(6))
+    formula = f"P0(c) /\\ {links} /\\ ~P6(c)"
+    start = time.perf_counter()
+    text = ok(["reduce", "--verify", "--chain", "luk:3", "--formula", formula])
+    assert time.perf_counter() - start < 3
+    assert "certified: contradiction\n" in text
+    assert text.endswith("consistent: True\n")
+
+
 # -- structure files and chain specs through `eval` ---------------------------
 
 EVAL_FORMULAS = [

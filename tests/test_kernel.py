@@ -1,0 +1,119 @@
+"""The byte-sliced kernel (`compile_chunks`) against the compiled closures.
+
+Chunk bytes must equal `compile_formula` on every structure, in enumeration
+order, and the deciders must give the reference loop's verdict whichever
+way a space is cut into chunks and however many structures the closures
+take first.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fuzzyfo import cli, decision, semantics
+from fuzzyfo.chains import enumerate_mtl_chains, make_godel_chain, make_lukasiewicz_chain
+from fuzzyfo.decision import sat_pos_bounded
+from fuzzyfo.semantics import (
+    EvaluatorMismatchError, compile_chunks, compile_formula, flat_layout, structure_space_size,
+)
+from fuzzyfo.syntax import parse, vocabulary_of
+
+from test_compiled import (
+    DECIDERS, SWEEP_CAP, outcome, reference_verdict, searched_sentences, sentences,
+)
+
+KERNEL_CHAINS = ([make_lukasiewicz_chain(k) for k in range(2, 17)]
+                 + [make_godel_chain(k) for k in range(2, 17)]
+                 + [c for size in (2, 3, 4) for c in enumerate_mtl_chains(size)])
+SMALL_CHAINS = [c for c in KERNEL_CHAINS if c.size <= 5]
+
+
+def _patched(monkeypatch, limit, first):
+    monkeypatch.setattr(semantics, "CHUNK_LIMIT", limit)
+    monkeypatch.setattr(decision, "CLOSURE_FIRST", first)
+
+
+@pytest.mark.parametrize("chain", KERNEL_CHAINS, ids=lambda c: f"size{c.size}")
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(phi=sentences(), limit=st.sampled_from((4096, 27, 8, 2)))
+def test_chunk_bytes_equal_the_closures(chain, phi, limit):
+    vocab = vocabulary_of(phi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "CHUNK_LIMIT", limit)
+        for n in (1, 2, 3):
+            if structure_space_size(vocab, chain, n) > SWEEP_CAP:
+                break
+            layout = flat_layout(vocab, chain, n)
+            value_of = compile_formula(phi, chain, layout)
+            chunks = compile_chunks(phi, chain, layout)
+            if chunks is None:
+                assert not vocab.predicates or chain.size > limit
+                continue
+            size, prefix, evaluate = chunks
+            assert 1 < size <= limit
+            every = list(itertools.product(*layout.ranges))
+            assert len(every) == size * len(list(itertools.product(*prefix)))
+            ranks = b"".join(evaluate(values[:len(prefix)]) for values in every[::size])
+            assert ranks == bytes(value_of(values) for values in every)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(phi=searched_sentences(), name=st.sampled_from(sorted(DECIDERS)),
+       K=st.lists(st.sampled_from(SMALL_CHAINS), min_size=1, max_size=3),
+       max_domain=st.integers(1, 3), limit=st.sampled_from((8, 27, 4096)),
+       first=st.sampled_from((0, 1, 64)))
+def test_deciders_match_reference_loop_across_chunks(phi, name, K, max_domain, limit, first):
+    decider = DECIDERS[name][0]
+    with pytest.MonkeyPatch.context() as mp:
+        _patched(mp, limit, first)
+        got = outcome(lambda: decider(K, phi, max_domain, budget=SWEEP_CAP))
+    assert got == outcome(lambda: reference_verdict(name, K, phi, max_domain, SWEEP_CAP))
+
+
+def test_chain_above_size_16_takes_the_closures(monkeypatch):
+    _patched(monkeypatch, 4096, 0)
+    chain = make_lukasiewicz_chain(17)
+    phi = parse("forall x. exists y. (R(x, y) -> ~R(y, x))")
+    vocab = vocabulary_of(phi)
+    assert compile_chunks(phi, chain, flat_layout(vocab, chain, 1)) is None
+    luk16 = make_lukasiewicz_chain(16)
+    assert compile_chunks(phi, luk16, flat_layout(vocab, luk16, 1)) is not None
+    called = []
+    real = decision.compile_chunks
+    monkeypatch.setattr(decision, "compile_chunks",
+                        lambda *args: called.append(args[1].size) or real(*args))
+    for name in DECIDERS:
+        got = outcome(lambda: DECIDERS[name][0]([chain], phi, 1))
+        assert got == outcome(lambda: reference_verdict(name, [chain], phi, 1, 10**7))
+    assert called and set(called) == {17}
+
+
+def test_kernel_off_by_one_raises(monkeypatch):
+    _patched(monkeypatch, 4096, 0)
+    real = decision.compile_chunks
+
+    def off_by_one(phi, chain, layout):
+        size, prefix, evaluate = real(phi, chain, layout)
+        return size, prefix, lambda v: bytes(min(r + 1, chain.top) for r in evaluate(v))
+    monkeypatch.setattr(decision, "compile_chunks", off_by_one)
+    _assert_mismatch("P(c) & Q(c)")
+
+
+def test_kernel_returning_an_unaccepted_structure_raises(monkeypatch):
+    _patched(monkeypatch, 4096, 0)
+
+    def first_structure(chunks, layout, accepted):
+        size, prefix, evaluate = chunks
+        return tuple(r[0] for r in layout.ranges), evaluate(tuple(r[0] for r in prefix))[0]
+    monkeypatch.setattr(decision, "_first_in_chunks", first_structure)
+    _assert_mismatch("P(c) & Q(c)")
+
+
+def _assert_mismatch(formula):
+    with pytest.raises(EvaluatorMismatchError):
+        sat_pos_bounded([make_lukasiewicz_chain(3)], parse(formula), 1)
+    code, text = cli.run(["decide", "--set", "satpos", "--chain", "luk:3",
+                          "--max-domain", "1", "--formula", formula])
+    assert code == 2
+    assert text.startswith("internal consistency failure: found value")
