@@ -277,6 +277,10 @@ def cmd_enum_chains(args, budget: int) -> Report:
 
 
 def cmd_check_lemma1(args, budget: int) -> Report:
+    if args.luk > chains_mod.MAX_NAMED_CHAIN_SIZE:
+        # refused before any chain is built, not after building them all
+        raise CliError(
+            f"--luk {args.luk} above the named-chain cap {chains_mod.MAX_NAMED_CHAIN_SIZE}")
     report = Report()
     total = 0
     for size in range(2, args.enum + 1):
@@ -310,6 +314,8 @@ def cmd_phi_report(args, budget: int) -> Report:
 
 
 def cmd_phi_witness(args, budget: int) -> Report:
+    if args.n < 1:
+        raise CliError(f"n {args.n} below minimum 1")
     report = Report()
     report.add("sentence", phi.PHI_TEXT)
     report.add("columns", "N value")

@@ -153,6 +153,8 @@ def phi_fin_refutation(max_k: int, cap: int = DEFAULT_K_CAP) -> PhiRefutationRep
     records the per-k maximum of Phi.  Negation is antitone, so ~Phi
     vanishes on some set exactly when it vanishes at the maximum.
     """
+    if max_k < 2:
+        raise ValueError(f"max_k {max_k} below minimum 2")
     if max_k > cap:
         raise ValueError(f"max_k {max_k} above cap {cap}")
     rows = []

@@ -1,12 +1,17 @@
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import fuzzyfo.chains as chains_mod
 
 from fuzzyfo.chains import (
-    ChainValidationError, EnumerationCapError, MAX_NAMED_CHAIN_SIZE, _derive_residuum,
+    ChainValidationError, EnumerationCapError, MAX_NAMED_CHAIN_SIZE, MAX_TABLE_CHAIN_SIZE,
+    _associative_through, _derive_residuum,
     check_square_meet_law,
-    STANDARD_CHAIN, StandardChain, embed_rank, enumerate_mtl_chains, format_chain_file,
+    STANDARD_CHAIN, FiniteChain, StandardChain, embed_rank, enumerate_mtl_chains, format_chain_file,
     is_lukasiewicz, make_chain_from_table, make_godel_chain,
     make_lukasiewicz_chain, parse_chain_file,
 )
@@ -75,6 +80,208 @@ def test_named_chains_at_the_cap_are_built(factory):
                 assert (tnorm[y], res[y]) == (max(0, x + y - top), min(top, top - x + y))
             else:
                 assert (tnorm[y], res[y]) == (min(x, y), top if x <= y else y)
+
+
+def reference_chain_from_table(size, tnorm, derive_residuum=None):
+    """The chain axioms checked entry by entry, in the validator's order.
+
+    The loops visit every entry, pair and triple in row-major order, so the
+    first violation they meet is the witness `make_chain_from_table` must
+    name.  `derive_residuum` replaces the derived residuum, to reach the
+    residuation check.
+    """
+    if size < 2:
+        raise ChainValidationError("size", (size,), "chain needs at least 2 elements")
+    if len(tnorm) != size or any(len(row) != size for row in tnorm):
+        raise ChainValidationError("shape", (size,), "table must be size x size")
+    for x in range(size):
+        for y in range(size):
+            v = tnorm[x][y]
+            if not (0 <= v < size):
+                raise ChainValidationError("range", (x, y), f"entry {v} outside 0..{size - 1}")
+    for x in range(size):
+        for y in range(x, size):
+            if tnorm[x][y] != tnorm[y][x]:
+                raise ChainValidationError(
+                    "commutativity", (x, y), f"t[{x}][{y}]={tnorm[x][y]} != t[{y}][{x}]={tnorm[y][x]}"
+                )
+    for x in range(size):
+        if tnorm[x][size - 1] != x:
+            raise ChainValidationError(
+                "identity", (x,), f"t[{x}][{size - 1}]={tnorm[x][size - 1]} != {x}"
+            )
+    for x in range(size - 1):
+        for y in range(size):
+            if tnorm[x][y] > tnorm[x + 1][y]:
+                raise ChainValidationError(
+                    "monotonicity", (x, x + 1, y),
+                    f"t[{x}][{y}]={tnorm[x][y]} > t[{x + 1}][{y}]={tnorm[x + 1][y]}",
+                )
+    for x in range(size):
+        for y in range(size):
+            for z in range(size):
+                left = tnorm[tnorm[x][y]][z]
+                right = tnorm[x][tnorm[y][z]]
+                if left != right:
+                    raise ChainValidationError(
+                        "associativity", (x, y, z), f"({x}*{y})*{z}={left} != {x}*({y}*{z})={right}"
+                    )
+    residuum = (derive_residuum or reference_residuum)(size, tnorm)
+    for x in range(size):
+        for y in range(size):
+            for z in range(size):
+                if (tnorm[x][z] <= y) != (z <= residuum[x][y]):
+                    raise ChainValidationError(
+                        "residuation", (x, y, z),
+                        f"t[{x}][{z}] <= {y} does not match {z} <= r[{x}][{y}]",
+                    )
+    return FiniteChain(size, tuple(tuple(row) for row in tnorm), residuum)
+
+
+def validation_outcome(validate, size, table):
+    """The chain a validator returns, or the axiom, witness and message it raises."""
+    try:
+        return validate(size, table)
+    except ChainValidationError as exc:
+        return exc.axiom, exc.witness, str(exc)
+
+
+@lru_cache(maxsize=None)
+def enumerated_chains():
+    """Every enumerated chain of size <= 6."""
+    return tuple(c for size in range(2, 7) for c in enumerate_mtl_chains(size))
+
+
+def small_chains():
+    """The enumerated chains and the named chains of size <= 12."""
+    return enumerated_chains() + tuple(
+        f(k) for k in range(2, 13) for f in (make_lukasiewicz_chain, make_godel_chain))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_mutated_tables_fail_as_the_reference_does(data):
+    chain = data.draw(st.sampled_from(small_chains()))
+    size = chain.size
+    table = [list(row) for row in chain.tnorm_table]
+    for _ in range(data.draw(st.integers(1, 2))):
+        x, y = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        v = data.draw(st.integers(-1, size))
+        table[x][y] = v
+        if data.draw(st.booleans()):  # keep the table commutative
+            table[y][x] = v
+    expected = validation_outcome(reference_chain_from_table, size, table)
+    assert validation_outcome(make_chain_from_table, size, table) == expected
+
+
+def test_every_axiom_is_named_by_some_mutation():
+    # the hypothesis test above must be able to reach each axiom
+    seen = set()
+    for chain in small_chains():
+        size = chain.size
+        for x in range(size):
+            for y in range(x, size):
+                for v in (-1, 0, size - 1, size):
+                    table = [list(row) for row in chain.tnorm_table]
+                    table[x][y] = table[y][x] = v
+                    new = validation_outcome(make_chain_from_table, size, table)
+                    assert new == validation_outcome(reference_chain_from_table, size, table)
+                    if isinstance(new, tuple):
+                        seen.add(new[0])
+                    table[y][x] = chain.tnorm_table[y][x]
+                    new = validation_outcome(make_chain_from_table, size, table)
+                    assert new == validation_outcome(reference_chain_from_table, size, table)
+                    if isinstance(new, tuple):
+                        seen.add(new[0])
+    assert seen == {"range", "commutativity", "identity", "monotonicity", "associativity"}
+
+
+def test_residuation_is_checked_on_every_triple(monkeypatch):
+    # the law holds for a correctly derived residuum, so only a wrong one
+    # reaches the check: shift each entry of it by one in turn
+    for chain in enumerated_chains()[:60] + (make_godel_chain(9), make_lukasiewicz_chain(9)):
+        size = chain.size
+        for x in range(size):
+            for y in range(size):
+                for delta in (-1, 1):
+                    r = chain.residuum_table[x][y] + delta
+                    if not 0 <= r < size:
+                        continue
+                    wrong = [list(row) for row in chain.residuum_table]
+                    wrong[x][y] = r
+                    wrong = tuple(map(tuple, wrong))
+                    monkeypatch.setattr(chains_mod, "_derive_residuum", lambda s, t: wrong)
+                    got = validation_outcome(make_chain_from_table, size, chain.tnorm_table)
+                    assert got == validation_outcome(
+                        lambda s, t: reference_chain_from_table(s, t, lambda s2, t2: wrong),
+                        size, chain.tnorm_table)
+                    assert got[0] == "residuation"
+
+
+def reference_associative_through(t, x):
+    for a in range(x + 1):
+        for p, q in ((a, x), (x, a)):
+            row_pq, row_p, row_q = t[t[p][q]], t[p], t[q]
+            for c, pq_c in enumerate(row_pq):
+                if pq_c != row_p[row_q[c]]:
+                    return False
+    return True
+
+
+def test_associative_through_equals_the_entry_loop():
+    # the enumerator's pruning check on complete rows 0..x with one entry of
+    # them changed (symmetrically, as the enumerator assigns): a weaker check
+    # would not change the enumeration, since every table is validated in full
+    outcomes = set()
+    for chain in enumerated_chains():
+        size = chain.size
+        for x in range(1, size - 1):
+            for a in range(1, x + 1):
+                for b in range(a, size - 1):
+                    for v in range(a + 1):
+                        table = [bytearray(row) for row in chain.tnorm_table]
+                        table[a][b] = table[b][a] = v
+                        expected = reference_associative_through(table, x)
+                        assert _associative_through(table, x) == expected
+                        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_every_size_7_chain_is_accepted_as_by_the_reference():
+    found = list(enumerate_mtl_chains(7))
+    assert len(found) == 451
+    for chain in found:
+        assert make_chain_from_table(7, chain.tnorm_table) == chain
+        assert reference_chain_from_table(7, chain.tnorm_table) == chain
+
+
+def test_tables_above_256_ranks_are_refused_before_any_entry_is_read():
+    assert MAX_TABLE_CHAIN_SIZE == 256
+    for size in (257, 300, 10**9):
+        with pytest.raises(ChainValidationError) as info:
+            make_chain_from_table(size, None)  # the table is never touched
+        assert info.value.axiom == "size" and info.value.witness == (size,)
+        assert str(info.value) == \
+            f"size violated at ({size},): table chains are capped at 256 ranks"
+    godel = [[min(x, y) for y in range(257)] for x in range(257)]
+    with pytest.raises(ChainValidationError) as info:
+        make_chain_from_table(257, godel)
+    assert info.value.axiom == "size"
+
+
+def test_chain_file_refused_on_its_header_above_256_ranks():
+    # no rows follow: the header alone is refused
+    with pytest.raises(ChainValidationError) as info:
+        parse_chain_file("chain 300\n")
+    assert (info.value.axiom, info.value.witness) == ("size", (300,))
+
+
+def test_256_rank_godel_table_validates_in_under_a_second():
+    godel = make_godel_chain(256)
+    start = time.perf_counter()
+    chain = make_chain_from_table(256, godel.tnorm_table)
+    assert time.perf_counter() - start < 1.0
+    assert chain == godel
 
 
 def test_from_table_accepts_godel_3():
@@ -199,10 +406,12 @@ def test_square_meet_law_named_chains():
 
 
 def test_named_chains_pass_validation():
-    for k in range(2, 13):
+    for k in range(2, 65):
         for chain in (make_lukasiewicz_chain(k), make_godel_chain(k)):
-            rebuilt = make_chain_from_table(chain.size, chain.tnorm_table)
-            assert rebuilt.residuum_table == chain.residuum_table
+            assert make_chain_from_table(k, chain.tnorm_table) == chain
+            assert make_chain_from_table(k, [list(row) for row in chain.tnorm_table]) == chain
+            if k <= 16:
+                assert reference_chain_from_table(k, chain.tnorm_table) == chain
 
 
 @given(st.integers(2, 6), st.data())

@@ -411,6 +411,35 @@ def test_enum_chain_spec_below_size_2_exit_1(command, size):
     assert run(["enum-chains", "--size", "1"]) == (1, "error: size 1 below minimum 2\n")
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "-7"])
+def test_phi_witness_below_1_exit_1(n):
+    assert run(["phi-witness", "--n", n]) == (1, f"error: n {n} below minimum 1\n")
+
+
+@pytest.mark.parametrize("max_k", ["1", "0", "-1"])
+def test_phi_report_below_2_exit_1(max_k):
+    assert run(["phi-report", "--max-k", max_k]) == \
+        (1, f"error: max_k {max_k} below minimum 2\n")
+
+
+def test_check_lemma1_above_the_named_cap_exits_before_building():
+    start = time.perf_counter()
+    code, text = run(["check-lemma1", "--enum", "7", "--luk", "3000"])
+    assert (code, text) == (1, "error: --luk 3000 above the named-chain cap 2048\n")
+    assert time.perf_counter() - start < 0.5  # no chain enumerated or built
+
+
+@pytest.mark.parametrize("size", [257, 300])
+def test_chain_file_above_256_ranks_exit_1(tmp_path, size):
+    # refused on the header line, before the rows are read
+    path = tmp_path / "big.chain"
+    path.write_text(f"chain {size}\n0 0\n")
+    code, text = run(["decide", "--set", "sat1", "--formula", "P(c)",
+                      "--chain", f"file:{path}"])
+    assert (code, text) == (
+        1, f"error: size violated at ({size},): table chains are capped at 256 ranks\n")
+
+
 R_SENTENCE = ("exists x. (R(x,x) <-> ~R(x,x)) & "
               "forall x. exists y. (R(x,y) <-> (R(y,x) & R(y,x)))")
 
