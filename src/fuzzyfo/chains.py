@@ -14,6 +14,8 @@ from itertools import repeat
 from operator import le
 from typing import Iterator, Optional, Sequence, Union
 
+# The largest size `enumerate_mtl_chains` enumerates.  Its time grows about
+# 8-10x per size (3 s at size 9) and no budget bounds it, so the limit is fixed.
 DEFAULT_ENUM_CAP = 7
 
 # `luk:k` and `godel:k` build two k x k tuple tables, 8 bytes per entry:
@@ -236,7 +238,7 @@ def make_boolean_chain() -> FiniteChain:
     return make_lukasiewicz_chain(2)
 
 
-def enumerate_mtl_chains(size: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[FiniteChain]:
+def enumerate_mtl_chains(size: int) -> Iterator[FiniteChain]:
     """Yield every MTL-chain of the given size, once, in lexicographic table order.
 
     The free entries are t[x][y] for 1 <= x <= y <= size-2 (row 0 and the top
@@ -249,10 +251,9 @@ def enumerate_mtl_chains(size: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Fin
     """
     if size < 2:
         raise EnumerationCapError(f"size {size} below minimum 2")
-    if size > cap:
-        raise EnumerationCapError(
-            f"size {size} above cap {cap}: the table space grows too fast to enumerate"
-        )
+    if size > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"size {size} above cap {DEFAULT_ENUM_CAP}: "
+                                  "the table space grows too fast to enumerate")
     top = size - 1
     positions = [(x, y) for x in range(1, top) for y in range(x, top)]
 
@@ -359,11 +360,6 @@ class StandardChain:
 STANDARD_CHAIN = StandardChain()
 
 
-def embed_rank(chain: FiniteChain, rank: int) -> Fraction:
-    """Embed a Lukasiewicz rank into [0, 1] as rank/(size-1)."""
-    return Fraction(rank, chain.size - 1)
-
-
 def is_lukasiewicz(chain: FiniteChain) -> bool:
     top = chain.size - 1
     return all(v == max(0, x + y - top)
@@ -393,7 +389,3 @@ def parse_chain_file(text: str) -> FiniteChain:
         except ValueError:
             raise ValueError(f"bad table row: {ln!r}")
     return make_chain_from_table(size, table)
-
-
-def format_chain_file(chain: FiniteChain) -> str:
-    return chain.describe() + "\n"

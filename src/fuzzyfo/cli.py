@@ -266,7 +266,7 @@ def cmd_verify_reduction(args, budget: int) -> Report:
 
 
 def cmd_enum_chains(args, budget: int) -> Report:
-    found = list(chains_mod.enumerate_mtl_chains(args.size, cap=args.cap))
+    found = list(chains_mod.enumerate_mtl_chains(args.size))
     report = Report()
     report.add("size", args.size)
     report.add("count", len(found))
@@ -284,7 +284,7 @@ def cmd_check_lemma1(args, budget: int) -> Report:
     report = Report()
     total = 0
     for size in range(2, args.enum + 1):
-        for chain in chains_mod.enumerate_mtl_chains(size, cap=args.cap):
+        for chain in chains_mod.enumerate_mtl_chains(size):
             total += 1
             witness = chains_mod.check_square_meet_law(chain)
             if witness is not None:
@@ -392,7 +392,6 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("enum-chains", help="enumerate all MTL-chains of a size")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--cap", type=int, default=chains_mod.DEFAULT_ENUM_CAP)
     p.add_argument("--tables", action="store_true", help="print the t-norm tables")
     p.set_defaults(func=cmd_enum_chains)
 
@@ -400,7 +399,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--enum", type=int, default=5, help="enumerate all chains up to this size")
     p.add_argument("--luk", type=int, default=12,
                    help="also check Lukasiewicz/Godel chains up to this size")
-    p.add_argument("--cap", type=int, default=chains_mod.DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_check_lemma1)
 
     p = sub.add_parser("phi-report", help="finite-chain value scan for the separating sentence")

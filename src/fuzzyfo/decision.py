@@ -9,7 +9,6 @@ reported.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -48,11 +47,6 @@ class Verdict:
     bounds: str = ""
 
 
-# The first structures of each (chain, domain size) space go through the
-# closures of `compile_formula`, so an early witness compiles no chunks.
-CLOSURE_FIRST = 64
-
-
 def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
           accept: Callable[[FiniteChain, TruthValue], bool],
           ) -> Optional[tuple[FiniteChain, Structure, TruthValue]]:
@@ -60,35 +54,34 @@ def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
 
     The order is chains in K, then domain sizes 1..max_domain, then the
     structures in `enumerate_structures` order.  The budget is checked per
-    (chain, domain size) before that space is searched.  phi is compiled
-    once per (chain, domain size).  The first CLOSURE_FIRST structures are
-    evaluated one by one; the rest chunk by chunk (`compile_chunks`), or one
-    by one on a chain too large for chunks.  The witness is rebuilt as a
-    Structure, and its value must be accepted and agree with the closures
-    and with the reference `eval`, or EvaluatorMismatchError is raised
+    (chain, domain size) before that space is searched.  Each space is
+    evaluated one way: chunk by chunk (`compile_chunks`) from its first
+    structure on, or, on a chain above MAX_SLICED_CHAIN ranks or with no
+    predicate slot, one structure at a time through `compile_formula`.  The
+    witness is rebuilt as a Structure, and its value must be accepted and
+    agree with the reference `eval`, or EvaluatorMismatchError is raised
     instead of returning it.
     """
     vocab = vocabulary_of(phi)
     for chain in K:
         accepted = frozenset(v for v in chain.carrier() if accept(chain, v))
+        # byte r is 1 when rank r is accepted; chunked chains have at most 16
+        # ranks, and a translate table has 256 bytes
+        table = bytes(r in accepted for r in chain.carrier()).ljust(256, b"\0")
         for n in range(1, max_domain + 1):
             layout = flat_layout(vocab, chain, n, budget)
-            value_of = compile_formula(phi, chain, layout)
-            structures = itertools.product(*layout.ranges)
-            found = _first(itertools.islice(structures, CLOSURE_FIRST), value_of, accepted)
-            if found is None and math.prod(map(len, layout.ranges)) > CLOSURE_FIRST:
-                chunks = compile_chunks(phi, chain, layout)
-                found = (_first(structures, value_of, accepted) if chunks is None
-                         else _first_in_chunks(chunks, layout, accepted))
+            chunks = compile_chunks(phi, chain, layout)
+            found = (_first(itertools.product(*layout.ranges),
+                            compile_formula(phi, chain, layout), accepted)
+                     if chunks is None else _first_in_chunks(chunks, layout, table))
             if found is not None:
                 values, value = found
                 structure = layout.structure(values)
-                compiled = value_of(values)
                 reference = eval(chain, structure, phi)
-                if not (value == compiled == reference and value in accepted):
+                if not (value == reference and value in accepted):
                     raise EvaluatorMismatchError(
-                        f"found value {value}, compiled value {compiled} but reference value "
-                        f"{reference} on a size-{chain.size} chain for {format_formula(phi)}:\n"
+                        f"found value {value} but reference value {reference} on a "
+                        f"size-{chain.size} chain for {format_formula(phi)}:\n"
                         f"{structure.describe()}")
                 return chain, structure, value
     return None
@@ -103,19 +96,15 @@ def _first(structures, value_of, accepted: frozenset) -> Optional[tuple[tuple[in
     return None
 
 
-def _first_in_chunks(chunks, layout, accepted: frozenset) -> Optional[tuple[tuple[int, ...], int]]:
-    """(values, value) of the first structure from CLOSURE_FIRST on whose
-    chunk rank is in `accepted`, or None."""
-    size, prefixes, evaluate = chunks
-    table = bytes(r in accepted for r in range(256))
-    chunk, start = divmod(CLOSURE_FIRST, size)
-    for prefix in itertools.islice(itertools.product(*prefixes), chunk, None):
+def _first_in_chunks(chunks, layout, table: bytes) -> Optional[tuple[tuple[int, ...], int]]:
+    """(values, value) of the first structure whose chunk rank r has table[r] == 1, or None."""
+    _, prefixes, evaluate = chunks
+    for prefix in itertools.product(*prefixes):
         ranks = evaluate(prefix)
-        i = ranks.translate(table).find(1, start)
+        i = ranks.translate(table).find(1)
         if i >= 0:
             rest = itertools.product(*layout.ranges[len(prefix):])
             return prefix + next(itertools.islice(rest, i, None)), ranks[i]
-        start = 0
     return None
 
 

@@ -25,6 +25,7 @@ from .syntax import Formula, Vocabulary, parse
 PHI_TEXT = "exists x. (P(x) <-> ~P(x)) & forall x. exists y. (P(x) <-> (P(y) & P(y)))"
 PHI_VOCABULARY = Vocabulary(predicates={"P": 1})
 
+# The largest chain size `phi_fin_refutation` scans.
 DEFAULT_K_CAP = 64
 
 
@@ -145,7 +146,7 @@ class PhiRefutationReport:
     rows: tuple[PhiRefutationRow, ...]
 
 
-def phi_fin_refutation(max_k: int, cap: int = DEFAULT_K_CAP) -> PhiRefutationReport:
+def phi_fin_refutation(max_k: int) -> PhiRefutationReport:
     """Confirm Phi < 1 (and ~Phi > 0) on every value set of each finite MV-chain.
 
     Covers every nonempty set of attained P-values over each Lukasiewicz
@@ -155,8 +156,8 @@ def phi_fin_refutation(max_k: int, cap: int = DEFAULT_K_CAP) -> PhiRefutationRep
     """
     if max_k < 2:
         raise ValueError(f"max_k {max_k} below minimum 2")
-    if max_k > cap:
-        raise ValueError(f"max_k {max_k} above cap {cap}")
+    if max_k > DEFAULT_K_CAP:
+        raise ValueError(f"max_k {max_k} above cap {DEFAULT_K_CAP}")
     rows = []
     for k in range(2, max_k + 1):
         chain = make_lukasiewicz_chain(k)

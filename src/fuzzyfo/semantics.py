@@ -420,7 +420,8 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
     in enumeration order, one byte each.  None when the chain has more than
     MAX_SLICED_CHAIN ranks or no predicate slot fits in a chunk.
 
-    phi must be one `compile_formula` accepted.  Constants and function
+    phi's symbols must be those of the layout; an unbound variable raises
+    EvalError here, as in `compile_formula`.  Constants and function
     tables sit in the prefix, so terms are plain elements.  An atom is its
     slot's periodic digit pattern, or one rank repeated for a prefix slot;
     ~ and squares are one `bytes.translate`; every other connective and the
@@ -469,6 +470,8 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
 
     def term(t: Term, scope: dict[str, int]):
         if isinstance(t, Var):
+            if t.name not in scope:
+                raise EvalError(f"unbound variable {t.name}")
             slot = scope[t.name]
             return lambda v: env[slot]
         if isinstance(t, Const):
@@ -476,14 +479,12 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
         at = index(offsets[t.func], t.args, scope)
         return lambda v: v[at(v)]
 
-    # (pair table, left value that settles the result, the result then)
-    binary = {
-        StrongConj: (_pair_table(lambda x, y: tnorm[x][y], k), all_bot, all_bot),
-        Impl: (_pair_table(lambda x, y: res[x][y], k), all_bot, all_top),
-        Meet: (_MIN, all_bot, all_bot),
-        Join: (_MAX, all_top, all_top),
-        Biimpl: (_pair_table(lambda x, y: min(res[x][y], res[y][x]), k), None, None),
-    }
+    # (pair table, left value that settles the result, the result then);
+    # a chain's tables are built for the connectives phi uses, once each
+    binary = {Meet: (_MIN, all_bot, all_bot), Join: (_MAX, all_top, all_top)}
+    ops = {StrongConj: (lambda x, y: tnorm[x][y], all_bot, all_bot),
+           Impl: (lambda x, y: res[x][y], all_bot, all_top),
+           Biimpl: (lambda x, y: min(res[x][y], res[y][x]), None, None)}
 
     def formula(phi: Formula, scope: dict[str, int]):
         if isinstance(phi, Atom):
@@ -514,7 +515,11 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
         if isinstance(phi, StrongConj) and phi.left == phi.right:
             return lambda v: left(v).translate(square)
         right = formula(phi.right, scope)
-        table, stop, settled = binary[type(phi)]
+        kind = type(phi)
+        if kind not in binary:
+            op, stop, settled = ops[kind]
+            binary[kind] = _pair_table(op, k), stop, settled
+        table, stop, settled = binary[kind]
 
         def connective(v):
             x = left(v)
@@ -670,7 +675,3 @@ def _parse_value(tok: str) -> TruthValue:
         return int(tok[1:])
     num, slash, den = tok.partition("/")
     return Fraction(int(num), int(den) if slash else 1)
-
-
-def format_structure_file(structure: Structure) -> str:
-    return structure.describe() + "\n"

@@ -11,7 +11,7 @@ from fuzzyfo.chains import (
     ChainValidationError, EnumerationCapError, MAX_NAMED_CHAIN_SIZE, MAX_TABLE_CHAIN_SIZE,
     _associative_through, _derive_residuum,
     check_square_meet_law,
-    STANDARD_CHAIN, FiniteChain, StandardChain, embed_rank, enumerate_mtl_chains, format_chain_file,
+    STANDARD_CHAIN, FiniteChain, StandardChain, enumerate_mtl_chains,
     is_lukasiewicz, make_chain_from_table, make_godel_chain,
     make_lukasiewicz_chain, parse_chain_file,
 )
@@ -435,10 +435,10 @@ def test_std_ops_agree_with_finite_chains():
         chain = make_lukasiewicz_chain(k)
         for x in chain.carrier():
             for y in chain.carrier():
-                ex, ey = embed_rank(chain, x), embed_rank(chain, y)
-                assert STANDARD_CHAIN.tnorm(ex, ey) == embed_rank(chain, chain.tnorm(x, y))
-                assert STANDARD_CHAIN.residuum(ex, ey) == embed_rank(chain, chain.residuum(x, y))
-                assert STANDARD_CHAIN.biimpl(ex, ey) == embed_rank(chain, chain.biimpl(x, y))
+                ex, ey = Fraction(x, k - 1), Fraction(y, k - 1)
+                assert STANDARD_CHAIN.tnorm(ex, ey) == Fraction(chain.tnorm(x, y), k - 1)
+                assert STANDARD_CHAIN.residuum(ex, ey) == Fraction(chain.residuum(x, y), k - 1)
+                assert STANDARD_CHAIN.biimpl(ex, ey) == Fraction(chain.biimpl(x, y), k - 1)
 
 
 def test_scaled_standard_chain_is_the_finite_lukasiewicz_chain():
@@ -467,7 +467,7 @@ def test_is_lukasiewicz_on_every_small_chain():
 
 def test_chain_file_round_trip():
     chain = make_godel_chain(4)
-    text = format_chain_file(chain)
+    text = chain.describe() + "\n"
     assert parse_chain_file(text).tnorm_table == chain.tnorm_table
 
 

@@ -429,6 +429,22 @@ def test_check_lemma1_above_the_named_cap_exits_before_building():
     assert time.perf_counter() - start < 0.5  # no chain enumerated or built
 
 
+@pytest.mark.parametrize("argv", [["enum-chains", "--size", "8"], ["check-lemma1", "--enum", "8"]])
+def test_chain_enumeration_above_the_fixed_cap_exits_1(argv):
+    start = time.perf_counter()
+    code, text = run(argv)
+    assert (code, text) == (
+        1, "error: size 8 above cap 7: the table space grows too fast to enumerate\n")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("argv", [["enum-chains", "--size", "3"], ["check-lemma1"]])
+def test_chain_enumeration_cap_is_not_an_option(argv):
+    code, text = run(argv + ["--cap", "9"])
+    assert code == 1
+    assert "error: unrecognized arguments: --cap 9" in text
+
+
 @pytest.mark.parametrize("size", [257, 300])
 def test_chain_file_above_256_ranks_exit_1(tmp_path, size):
     # refused on the header line, before the rows are read

@@ -261,10 +261,11 @@ def test_disagreeing_witness_raises_instead_of_returning(monkeypatch):
         return lambda values: min(chain.top, value_of(values) + 1)
 
     monkeypatch.setattr(decision, "compile_formula", off_by_one)
+    # chains above 16 ranks are searched by the closures alone
     phi = parse("P(c) & ~P(c)")
     with pytest.raises(EvaluatorMismatchError):
-        sat_pos_bounded([make_lukasiewicz_chain(3)], phi, 1)
-    code, text = cli.run(["decide", "--set", "satpos", "--chain", "luk:3",
+        sat_pos_bounded([make_lukasiewicz_chain(17)], phi, 1)
+    code, text = cli.run(["decide", "--set", "satpos", "--chain", "luk:17",
                           "--max-domain", "1", "--formula", "P(c) & ~P(c)"])
     assert code == 2
-    assert text.startswith("internal consistency failure:")
+    assert text.startswith("internal consistency failure: found value 1 but reference value 0")

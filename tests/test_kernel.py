@@ -2,14 +2,15 @@
 
 Chunk bytes must equal `compile_formula` on every structure, in enumeration
 order, and the deciders must give the reference loop's verdict whichever
-way a space is cut into chunks and however many structures the closures
-take first.
+way a space is cut into chunks.  Each space is searched by one evaluator:
+the kernel on chains of at most 16 ranks with a predicate slot, the
+closures on larger chains and predicate-free spaces.
 """
 
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from fuzzyfo import cli, decision, semantics
 from fuzzyfo.chains import enumerate_mtl_chains, make_godel_chain, make_lukasiewicz_chain
@@ -17,7 +18,7 @@ from fuzzyfo.decision import sat_pos_bounded
 from fuzzyfo.semantics import (
     EvaluatorMismatchError, compile_chunks, compile_formula, flat_layout, structure_space_size,
 )
-from fuzzyfo.syntax import parse, vocabulary_of
+from fuzzyfo.syntax import BOTTOM, parse, vocabulary_of
 
 from test_compiled import (
     DECIDERS, SWEEP_CAP, outcome, reference_verdict, searched_sentences, sentences,
@@ -27,11 +28,6 @@ KERNEL_CHAINS = ([make_lukasiewicz_chain(k) for k in range(2, 17)]
                  + [make_godel_chain(k) for k in range(2, 17)]
                  + [c for size in (2, 3, 4) for c in enumerate_mtl_chains(size)])
 SMALL_CHAINS = [c for c in KERNEL_CHAINS if c.size <= 5]
-
-
-def _patched(monkeypatch, limit, first):
-    monkeypatch.setattr(semantics, "CHUNK_LIMIT", limit)
-    monkeypatch.setattr(decision, "CLOSURE_FIRST", first)
 
 
 @pytest.mark.parametrize("chain", KERNEL_CHAINS, ids=lambda c: f"size{c.size}")
@@ -61,18 +57,46 @@ def test_chunk_bytes_equal_the_closures(chain, phi, limit):
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(phi=searched_sentences(), name=st.sampled_from(sorted(DECIDERS)),
        K=st.lists(st.sampled_from(SMALL_CHAINS), min_size=1, max_size=3),
-       max_domain=st.integers(1, 3), limit=st.sampled_from((8, 27, 4096)),
-       first=st.sampled_from((0, 1, 64)))
-def test_deciders_match_reference_loop_across_chunks(phi, name, K, max_domain, limit, first):
+       max_domain=st.integers(1, 3), limit=st.sampled_from((8, 27, 4096)))
+def test_deciders_match_reference_loop_across_chunks(phi, name, K, max_domain, limit):
     decider = DECIDERS[name][0]
     with pytest.MonkeyPatch.context() as mp:
-        _patched(mp, limit, first)
+        mp.setattr(semantics, "CHUNK_LIMIT", limit)
         got = outcome(lambda: decider(K, phi, max_domain, budget=SWEEP_CAP))
     assert got == outcome(lambda: reference_verdict(name, K, phi, max_domain, SWEEP_CAP))
 
 
+@pytest.mark.parametrize("spec", ("luk:3", "godel:16", "enum:3"))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(phi=searched_sentences(), name=st.sampled_from(sorted(DECIDERS)),
+       max_domain=st.integers(1, 2))
+def test_small_chains_search_without_the_closures(spec, phi, name, max_domain):
+    assume(vocabulary_of(phi).predicates)
+    K = cli._parse_chain_spec(spec)
+
+    def refused(*args):
+        raise AssertionError("compile_formula called on a chain of at most 16 ranks")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decision, "compile_formula", refused)
+        got = outcome(lambda: DECIDERS[name][0](K, phi, max_domain, budget=SWEEP_CAP))
+    assert got == outcome(lambda: reference_verdict(name, K, phi, max_domain, SWEEP_CAP))
+
+
+@pytest.mark.parametrize("spec", ("luk:3", "godel:16", "luk:17"))
+@pytest.mark.parametrize("text", ["0", "1", "~0", "0 -> 1", "1 & 1", "forall x. 1"])
+def test_predicate_free_sentences_match_reference_loop(spec, text):
+    K, phi = cli._parse_chain_spec(spec), parse(text)
+    for name in DECIDERS:
+        got = outcome(lambda: DECIDERS[name][0](K, phi, 2))
+        want = outcome(lambda: reference_verdict(name, K, phi, 2, 10**7))
+        if phi == BOTTOM and name in ("taut0", "satpos"):
+            # decided from the sentence's form: no structure gives 0 a value above 0
+            assert (got[0], want[0]) == ("decided", "exhausted")
+        else:
+            assert got == want
+
+
 def test_chain_above_size_16_takes_the_closures(monkeypatch):
-    _patched(monkeypatch, 4096, 0)
     chain = make_lukasiewicz_chain(17)
     phi = parse("forall x. exists y. (R(x, y) -> ~R(y, x))")
     vocab = vocabulary_of(phi)
@@ -90,7 +114,6 @@ def test_chain_above_size_16_takes_the_closures(monkeypatch):
 
 
 def test_kernel_off_by_one_raises(monkeypatch):
-    _patched(monkeypatch, 4096, 0)
     real = decision.compile_chunks
 
     def off_by_one(phi, chain, layout):
@@ -101,9 +124,7 @@ def test_kernel_off_by_one_raises(monkeypatch):
 
 
 def test_kernel_returning_an_unaccepted_structure_raises(monkeypatch):
-    _patched(monkeypatch, 4096, 0)
-
-    def first_structure(chunks, layout, accepted):
+    def first_structure(chunks, layout, accept_table):
         size, prefix, evaluate = chunks
         return tuple(r[0] for r in layout.ranges), evaluate(tuple(r[0] for r in prefix))[0]
     monkeypatch.setattr(decision, "_first_in_chunks", first_structure)

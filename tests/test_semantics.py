@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzyfo.chains import (
-    STANDARD_CHAIN, embed_rank, enumerate_mtl_chains, make_boolean_chain,
+    STANDARD_CHAIN, enumerate_mtl_chains, make_boolean_chain,
     make_lukasiewicz_chain,
 )
 from fuzzyfo.semantics import (
     BudgetExceededError, EvalError, Structure, enumerate_structures, eval,
-    eval_propositional, format_structure_file, parse_structure_file,
+    eval_propositional, parse_structure_file,
     structure_space_size,
 )
 from fuzzyfo.syntax import (
@@ -103,7 +103,7 @@ def test_structure_enumeration_with_functions():
     structures = list(enumerate_structures(vocab, B2, 2))
     # 2^2 function tables x 2^2 predicate tables
     assert len(structures) == 16
-    assert len({format_structure_file(s) for s in structures}) == 16
+    assert len({s.describe() for s in structures}) == 16
 
 
 def test_budget_refusal():
@@ -126,9 +126,9 @@ def test_finite_chain_agrees_with_standard_on_grid():
         chain = make_lukasiewicz_chain(k)
         for s in enumerate_structures(P1, chain, 2):
             lifted = Structure(s.domain_size, {}, {}, {
-                "P": {key: embed_rank(chain, v) for key, v in s.predicates["P"].items()}
+                "P": {key: Fraction(v, k - 1) for key, v in s.predicates["P"].items()}
             })
-            assert eval(STANDARD_CHAIN, lifted, phi) == embed_rank(chain, eval(chain, s, phi))
+            assert eval(STANDARD_CHAIN, lifted, phi) == Fraction(eval(chain, s, phi), k - 1)
 
 
 def test_structure_file_round_trip():
@@ -138,7 +138,7 @@ def test_structure_file_round_trip():
         {"f": {(0,): 1, (1,): 0}},
         {"P": {(0,): 1, (1,): 0}, "Q": {(0,): Fraction(1, 2), (1,): Fraction(3, 4)}},
     )
-    text = format_structure_file(s)
+    text = s.describe() + "\n"
     parsed = parse_structure_file(text)
     assert parsed == Structure(
         2, {"c": 1}, {"f": {(0,): 1, (1,): 0}},
