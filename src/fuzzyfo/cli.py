@@ -316,6 +316,10 @@ def cmd_phi_report(args, budget: int) -> Report:
 def cmd_phi_witness(args, budget: int) -> Report:
     if args.n < 1:
         raise CliError(f"n {args.n} below minimum 1")
+    # row N walks Phi's body for at most N^2 pairs (x, y): cubic in n overall
+    evaluations = args.n * (args.n + 1) * (2 * args.n + 1) // 6
+    if evaluations > budget:
+        raise semantics.BudgetExceededError(evaluations, budget, "Phi body evaluations")
     report = Report()
     report.add("sentence", phi.PHI_TEXT)
     report.add("columns", "N value")

@@ -83,13 +83,13 @@ def eval_term(structure: Structure, t: Term, assignment: dict[str, int]) -> int:
         return structure.constants[t.name]
     if t.func not in structure.functions:
         raise EvalError(f"uninterpreted function {t.func}")
-    return _entry(structure.functions, t.func,
+    return _entry(structure.functions[t.func], t.func,
                   tuple(eval_term(structure, a, assignment) for a in t.args))
 
 
-def _entry(tables: dict, name: str, args: tuple):
+def _entry(table: dict, name: str, args: tuple):
     try:
-        return tables[name][args]
+        return table[args]
     except KeyError:
         raise EvalError(f"{name} has no entry for the arguments {args}") from None
 
@@ -112,9 +112,15 @@ def eval(chain: Chain, structure: Structure, phi: Formula,
                       for p, table in predicates.items()}
 
     def atom(p: Atom, a: dict[str, int]) -> TruthValue:
-        if p.pred not in predicates:
+        table = predicates.get(p.pred)
+        if table is None:
             raise EvalError(f"uninterpreted predicate {p.pred}")
-        return _entry(predicates, p.pred, tuple(eval_term(structure, t, a) for t in p.args))
+        # a bound variable is read directly; anything else keeps eval_term's
+        # errors.  A plain loop: a comprehension costs a frame per atom.
+        key = ()
+        for t in p.args:
+            key += (a[t.name] if type(t) is Var and t.name in a else eval_term(structure, t, a),)
+        return _entry(table, p.pred, key)
     value = _walk(chain, phi, atom, range(structure.domain_size), assignment or {})
     return value if chain.size else Fraction(value, chain.top)
 
@@ -138,24 +144,37 @@ def _walk(chain: Chain, phi: Formula, atom: Callable, domain: Optional[range],
     `atom(p, a)` is the value of the atom p under the assignment a.  The
     connectives are the chain's operations (~ is its negation, x -> 0, and
     <-> its biimplication, the meet of the two residua).  Quantifiers are
-    min/max over `domain`; with no domain they are refused.
+    min/max over `domain`; with no domain they are refused.  A fold stops
+    once it is settled (bot for a min, top for a max): its first element
+    has by then visited every subformula, so no error of a symbol or a
+    variable goes unraised.
     """
-    if isinstance(phi, Atom):
-        return atom(phi, a)
-    if isinstance(phi, TruthConst):
-        return chain.top if phi.top else chain.bot
-    if isinstance(phi, Neg):
-        return chain.neg(_walk(chain, phi.body, atom, domain, a))
-    op = _BINARY.get(type(phi))
+    kind = type(phi)
+    op = _BINARY.get(kind)
     if op is not None:
         return getattr(chain, op)(_walk(chain, phi.left, atom, domain, a),
                                   _walk(chain, phi.right, atom, domain, a))
+    if kind is Atom:
+        return atom(phi, a)
+    if kind is Neg:
+        return chain.neg(_walk(chain, phi.body, atom, domain, a))
+    if kind is TruthConst:
+        return chain.top if phi.top else chain.bot
     if domain is None:
         raise TypeError(f"quantifier-free formula expected, got {phi!r}")
-    if isinstance(phi, (Forall, Exists)):
-        pick = min if isinstance(phi, Forall) else max
-        return pick(_walk(chain, phi.body, atom, domain, {**a, phi.var: d}) for d in domain)
-    raise TypeError(f"not a formula: {phi!r}")
+    if kind is not Forall and kind is not Exists:
+        raise TypeError(f"not a formula: {phi!r}")
+    forall = kind is Forall
+    value, settled = (chain.top, chain.bot) if forall else (chain.bot, chain.top)
+    var, body, b = phi.var, phi.body, dict(a)  # one assignment per binder visit
+    for d in domain:
+        b[var] = d
+        x = _walk(chain, body, atom, domain, b)
+        if x < value if forall else x > value:
+            value = x
+            if x == settled:
+                break
+    return value
 
 
 def structure_space_size(vocab: Vocabulary, chain: FiniteChain, domain_size: int) -> int:

@@ -416,6 +416,20 @@ def test_phi_witness_below_1_exit_1(n):
     assert run(["phi-witness", "--n", n]) == (1, f"error: n {n} below minimum 1\n")
 
 
+def test_phi_witness_honours_the_budget(monkeypatch):
+    # rows 1..n walk Phi's body for at most sum N^2 = n(n+1)(2n+1)/6 pairs
+    monkeypatch.setenv("FUZZYFO_BUDGET", "55")
+    assert "N=5: 31/32" in ok(["phi-witness", "--n", "5"])
+    assert run(["phi-witness", "--n", "6"]) == (
+        1, "error: search space of 91 Phi body evaluations exceeds budget 55\n")
+    # the default budget of 10^7 stops at n = 311, before any row is computed
+    monkeypatch.delenv("FUZZYFO_BUDGET")
+    start = time.perf_counter()
+    assert run(["phi-witness", "--n", "311"]) == (
+        1, "error: search space of 10075156 Phi body evaluations exceeds budget 10000000\n")
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("max_k", ["1", "0", "-1"])
 def test_phi_report_below_2_exit_1(max_k):
     assert run(["phi-report", "--max-k", max_k]) == \

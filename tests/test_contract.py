@@ -1,4 +1,5 @@
-"""The library's standing contract: stdlib-only, and no floats anywhere.
+"""The library's standing contract: stdlib-only, no floats anywhere, and a
+reference evaluator independent of the compiled fast paths.
 
 Read from the source with `ast`, so a float cannot slip in through a literal,
 a `float(...)` call or a true division `/`.
@@ -51,3 +52,28 @@ def test_no_floats(path):
 @pytest.mark.parametrize("text", ["x = 0.5", "x = 1j", "y = float(z)", "y = a / b", "a /= b"])
 def test_the_float_check_sees_each_kind_of_float(text):
     assert list(_float_sites(ast.parse(text))) == [1]
+
+
+FAST_PATH_NAMES = {"compile_formula", "compile_chunks", "_pair_table", "FlatLayout"}
+
+
+def _names(node):
+    """Every name and attribute a piece of code mentions."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_the_reference_walk_stays_independent_of_the_fast_paths():
+    # every bounded-search witness is checked against `eval`, so the walk
+    # behind it must not become a copy or a user of the compiled evaluators
+    semantics = next(p for p in SOURCES if p.name == "semantics.py")
+    defs = {node.name: node for node in _tree(semantics).body if isinstance(node, ast.FunctionDef)}
+    for name in ("eval", "_walk", "eval_term"):
+        assert set(_names(defs[name])) & FAST_PATH_NAMES == set(), name
+    walk = defs["_walk"]
+    nested = [node for node in ast.walk(walk) if node is not walk
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == []

@@ -11,7 +11,7 @@ from fuzzyfo.chains import (
 )
 from fuzzyfo.semantics import (
     BudgetExceededError, EvalError, Structure, enumerate_structures, eval,
-    eval_propositional, parse_structure_file,
+    eval_propositional, eval_term, parse_structure_file,
     structure_space_size,
 )
 from fuzzyfo.syntax import (
@@ -257,7 +257,7 @@ unit_values = st.one_of(st.sampled_from([0, 1]),
 
 
 @st.composite
-def standard_structures(draw):
+def sentence_structures(draw, values):
     """Structures for sentences over P/1, R/2, Q/0, c and f/1 (see `sentences`)."""
     n = draw(st.integers(1, 3))
 
@@ -265,13 +265,86 @@ def standard_structures(draw):
         return {key: draw(values) for key in itertools.product(range(n), repeat=arity)}
     return Structure(n, {"c": draw(st.integers(0, n - 1))},
                      {"f": table(1, st.integers(0, n - 1))},
-                     {"P": table(1, unit_values), "R": table(2, unit_values),
-                      "Q": table(0, unit_values)})
+                     {"P": table(1, values), "R": table(2, values), "Q": table(0, values)})
 
 
 @settings(max_examples=200, deadline=None)
-@given(phi=sentences(), structure=standard_structures())
+@given(phi=sentences(), structure=sentence_structures(unit_values))
 def test_scaled_standard_chain_eval_equals_the_fraction_walk(phi, structure):
     value = eval(STANDARD_CHAIN, structure, phi)
     assert type(value) is Fraction
     assert value == fraction_eval(structure, phi, {})
+
+
+# -- the exhaustive walk as the reference -----------------------------------
+
+def reference_eval(chain, structure, phi, a):
+    """Phi by the walk `eval` made before its quantifier folds could stop.
+
+    Every quantifier is a min/max over every element, each element under a
+    fresh copy of the assignment, and every atom's arguments go through
+    `eval_term`.  Over the standard chain the values stay as given, with no
+    scaling to integer ranks.
+    """
+    def go(phi, a):
+        return reference_eval(chain, structure, phi, a)
+    if isinstance(phi, Atom):
+        if phi.pred not in structure.predicates:
+            raise EvalError(f"uninterpreted predicate {phi.pred}")
+        return structure.predicates[phi.pred][tuple(eval_term(structure, t, a) for t in phi.args)]
+    if isinstance(phi, TruthConst):
+        return chain.top if phi.top else chain.bot
+    if isinstance(phi, Neg):
+        return chain.neg(go(phi.body, a))
+    if isinstance(phi, (Forall, Exists)):
+        pick = min if isinstance(phi, Forall) else max
+        return pick(go(phi.body, {**a, phi.var: d}) for d in range(structure.domain_size))
+    op = {StrongConj: chain.tnorm, Impl: chain.residuum, Meet: chain.meet,
+          Join: chain.join, Biimpl: chain.biimpl}[type(phi)]
+    return op(go(phi.left, a), go(phi.right, a))
+
+
+MTL_CHAINS_UP_TO_4 = [c for size in (2, 3, 4) for c in enumerate_mtl_chains(size)]
+
+
+@pytest.mark.parametrize("chain", MTL_CHAINS_UP_TO_4 + [STANDARD_CHAIN],
+                         ids=lambda c: f"mtl{c.size}" if c.size else "standard")
+@settings(max_examples=60, deadline=None)
+@given(phi=sentences(), data=st.data())
+def test_eval_equals_the_exhaustive_walk(chain, phi, data):
+    values = st.integers(0, chain.top) if chain.size else unit_values
+    structure = data.draw(sentence_structures(values))
+    assert eval(chain, structure, phi) == reference_eval(chain, structure, phi, {})
+
+
+SETTLED_FOLD_VOCAB = Vocabulary(predicates={"P": 1, "Q": 1, "R": 1},
+                                constants=frozenset({"c"}), functions={"f": 1})
+
+
+@pytest.mark.parametrize("text, tables, message", [
+    ("exists x. (P(x) \\/ Q(y))", {"Q": [0, 0]}, "unbound variable y"),
+    ("exists x. (P(x) \\/ Q(x))", {}, "uninterpreted predicate Q"),
+    ("forall x. (P(x) /\\ R(c))", {"R": [1, 1]}, "uninterpreted constant c"),
+    ("forall x. (P(x) /\\ R(f(x)))", {"R": [1, 1]}, "uninterpreted function f"),
+])
+@pytest.mark.parametrize("chain", [L3, STANDARD_CHAIN], ids=["luk3", "standard"])
+def test_a_fold_settled_at_its_first_element_keeps_its_errors(text, tables, message, chain):
+    # P(0) alone settles the fold: top for the exists, bottom for the forall
+    first = chain.top if text.startswith("exists") else chain.bot
+    predicates = {"P": [first, chain.top - first]} | tables
+    structure = Structure(2, {}, {}, {p: {(i,): v for i, v in enumerate(values)}
+                                      for p, values in predicates.items()})
+    phi = parse(text, SETTLED_FOLD_VOCAB)
+    for evaluate in (eval, lambda *args: reference_eval(*args, {})):
+        with pytest.raises(EvalError, match=re.escape(message)):
+            evaluate(chain, structure, phi)
+
+
+def test_each_binder_leaves_the_outer_assignment_alone():
+    # the exists settles at x = 0, which must not leak into the outer x = 1
+    structure = struct_p(2, [L3.top, L3.bot])
+    a = {"x": 1}
+    assert eval(L3, structure, parse("(exists x. P(x)) & P(x)", P1), a) == L3.bot
+    assert a == {"x": 1}
+    shadowed = parse("forall x. ((exists x. P(x)) -> P(x))", P1)
+    assert eval(L3, structure, shadowed) == reference_eval(L3, structure, shadowed, {}) == L3.bot
