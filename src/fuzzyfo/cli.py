@@ -67,21 +67,24 @@ def _load_formula(args, vocab: Optional[syntax.Vocabulary] = None) -> syntax.For
 
 def _parse_chain_spec(spec: str) -> list[chains_mod.FiniteChain]:
     kind, _, arg = spec.partition(":")
-    if kind == "luk":
-        return [chains_mod.make_lukasiewicz_chain(int(arg))]
-    if kind == "godel":
-        return [chains_mod.make_godel_chain(int(arg))]
     if kind == "file":
         return [chains_mod.parse_chain_file(_read_file(arg))]
-    if kind == "enum":
-        size = int(arg)
-        if size < 2:
-            raise CliError(f"size {size} below minimum 2")
-        out = []
-        for s in range(2, size + 1):
-            out.extend(chains_mod.enumerate_mtl_chains(s))
-        return out
-    raise CliError(f"unknown chain spec {spec!r} (use luk:k, godel:k, file:path, enum:size)")
+    if kind not in ("luk", "godel", "enum"):
+        raise CliError(f"unknown chain spec {spec!r} (use luk:k, godel:k, file:path, enum:size)")
+    digits = arg.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise CliError(f"chain spec {spec!r}: size must be a decimal integer")
+    size = int(arg)
+    if kind == "luk":
+        return [chains_mod.make_lukasiewicz_chain(size)]
+    if kind == "godel":
+        return [chains_mod.make_godel_chain(size)]
+    if size < 2:
+        raise CliError(f"size {size} below minimum 2")
+    out = []
+    for s in range(2, size + 1):
+        out.extend(chains_mod.enumerate_mtl_chains(s))
+    return out
 
 
 def _load_chains(args) -> list[chains_mod.FiniteChain]:

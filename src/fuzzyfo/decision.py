@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .chains import FiniteChain, make_boolean_chain
 from .semantics import (
     DEFAULT_BUDGET, BudgetExceededError, EvaluatorMismatchError, Structure, TruthValue,
-    compile_chunks, compile_formula, enumerate_structures, eval, eval_propositional, flat_layout,
+    compile_chunks, enumerate_structures, eval, eval_flat, eval_propositional, flat_layout,
 )
 from .syntax import (
     App, Atom, BOTTOM, MAX_NESTING, TOP, Const, Exists, Formula, FragmentError, Join,
@@ -56,11 +56,10 @@ def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
     structures in `enumerate_structures` order.  The budget is checked per
     (chain, domain size) before that space is searched.  Each space is
     evaluated one way: chunk by chunk (`compile_chunks`) from its first
-    structure on, or, on a chain above MAX_SLICED_CHAIN ranks or with no
-    predicate slot, one structure at a time through `compile_formula`.  The
-    witness is rebuilt as a Structure, and its value must be accepted and
-    agree with the reference `eval`, or EvaluatorMismatchError is raised
-    instead of returning it.
+    structure on, or, on a chain above MAX_SLICED_CHAIN ranks, one flat
+    value tuple at a time by the reference walk (`eval_flat`).  The witness
+    is rebuilt as a Structure, and its value must be accepted and agree with
+    `eval` on it, or EvaluatorMismatchError is raised instead of returning it.
     """
     vocab = vocabulary_of(phi)
     for chain in K:
@@ -72,7 +71,7 @@ def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
             layout = flat_layout(vocab, chain, n, budget)
             chunks = compile_chunks(phi, chain, layout)
             found = (_first(itertools.product(*layout.ranges),
-                            compile_formula(phi, chain, layout), accepted)
+                            lambda values: eval_flat(chain, layout, values, phi), accepted)
                      if chunks is None else _first_in_chunks(chunks, layout, table))
             if found is not None:
                 values, value = found

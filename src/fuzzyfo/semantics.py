@@ -36,7 +36,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class EvaluatorMismatchError(RuntimeError):
-    """The compiled evaluator and the reference `eval` disagree: an implementation bug."""
+    """A search's witness value disagrees with the reference `eval`: an implementation bug."""
 
 
 DEFAULT_BUDGET = 10**7
@@ -134,12 +134,45 @@ def eval_propositional(chain: Chain, valuation: dict[Atom, TruthValue], phi: For
     return _walk(chain, phi, atom, None, {})
 
 
+def eval_flat(chain: FiniteChain, layout: FlatLayout, values: Sequence[int],
+              phi: Formula) -> int:
+    """phi's rank on `layout.structure(values)`, read from the flat tuple itself.
+
+    Equal to `eval` there when phi's symbols are the layout's, with no
+    Structure built or checked: an atom is the entry of `values` at its
+    predicate's offset plus the row-major index of its arguments.
+    """
+    n, offsets = layout.domain_size, layout.offsets
+
+    def atom(p: Atom, a: dict[str, int]) -> int:
+        return values[offsets[p.pred] + _flat_index(p.args, a, values, n, offsets)]
+    return _walk(chain, phi, atom, range(n), {})
+
+
+def _flat_index(args: Sequence[Term], a: dict[str, int], values: Sequence[int], n: int,
+                offsets: dict[str, int]) -> int:
+    """The row-major index of the args' elements; a function's is read from its table."""
+    i = 0
+    for t in args:
+        kind = type(t)
+        if kind is Var:
+            if t.name not in a:
+                raise EvalError(f"unbound variable {t.name}")
+            e = a[t.name]
+        elif kind is Const:
+            e = values[offsets[t.name]]
+        else:
+            e = values[offsets[t.func] + _flat_index(t.args, a, values, n, offsets)]
+        i = i * n + e
+    return i
+
+
 _BINARY = {StrongConj: "tnorm", Impl: "residuum", Meet: "meet", Join: "join", Biimpl: "biimpl"}
 
 
 def _walk(chain: Chain, phi: Formula, atom: Callable, domain: Optional[range],
           a: dict[str, int]) -> TruthValue:
-    """The one recursive evaluator behind `eval` and `eval_propositional`.
+    """The one recursive evaluator behind `eval`, `eval_propositional` and `eval_flat`.
 
     `atom(p, a)` is the value of the atom p under the assignment a.  The
     connectives are the chain's operations (~ is its negation, x -> 0, and
@@ -246,167 +279,6 @@ def enumerate_structures(vocab: Vocabulary, chain: FiniteChain, domain_size: int
         yield layout.structure(values)
 
 
-# -- compiled evaluation ---------------------------------------------------
-
-def compile_formula(phi: Formula, chain: FiniteChain,
-                    layout: FlatLayout) -> Callable[[Sequence[int]], int]:
-    """phi as a function of a flat value tuple in `layout`, over `chain`.
-
-    Equal to `eval` on `layout.structure(values)` for every values tuple.  The
-    formula becomes nested closures: one integer slot per binder, the chain's
-    t-norm and residuum tables indexed directly, and the meet, join, strong
-    conjunction, implication and both quantifiers cut short once the value is
-    settled.  Raises EvalError here, not per structure, for what `eval` would
-    reject on the first structure.
-    """
-    n = layout.domain_size
-    dom = range(n)
-    offsets = layout.offsets
-    consts = set(layout.const_names)
-    funcs = {f for f, _ in layout.functions}
-    preds = {p for p, _ in layout.predicates}
-    bot, top = chain.bot, chain.top
-    tnorm, res = chain.tnorm_table, chain.residuum_table
-    neg = tuple(row[bot] for row in res)
-    env: list[int] = []
-
-    # A term compiles to ("var", slot), ("const", offset) or ("app", closure).
-    def term(t: Term, scope: dict[str, int]):
-        if isinstance(t, Var):
-            if t.name not in scope:
-                raise EvalError(f"unbound variable {t.name}")
-            return "var", scope[t.name]
-        if isinstance(t, Const):
-            if t.name not in consts:
-                raise EvalError(f"uninterpreted constant {t.name}")
-            return "const", offsets[t.name]
-        if t.func not in funcs:
-            raise EvalError(f"uninterpreted function {t.func}")
-        return "app", lookup(offsets[t.func], [term(a, scope) for a in t.args])
-
-    def getter(kind: str, x):
-        if kind == "var":
-            return lambda v: env[x]
-        if kind == "const":
-            return lambda v: v[x]
-        return x
-
-    def lookup(base: int, args: list):
-        """A closure reading v[base + row-major index of the args' values]."""
-        kinds = tuple(kind for kind, _ in args)
-        xs = [x for _, x in args]
-        if kinds == ():
-            return lambda v: v[base]
-        if kinds == ("var",):
-            s0, = xs
-            return lambda v: v[base + env[s0]]
-        if kinds == ("const",):
-            c0, = xs
-            return lambda v: v[base + v[c0]]
-        if kinds == ("var", "var"):
-            s0, s1 = xs
-            return lambda v: v[base + env[s0] * n + env[s1]]
-        getters = [getter(kind, x) for kind, x in args]
-        if len(getters) == 1:
-            g0, = getters
-            return lambda v: v[base + g0(v)]
-
-        def read(v):
-            i = 0
-            for g in getters:
-                i = i * n + g(v)
-            return v[base + i]
-        return read
-
-    def formula(phi: Formula, scope: dict[str, int]):
-        if isinstance(phi, Atom):
-            if phi.pred not in preds:
-                raise EvalError(f"uninterpreted predicate {phi.pred}")
-            return lookup(offsets[phi.pred], [term(t, scope) for t in phi.args])
-        if isinstance(phi, TruthConst):
-            value = top if phi.top else bot
-            return lambda v: value
-        if isinstance(phi, Neg):
-            body = formula(phi.body, scope)
-            return lambda v: neg[body(v)]
-        if isinstance(phi, (Forall, Exists)):
-            slot = len(env)
-            env.append(0)
-            body = formula(phi.body, {**scope, phi.var: slot})
-            if isinstance(phi, Forall):
-                def forall(v):
-                    best = top
-                    for d in dom:
-                        env[slot] = d
-                        x = body(v)
-                        if x < best:
-                            if x == bot:
-                                return bot
-                            best = x
-                    return best
-                return forall
-
-            def exists(v):
-                best = bot
-                for d in dom:
-                    env[slot] = d
-                    x = body(v)
-                    if x > best:
-                        if x == top:
-                            return top
-                        best = x
-                return best
-            return exists
-        if not isinstance(phi, (StrongConj, Impl, Meet, Join, Biimpl)):
-            raise TypeError(f"not a formula: {phi!r}")
-        left = formula(phi.left, scope)
-        if isinstance(phi, StrongConj) and phi.left == phi.right:
-            # the squares the star translation puts on every literal
-            square = tuple(tnorm[x][x] for x in range(chain.size))
-            return lambda v: square[left(v)]
-        right = formula(phi.right, scope)
-        if isinstance(phi, StrongConj):
-            def strong_conj(v):
-                x = left(v)
-                return bot if x == bot else tnorm[x][right(v)]
-            return strong_conj
-        if isinstance(phi, Impl):
-            def impl(v):
-                x = left(v)
-                return top if x == bot else res[x][right(v)]
-            return impl
-        if isinstance(phi, Meet):
-            def meet(v):
-                x = left(v)
-                if x == bot:
-                    return bot
-                y = right(v)
-                return x if x < y else y
-            return meet
-        if isinstance(phi, Join):
-            def join(v):
-                x = left(v)
-                if x == top:
-                    return top
-                y = right(v)
-                return x if x > y else y
-            return join
-
-        def biimpl(v):
-            x = left(v)
-            y = right(v)
-            a = res[x][y]
-            b = res[y][x]
-            return a if a < b else b
-        return biimpl
-
-    compiled = formula(phi, {})
-    # `formula` refers to itself and holds the chain's tables: unlinked, they
-    # are freed with the compiled closures, not at a later cyclic collection
-    del formula
-    return compiled
-
-
 # -- byte-sliced evaluation ------------------------------------------------
 
 # The most structures a chunk holds.
@@ -436,26 +308,30 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
     trailing run of predicate slots with at most CHUNK_LIMIT structures.
     The j-th chunk is fixed by the j-th tuple of `itertools.product(*prefix)`,
     and `evaluate(that tuple)` gives phi's rank on each of its structures,
-    in enumeration order, one byte each.  None when the chain has more than
-    MAX_SLICED_CHAIN ranks or no predicate slot fits in a chunk.
+    in enumeration order, one byte each.  When no predicate slot fits in a
+    chunk (a predicate-free space, or a CHUNK_LIMIT below the chain's size) every
+    slot sits in the prefix and a chunk is one structure.  None only when
+    the chain has more than MAX_SLICED_CHAIN ranks: two ranks no longer
+    pack into one byte.
 
     phi's symbols must be those of the layout; an unbound variable raises
-    EvalError here, as in `compile_formula`.  Constants and function
-    tables sit in the prefix, so terms are plain elements.  An atom is its
+    EvalError here, the error `eval` raises on the first structure.
+    Constants and function tables sit in the prefix, so terms are plain
+    elements.  An atom is its
     slot's periodic digit pattern, or one rank repeated for a prefix slot;
     ~ and squares are one `bytes.translate`; every other connective and the
     quantifier folds pack both operands' ranks into one byte per structure
     and translate through a pair table, and stop once the value is settled.
     """
     k = chain.size
+    if k > MAX_SLICED_CHAIN:
+        return None
     ranges = layout.ranges
     first_pred = len(ranges) - sum(layout.domain_size ** arity for _, arity in layout.predicates)
     size, cut = 1, len(ranges)
     while cut > first_pred and size * k <= CHUNK_LIMIT:
         size *= k
         cut -= 1
-    if k > MAX_SLICED_CHAIN or cut == len(ranges):
-        return None
     n = layout.domain_size
     later = range(1, n)
     offsets = layout.offsets
@@ -546,7 +422,8 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
         return connective
 
     root = formula(phi, {})
-    # unlinked from themselves, as in `compile_formula`
+    # `formula` and `term` refer to themselves and hold the chain's tables:
+    # unlinked, they are freed with the closures, not at a later cyclic collection
     del formula, term
 
     def evaluate(prefix: Sequence[int]) -> bytes:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import os
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzyfo.cli import build_parser, run
+from fuzzyfo.cli import build_parser, main, run
+from fuzzyfo.syntax import format_formula
+
+from test_compiled import sentences
 
 PHI = "exists x. (P(x) <-> ~P(x)) & forall x. exists y. (P(x) <-> (P(y) & P(y)))"
 
@@ -411,6 +416,15 @@ def test_enum_chain_spec_below_size_2_exit_1(command, size):
     assert run(["enum-chains", "--size", "1"]) == (1, "error: size 1 below minimum 2\n")
 
 
+@pytest.mark.parametrize("spec", [
+    "luk:abc", "luk:", "enum:x", "godel:3.5", "luk:3,luk:4", "luk: 3", "luk:\u0663", "luk",
+])
+def test_chain_spec_size_must_be_a_decimal_integer(spec):
+    # \u0663 is ARABIC-INDIC DIGIT THREE, which int() would read as 3
+    code, text = run(["decide", "--set", "satpos", "--formula", "P(c)", "--chain", spec])
+    assert (code, text) == (1, f"error: chain spec {spec!r}: size must be a decimal integer\n")
+
+
 @pytest.mark.parametrize("n", ["0", "-1", "-7"])
 def test_phi_witness_below_1_exit_1(n):
     assert run(["phi-witness", "--n", n]) == (1, f"error: n {n} below minimum 1\n")
@@ -562,3 +576,60 @@ def test_eval_answers_in_the_chain_or_fails_on_one_line(tmp_path_factory, lines,
     else:
         report = dict(line.split(": ", 1) for line in text.splitlines())
         assert 0 <= int(report["value"]) < int(report["chain-size"]), text
+
+
+# -- the whole CLI under fuzzing ---------------------------------------------
+
+PREDICATE_FREE = ["0", "1", "~0", "0 -> 1", "1 & 1", "forall x. 1", "exists x. (0 <-> ~1)"]
+_fuzz_specs = st.one_of(
+    st.tuples(st.sampled_from(["luk", "godel"]), st.integers(2, 20)).map(
+        lambda kk: f"{kk[0]}:{kk[1]}"),
+    st.integers(2, 4).map(lambda k: f"enum:{k}"),
+    st.sampled_from(["luk:abc", "luk:", "godel:3.5", "luk:3,luk:4", "luk:1", "godel:-2",
+                     "enum:1", "enum:x", "foo:3", "luk", "file:"]),
+)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """argv of decide, reduce --verify, bsr or eval; eval's structure file text last."""
+    text = draw(st.one_of(sentences().map(format_formula), st.sampled_from(PREDICATE_FREE)))
+    spec = draw(_fuzz_specs)
+    command = draw(st.sampled_from(["decide", "reduce", "bsr", "eval"]))
+    if command == "decide":
+        return ["decide", "--set", draw(st.sampled_from(["taut0", "satpos", "sat1", "tautlt1"])),
+                "--chain", spec, "--max-domain", str(draw(st.integers(1, 3))),
+                "--formula", text], None
+    if command == "reduce":
+        return ["reduce", "--verify", "--chain", spec, "--formula", text], None
+    if command == "bsr":
+        return ["bsr", "--formula", text], None
+    return ["eval", "--chain", spec, "--formula", text], "\n".join(draw(_structure_lines())) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_argv())
+def test_cli_answers_in_the_chain_or_fails_on_one_line(tmp_path_factory, argv_and_structure):
+    """Any command on any sentence and chain spec: exit 0 with every value inside
+    the chain, or exit 1 with one `error:` line; never a traceback.  The budget
+    bounds every search, so each example runs in well under a second."""
+    argv, structure_text = argv_and_structure
+    if structure_text is not None:
+        structure = tmp_path_factory.getbasetemp() / "fuzz-cli.struct"
+        structure.write_text(structure_text)
+        argv = argv + ["--structure", str(structure)]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        mp.setenv("FUZZYFO_BUDGET", "20000")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    assert code in (0, 1), (argv, err)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == ""
+        report = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+        if "value" in report:
+            assert 0 <= int(report["value"]) < int(report["chain-size"]), (argv, out)

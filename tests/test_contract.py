@@ -73,6 +73,10 @@ def test_the_reference_walk_stays_independent_of_the_fast_paths():
     defs = {node.name: node for node in _tree(semantics).body if isinstance(node, ast.FunctionDef)}
     for name in ("eval", "_walk", "eval_term"):
         assert set(_names(defs[name])) & FAST_PATH_NAMES == set(), name
+    # the flat reader searches chains above 16 ranks through the walk; it
+    # reads a FlatLayout, but must not grow back into a second compiler
+    for name in ("eval_flat", "_flat_index"):
+        assert set(_names(defs[name])) & (FAST_PATH_NAMES - {"FlatLayout"}) == set(), name
     walk = defs["_walk"]
     nested = [node for node in ast.walk(walk) if node is not walk
               and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]

@@ -1,22 +1,22 @@
-"""The byte-sliced kernel (`compile_chunks`) against the compiled closures.
+"""The byte-sliced kernel (`compile_chunks`) against the reference `eval`.
 
-Chunk bytes must equal `compile_formula` on every structure, in enumeration
-order, and the deciders must give the reference loop's verdict whichever
-way a space is cut into chunks.  Each space is searched by one evaluator:
-the kernel on chains of at most 16 ranks with a predicate slot, the
-closures on larger chains and predicate-free spaces.
+Chunk bytes must equal `eval` on every structure, in enumeration order,
+and the deciders must give the reference loop's verdict whichever way a
+space is cut into chunks.  Each space is searched by one evaluator: the
+kernel on chains of at most 16 ranks, predicate-free spaces included, and
+the flat reader `eval_flat` on larger chains.
 """
 
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fuzzyfo import cli, decision, semantics
 from fuzzyfo.chains import enumerate_mtl_chains, make_godel_chain, make_lukasiewicz_chain
 from fuzzyfo.decision import sat_pos_bounded
 from fuzzyfo.semantics import (
-    EvaluatorMismatchError, compile_chunks, compile_formula, flat_layout, structure_space_size,
+    EvaluatorMismatchError, compile_chunks, eval, flat_layout, structure_space_size,
 )
 from fuzzyfo.syntax import BOTTOM, parse, vocabulary_of
 
@@ -41,17 +41,14 @@ def test_chunk_bytes_equal_the_closures(chain, phi, limit):
             if structure_space_size(vocab, chain, n) > SWEEP_CAP:
                 break
             layout = flat_layout(vocab, chain, n)
-            value_of = compile_formula(phi, chain, layout)
-            chunks = compile_chunks(phi, chain, layout)
-            if chunks is None:
-                assert not vocab.predicates or chain.size > limit
-                continue
-            size, prefix, evaluate = chunks
-            assert 1 < size <= limit
+            size, prefix, evaluate = compile_chunks(phi, chain, layout)
+            # one structure per chunk when no predicate slot fits in one
+            assert 1 <= size <= limit
+            assert size > 1 or not vocab.predicates or chain.size > limit
             every = list(itertools.product(*layout.ranges))
             assert len(every) == size * len(list(itertools.product(*prefix)))
             ranks = b"".join(evaluate(values[:len(prefix)]) for values in every[::size])
-            assert ranks == bytes(value_of(values) for values in every)
+            assert ranks == bytes(eval(chain, layout.structure(values), phi) for values in every)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -71,13 +68,12 @@ def test_deciders_match_reference_loop_across_chunks(phi, name, K, max_domain, l
 @given(phi=searched_sentences(), name=st.sampled_from(sorted(DECIDERS)),
        max_domain=st.integers(1, 2))
 def test_small_chains_search_without_the_closures(spec, phi, name, max_domain):
-    assume(vocabulary_of(phi).predicates)
     K = cli._parse_chain_spec(spec)
 
     def refused(*args):
-        raise AssertionError("compile_formula called on a chain of at most 16 ranks")
+        raise AssertionError("eval_flat called on a chain of at most 16 ranks")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decision, "compile_formula", refused)
+        mp.setattr(decision, "eval_flat", refused)
         got = outcome(lambda: DECIDERS[name][0](K, phi, max_domain, budget=SWEEP_CAP))
     assert got == outcome(lambda: reference_verdict(name, K, phi, max_domain, SWEEP_CAP))
 
@@ -104,12 +100,14 @@ def test_chain_above_size_16_takes_the_closures(monkeypatch):
     luk16 = make_lukasiewicz_chain(16)
     assert compile_chunks(phi, luk16, flat_layout(vocab, luk16, 1)) is not None
     called = []
-    real = decision.compile_chunks
-    monkeypatch.setattr(decision, "compile_chunks",
-                        lambda *args: called.append(args[1].size) or real(*args))
+    real = decision.eval_flat
+    monkeypatch.setattr(decision, "eval_flat",
+                        lambda *args: called.append(args[0].size) or real(*args))
     for name in DECIDERS:
         got = outcome(lambda: DECIDERS[name][0]([chain], phi, 1))
         assert got == outcome(lambda: reference_verdict(name, [chain], phi, 1, 10**7))
+        assert outcome(lambda: DECIDERS[name][0]([luk16], phi, 1)) == outcome(
+            lambda: reference_verdict(name, [luk16], phi, 1, 10**7))
     assert called and set(called) == {17}
 
 
