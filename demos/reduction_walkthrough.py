@@ -22,5 +22,7 @@ for text in [
 print("=" * 60)
 print("The star output of a contradiction lands in TAUT0 over any class of")
 print("chains; the star output of a non-contradiction takes a positive value")
-print("somewhere. The verifier certifies whichever side applies and")
-print("cross-checks it with an independent bounded search.")
+print("somewhere. The verifier certifies whichever side applies classically,")
+print("then proves the fuzzy side: Lemma 1 (a^2 /\\ (~a)^2 = 0 on every chain)")
+print("makes the star of a contradiction 0 in every structure, and a B2 model")
+print("lifted to each chain gives a non-contradiction's star the top value.")

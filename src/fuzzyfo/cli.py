@@ -18,6 +18,8 @@ from . import chains as chains_mod
 from . import decision, phi, reduction, semantics, syntax
 
 BUDGET_ENV = "FUZZYFO_BUDGET"
+# int() refuses longer digit strings (sys.int_info.default_max_str_digits)
+MAX_DIGITS = 4300
 
 
 class CliError(Exception):
@@ -30,14 +32,28 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _decimal(text: str) -> int:
+    """The argparse `type` of every integer option: ASCII digits after an optional `-`.
+
+    int() would also read spaces, underscores and other scripts' digits.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
+    if len(digits) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"{len(digits)} digits, above the cap of {MAX_DIGITS}")
+    return int(text)
+
+
 def _budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return semantics.DEFAULT_BUDGET
+    raw = os.environ.get(BUDGET_ENV, str(semantics.DEFAULT_BUDGET))
     try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+        budget = _decimal(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"{BUDGET_ENV}: {exc}")
+    if budget < 1:
+        raise CliError(f"{BUDGET_ENV} must be at least 1, got {raw!r}")
+    return budget
 
 
 def _read_file(path: str) -> str:
@@ -74,6 +90,10 @@ def _parse_chain_spec(spec: str) -> list[chains_mod.FiniteChain]:
     digits = arg.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise CliError(f"chain spec {spec!r}: size must be a decimal integer")
+    if len(digits) > MAX_DIGITS:
+        cap = chains_mod.DEFAULT_ENUM_CAP if kind == "enum" else chains_mod.MAX_NAMED_CHAIN_SIZE
+        raise CliError(
+            f"chain spec '{kind}:{arg[:12]}...': its {len(digits)}-digit size is outside 2..{cap}")
     size = int(arg)
     if kind == "luk":
         return [chains_mod.make_lukasiewicz_chain(size)]
@@ -366,7 +386,7 @@ def build_parser() -> _ArgumentParser:
     _add_formula_args(p)
     _add_chain_args(p)
     p.add_argument("--set", choices=sorted(_DECIDERS), required=True)
-    p.add_argument("--max-domain", type=int, default=2)
+    p.add_argument("--max-domain", type=_decimal, default=2)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("star", help="square every literal of a lattice combination")
@@ -375,7 +395,7 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("herbrand", help="closed terms up to a nesting depth")
     _add_formula_args(p)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_decimal, default=2)
     p.set_defaults(func=cmd_herbrand)
 
     p = sub.add_parser("bsr", help="decide a relational exists*-forall* sentence")
@@ -386,34 +406,34 @@ def build_parser() -> _ArgumentParser:
     _add_formula_args(p)
     _add_chain_args(p)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-domain", type=int, default=2)
-    p.add_argument("--max-depth", type=int, default=2)
+    p.add_argument("--max-domain", type=_decimal, default=2)
+    p.add_argument("--max-depth", type=_decimal, default=2)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify-reduction", help="reduction pipeline plus verification")
     _add_formula_args(p)
     _add_chain_args(p)
-    p.add_argument("--max-domain", type=int, default=2)
-    p.add_argument("--max-depth", type=int, default=2)
+    p.add_argument("--max-domain", type=_decimal, default=2)
+    p.add_argument("--max-depth", type=_decimal, default=2)
     p.set_defaults(func=cmd_verify_reduction)
 
     p = sub.add_parser("enum-chains", help="enumerate all MTL-chains of a size")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_decimal, required=True)
     p.add_argument("--tables", action="store_true", help="print the t-norm tables")
     p.set_defaults(func=cmd_enum_chains)
 
     p = sub.add_parser("check-lemma1", help="verify the square-meet law on enumerated chains")
-    p.add_argument("--enum", type=int, default=5, help="enumerate all chains up to this size")
-    p.add_argument("--luk", type=int, default=12,
+    p.add_argument("--enum", type=_decimal, default=5, help="enumerate all chains up to this size")
+    p.add_argument("--luk", type=_decimal, default=12,
                    help="also check Lukasiewicz/Godel chains up to this size")
     p.set_defaults(func=cmd_check_lemma1)
 
     p = sub.add_parser("phi-report", help="finite-chain value scan for the separating sentence")
-    p.add_argument("--max-k", type=int, default=8)
+    p.add_argument("--max-k", type=_decimal, default=8)
     p.set_defaults(func=cmd_phi_report)
 
     p = sub.add_parser("phi-witness", help="standard-chain truncated witness values")
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_decimal, default=10)
     p.set_defaults(func=cmd_phi_witness)
 
     return parser
@@ -430,6 +450,8 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
             chains_mod.ChainValidationError, chains_mod.EnumerationCapError,
             semantics.BudgetExceededError, semantics.EvalError, ValueError) as exc:
         return 1, f"error: {exc}\n"
+    except reduction.ReductionBoundsError as exc:
+        return 1, f"error: {exc} (raise them with --max-depth and --max-domain)\n"
     except (reduction.ReductionVerificationError, semantics.EvaluatorMismatchError) as exc:
         return 2, f"internal consistency failure: {exc}\n"
     except Exception as exc:

@@ -3,8 +3,9 @@
 Pipeline: negation-normal form -> Skolemization into a purely universal
 equi-contradictory sentence -> lattice-literal matrix -> star translation.
 The output lands in TAUT0 over any non-trivial class of MTL-chains exactly
-when the input is a classical contradiction, and the verifier checks both
-directions with independent certificates.
+when the input is a classical contradiction.  The verifier certifies the
+input classically and then proves the direction that certificate needs:
+Lemma 1 on the chains for a contradiction, a lifted B2 model otherwise.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chains import FiniteChain, make_boolean_chain
-# purely_universal_contradiction, enumerate_structures and eval_propositional
-# are no longer called here, but perfbench/tracing.py wraps them at this
-# binding, so the names stay importable from this module.
+from .chains import FiniteChain, check_square_meet_law, make_boolean_chain
+# purely_universal_contradiction, taut0_bounded, sat_pos_bounded, enumerate_structures
+# and eval_propositional are no longer called here, but perfbench/tracing.py wraps
+# them at this binding, so the names stay importable from this module.
 from .decision import (
     HerbrandWitness, dual_herbrand_search, herbrand_verdict, is_classical_contradiction_prop,
     purely_universal_contradiction, sat1_bounded, sat_pos_bounded, taut0_bounded,
@@ -24,9 +25,8 @@ from .semantics import (
     DEFAULT_BUDGET, Structure, enumerate_structures, eval, eval_propositional,
 )
 from .syntax import (
-    Atom, Forall, Formula, Neg, Vocabulary, VocabularyError, atoms_of, classical_nnf, classify,
-    is_sentence, pull_universals, rebuild, skolemize, split_universal_prefix,
-    star_translate, vocabulary_of,
+    Forall, Formula, Neg, Vocabulary, VocabularyError, classical_nnf, classify, is_sentence,
+    pull_universals, skolemize, split_universal_prefix, star_translate, vocabulary_of,
 )
 
 
@@ -98,7 +98,11 @@ def hardness_reduce(phi: Formula, vocab: Optional[Vocabulary] = None) -> Reducti
 
 
 class ReductionVerificationError(RuntimeError):
-    """A certificate and a bounded search disagree: an implementation bug."""
+    """A certificate and a proof check disagree: an implementation bug."""
+
+
+class ReductionBoundsError(ReductionVerificationError):
+    """The input is certified neither way within the depth and domain bounds."""
 
 
 @dataclass(frozen=True)
@@ -112,33 +116,23 @@ class VerificationReport:
         return all(ok for _, ok, _ in self.checks)
 
 
-def _propositional_star_check(conjunction: Formula, K: Sequence[FiniteChain],
-                              budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Exhaustively confirm the star of a contradictory conjunction is 0 on every chain.
-
-    A valuation of the conjunction's atoms is a domain-1 structure once each
-    atom is renamed to a 0-ary predicate.  The names sort in `atoms_of`
-    order, so the bounded search visits valuations in the order of
-    `itertools.product(chain.carrier(), repeat=#atoms)`.
-    """
-    atoms = atoms_of(conjunction)
-    width = len(str(len(atoms)))
-    names = [f"A{i:0{width}d}" for i in range(len(atoms))]
-    letters = {atom: Atom(name) for atom, name in zip(atoms, names)}
-    star = star_translate(_rename_atoms(conjunction, letters))
-    verdict = sat_pos_bounded(K, star, 1, budget)
-    if verdict.kind == "member_witness":
-        values = tuple(verdict.structure.predicates[name][()] for name in names)
-        return False, f"nonzero star value under valuation {values} on size-{verdict.chain.size} chain"
-    scanned = sum(chain.size ** len(atoms) for chain in K)
-    return True, f"{scanned} valuations scanned, all zero"
+def _star_shape_check(trace: ReductionTrace) -> tuple[str, bool, str]:
+    """The star output squares the literals of a universal lattice-literal matrix."""
+    _, matrix = split_universal_prefix(trace.lattice_matrix_form)
+    ok = (classify(matrix).is_lattice_literal_combination
+          and trace.star_output == star_translate(trace.lattice_matrix_form))
+    return ("star output is the star of a lattice-literal matrix", ok,
+            f"{'' if ok else 'not '}star_translate of the lattice matrix")
 
 
-def _rename_atoms(phi: Formula, letters: dict[Atom, Atom]) -> Formula:
-    """phi with each atom replaced by its letter."""
-    if isinstance(phi, Atom):
-        return letters[phi]
-    return rebuild(phi, lambda sub: _rename_atoms(sub, letters))
+def _square_meet_check(K: Sequence[FiniteChain]) -> tuple[str, bool, str]:
+    """Lemma 1, a^2 /\\ (~a)^2 = 0, at every rank of every chain in K."""
+    name = "square-meet law a^2 /\\ (~a)^2 = 0 on every chain"
+    for i, chain in enumerate(K):
+        rank = check_square_meet_law(chain)
+        if rank is not None:
+            return name, False, f"fails at rank {rank} of chain {i} (size {chain.size})"
+    return name, True, f"{sum(chain.size for chain in K)} ranks on {len(K)} chains"
 
 
 def _find_b2_model(phi: Formula, max_domain: int, budget: int) -> Optional[Structure]:
@@ -149,13 +143,13 @@ def _find_b2_model(phi: Formula, max_domain: int, budget: int) -> Optional[Struc
 def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
                               max_domain: int = 2, max_depth: int = 2,
                               budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Certify contradictoriness independently, then cross-check both lemma directions.
+    """Certify contradictoriness independently, then prove the lemma direction it needs.
 
-    Contradictions: no chain in K may refute TAUT0 membership of the star
-    output within bounds, and the star of the Herbrand witness conjunction
-    must vanish under every propositional valuation.  Non-contradictions: a
-    B2 model of the purely universal form must lift to a top-value witness
-    on every chain in K.  Disagreement raises ReductionVerificationError.
+    A contradiction's star output is 0 in every structure over K, of every
+    size, once it is the star of a lattice-literal matrix and Lemma 1 holds
+    on K: were it above 0 in M, the B2 structure M+ (P(d) iff P(d)^2 > 0)
+    would model the matrix.  A non-contradiction's B2 model must lift to a
+    top value on every chain.  `max_domain` bounds the B2 search only.
     """
     if max_domain < 1:
         raise ValueError(f"max domain must be at least 1, got {max_domain}")
@@ -163,33 +157,32 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
     # one search certifies the input and, for a contradiction, gives the witness
     found = dual_herbrand_search(pu, max_depth, budget=budget)
     cert = herbrand_verdict(pu, found, max_depth)
-    checks: list[tuple[str, bool, str]] = []
 
     if isinstance(found, HerbrandWitness):
-        checks.append(("herbrand witness is a propositional contradiction",
-                       is_classical_contradiction_prop(found.conjunction, budget),
-                       f"{found.m} instances at depth {found.depth}"))
-        verdict = taut0_bounded(K, trace.star_output, max_domain, budget=budget)
-        checks.append(("no TAUT0 refutation of the star output",
-                       verdict.kind in ("exhausted", "decided"),
-                       verdict.kind))
-        ok, detail = _propositional_star_check(found.conjunction, K, budget)
-        checks.append(("star of witness conjunction vanishes propositionally", ok, detail))
-        report = VerificationReport(True, cert.reason, tuple(checks))
+        report = VerificationReport(True, cert.reason, (
+            ("herbrand witness is a propositional contradiction",
+             is_classical_contradiction_prop(found.conjunction, budget),
+             f"{found.m} instances at depth {found.depth}"),
+            _star_shape_check(trace),
+            _square_meet_check(K),
+        ))
     elif cert.kind == "decided":
-        report = _verify_non_contradiction(trace, K, cert.reason, max_domain, budget)
+        # a relational purely universal non-contradiction always has a model at
+        # the Bernays-Schonfinkel bound (#constants), which may exceed max_domain
+        bound = max(1, len(vocabulary_of(pu).constants))
+        report = _verify_non_contradiction(
+            trace, K, cert.reason, _find_b2_model(pu, max(max_domain, bound), budget))
     else:
         # full-vocabulary input with no witness in depth: try to certify
         # non-contradiction through a B2 model instead
         model = _find_b2_model(pu, max_domain, budget)
         if model is None:
-            raise ReductionVerificationError(
+            raise ReductionBoundsError(
                 "cannot certify the input either way within bounds: "
                 f"Herbrand search exhausted at {found.bounds} and no B2 model "
-                f"with domain <= {max_domain}"
-            )
+                f"with domain <= {max_domain}")
         report = _verify_non_contradiction(
-            trace, K, f"B2 model with domain {model.domain_size}", max_domain, budget, model)
+            trace, K, f"B2 model with domain {model.domain_size}", model)
 
     if not report.consistent:
         failed = "; ".join(f"check [{name}] ({detail})"
@@ -198,38 +191,21 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
     return report
 
 
-def _verify_non_contradiction(trace: ReductionTrace, K: Sequence[FiniteChain],
-                              certificate: str, max_domain: int, budget: int,
-                              model: Optional[Structure] = None) -> VerificationReport:
-    """Check the non-contradiction certificate; `model` is a B2 model found already."""
-    checks: list[tuple[str, bool, str]] = []
-    if model is None:
-        # a relational purely universal non-contradiction always has a model at
-        # the Bernays-Schonfinkel bound (#constants), which may exceed max_domain
-        bound = max(1, len(vocabulary_of(trace.purely_universal_form).constants))
-        model = _find_b2_model(trace.purely_universal_form, max(max_domain, bound), budget)
-    checks.append(("B2 model of the purely universal form exists",
-                   model is not None,
-                   f"domain {model.domain_size}" if model else "none in bounds"))
-    if model is not None:
-        for chain in K:
-            lifted = _lift_structure(model, chain)
-            value = eval(chain, lifted, trace.star_output)
-            checks.append((f"lifted model gives star output top value on size-{chain.size} chain",
-                           value == chain.top, f"value {value}"))
-    for chain in K:
-        verdict = sat_pos_bounded([chain], trace.star_output, max_domain, budget=budget)
-        checks.append((f"positive witness on size-{chain.size} chain",
-                       verdict.kind == "member_witness",
-                       f"value {verdict.value}" if verdict.kind == "member_witness" else verdict.kind))
+def _verify_non_contradiction(trace: ReductionTrace, K: Sequence[FiniteChain], certificate: str,
+                              model: Optional[Structure]) -> VerificationReport:
+    """A B2 model must lift to the top value, a SAT+ and SAT1 witness, on every chain."""
+    checks = [("B2 model of the purely universal form exists", model is not None,
+               f"domain {model.domain_size}" if model else "none in bounds")]
+    for chain in K if model else ():
+        value = eval(chain, _lift_structure(model, chain), trace.star_output)
+        checks.append((f"lifted model gives star output top value on size-{chain.size} chain",
+                       value == chain.top, f"value {value}"))
     return VerificationReport(False, certificate, tuple(checks))
 
 
 def _lift_structure(structure: Structure, chain: FiniteChain) -> Structure:
     """Read a B2 structure as a structure over any chain (0 -> bot, 1 -> top)."""
-    predicates = {
-        p: {k: (chain.top if v == 1 else chain.bot) for k, v in table.items()}
-        for p, table in structure.predicates.items()
-    }
     return Structure(structure.domain_size, dict(structure.constants),
-                     {f: dict(t) for f, t in structure.functions.items()}, predicates)
+                     {f: dict(t) for f, t in structure.functions.items()},
+                     {p: {k: chain.top if v == 1 else chain.bot for k, v in t.items()}
+                      for p, t in structure.predicates.items()})

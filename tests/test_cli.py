@@ -371,17 +371,40 @@ def test_other_exceptions_are_internal_errors(monkeypatch):
 
 def test_inconsistent_verification_exits_2_on_one_line(monkeypatch):
     from fuzzyfo import reduction
-    from fuzzyfo.decision import Verdict
 
-    monkeypatch.setattr(reduction, "taut0_bounded",
-                        lambda K, phi, max_domain, budget: Verdict("refuted", value=1))
+    monkeypatch.setattr(reduction, "check_square_meet_law", lambda chain: 1)
     code, text = run(["reduce", "--formula", "exists x. (P(x) /\\ ~P(x))", "--verify",
                       "--chain", "luk:3"])
     assert code == 2
     assert text == (
         "internal consistency failure: certificate 'Bernays-Schonfinkel: unsatisfiable at "
-        "the Bernays-Schonfinkel bound 1' failed check [no TAUT0 refutation of the star "
-        "output] (refuted)\n")
+        "the Bernays-Schonfinkel bound 1' failed check [square-meet law a^2 /\\ (~a)^2 = 0 "
+        "on every chain] (fails at rank 1 of chain 0 (size 3))\n")
+
+
+def test_uncertifiable_input_exits_1_naming_the_bounds():
+    # a B2 model needs domain 3 and the Herbrand search finds no witness to
+    # depth 2: an honest "unknown within these bounds", not a defect
+    argv = ["verify-reduction", "--formula", "forall x. exists y. (R(x,y) /\\ ~R(y,x))",
+            "--chain", "luk:3"]
+    assert run(argv) == (1, (
+        "error: cannot certify the input either way within bounds: Herbrand search exhausted "
+        "at term depth 0..2 and no B2 model with domain <= 2 "
+        "(raise them with --max-depth and --max-domain)\n"))
+    assert "certified: non-contradiction\n" in ok(argv + ["--max-domain", "3"])
+
+
+@pytest.mark.parametrize("command", [["verify-reduction"], ["reduce", "--verify"]],
+                         ids=lambda argv: argv[0])
+def test_model_above_max_domain_certifies_a_non_contradiction(command):
+    # the B2 model sits at the Bernays-Schonfinkel bound 2, above --max-domain 1
+    text = ok(command + ["--formula", "P(a) /\\ ~P(b)", "--chain", "luk:3", "--max-domain", "1"])
+    assert text.endswith(
+        "certified: non-contradiction\n"
+        "certificate: Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 2\n"
+        "check [B2 model of the purely universal form exists]: pass (domain 2)\n"
+        "check [lifted model gives star output top value on size-3 chain]: pass (value 2)\n"
+        "consistent: True\n")
 
 
 @pytest.mark.parametrize("spec", ["luk:2049", "godel:2049", "luk:1000000000"])
@@ -498,7 +521,8 @@ def test_r_sentence_search_to_domain_3_is_fast():
 
 
 def test_seven_atom_chain_contradiction_verifies_on_luk3():
-    # the TAUT0 search on the star output covers 2 * 3^14 structures at domain 2
+    # the verifier proves the star output 0 through Lemma 1 instead of
+    # searching its 3^7 + 3^14 structures to domain 2
     links = " /\\ ".join(f"(~P{i}(c) \\/ P{i + 1}(c))" for i in range(6))
     formula = f"P0(c) /\\ {links} /\\ ~P6(c)"
     start = time.perf_counter()
@@ -633,3 +657,70 @@ def test_cli_answers_in_the_chain_or_fails_on_one_line(tmp_path_factory, argv_an
         report = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
         if "value" in report:
             assert 0 <= int(report["value"]) < int(report["chain-size"]), (argv, out)
+
+
+# -- strict integer inputs -----------------------------------------------------
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["decide", "--set", "sat1", "--formula", "P(c)", "--chain", "luk:3"], "--max-domain", "\u0662"),
+    (["verify-reduction", "--formula", "P(c)", "--chain", "luk:3"], "--max-depth", " 2"),
+    (["herbrand", "--formula", "P(f(c))"], "--depth", "1_0"),
+    (["enum-chains"], "--size", "+3"),
+    (["check-lemma1"], "--enum", "3.0"),
+    (["check-lemma1"], "--luk", "\uff14"),
+    (["phi-report"], "--max-k", "0x8"),
+    (["phi-witness"], "--n", ""),
+], ids=lambda v: v if isinstance(v, str) and v.startswith("--") else None)
+def test_integer_options_are_ascii_decimal(argv, option, value):
+    # \u0662 is ARABIC-INDIC DIGIT TWO and \uff14 FULLWIDTH DIGIT FOUR, which int() reads
+    assert run(argv + [option, value]) == (
+        1, f"error: argument {option}: {value!r} is not a decimal integer\n")
+
+
+def test_integer_option_longer_than_the_digit_cap_exit_1():
+    code, text = run(["phi-witness", "--n", "1" * 5000])
+    assert (code, text) == (1, "error: argument --n: 5000 digits, above the cap of 4300\n")
+
+
+@pytest.mark.parametrize("raw, message", [
+    (" \u0665 ", "FUZZYFO_BUDGET: ' \u0665 ' is not a decimal integer"),
+    ("1e6", "FUZZYFO_BUDGET: '1e6' is not a decimal integer"),
+    ("-5", "FUZZYFO_BUDGET must be at least 1, got '-5'"),
+    ("0", "FUZZYFO_BUDGET must be at least 1, got '0'"),
+], ids=["arabic-indic", "float", "negative", "zero"])
+def test_budget_is_a_positive_ascii_decimal(monkeypatch, raw, message):
+    monkeypatch.setenv("FUZZYFO_BUDGET", raw)
+    assert run(["decide", "--set", "satpos", "--formula", "P(c)", "--chain", "luk:3"]) == (
+        1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind, cap", [("luk", 2048), ("godel", 2048), ("enum", 7)])
+def test_chain_spec_size_past_the_digit_cap_names_spec_and_cap(kind, cap):
+    # int() itself refuses more than 4300 digits, with a message naming neither
+    code, text = run(["decide", "--set", "satpos", "--formula", "P(c)",
+                      "--chain", f"{kind}:{'1' * 5000}"])
+    assert (code, text) == (
+        1, f"error: chain spec '{kind}:111111111111...': its 5000-digit size is outside 2..{cap}\n")
+
+
+# -- the verifier proves: contradiction families at any size ----------------------
+
+CHAIN_30 = "P0(c) /\\ " + " /\\ ".join(
+    f"(~P{i}(c) \\/ P{i + 1}(c))" for i in range(29)) + " /\\ ~P29(c)"
+F_60 = "forall x. ((~P(x) \\/ P(f(x))) /\\ P(c) /\\ ~P(" + "f(" * 60 + "c" + ")" * 60 + "))"
+
+
+@pytest.mark.parametrize("spec", ["luk:3", "enum:4", "luk:2048"])
+@pytest.mark.parametrize("argv, certificate", [
+    (["--formula", CHAIN_30],
+     "Bernays-Schonfinkel: unsatisfiable at the Bernays-Schonfinkel bound 1"),
+    (["--formula", F_60, "--max-depth", "60"], "Herbrand witness with 60 instances at depth 59"),
+], ids=["30-atom-chain", "f60"])
+def test_contradiction_families_verify_in_under_a_second(argv, certificate, spec):
+    # the bounded searches the proof checks replace refused 8 atoms on luk:3
+    # and n = 24 on luk:2 as over the budget
+    start = time.perf_counter()
+    text = ok(["reduce", "--verify", "--chain", spec] + argv)
+    assert time.perf_counter() - start < 1
+    assert f"certified: contradiction\ncertificate: {certificate}\n" in text
+    assert text.endswith("consistent: True\n")

@@ -84,8 +84,8 @@ fresh-constants: sk_0
 certified: contradiction
 certificate: Bernays-Schonfinkel: unsatisfiable at the Bernays-Schonfinkel bound 1
 check [herbrand witness is a propositional contradiction]: pass (1 instances at depth 0)
-check [no TAUT0 refutation of the star output]: pass (exhausted)
-check [star of witness conjunction vanishes propositionally]: pass (8 valuations scanned, all zero)
+check [star output is the star of a lattice-literal matrix]: pass (star_translate of the lattice matrix)
+check [square-meet law a^2 /\\ (~a)^2 = 0 on every chain]: pass (8 ranks on 3 chains)
 consistent: True
 """),
     Case(['verify-reduction', '--formula', 'forall x. P(x)', '--chain', 'luk:3'],
@@ -96,7 +96,6 @@ certified: non-contradiction
 certificate: Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 1
 check [B2 model of the purely universal form exists]: pass (domain 1)
 check [lifted model gives star output top value on size-3 chain]: pass (value 2)
-check [positive witness on size-3 chain]: pass (value 2)
 consistent: True
 """),
     Case(['enum-chains', '--size', '4', '--tables'],

@@ -81,3 +81,17 @@ def test_the_reference_walk_stays_independent_of_the_fast_paths():
     nested = [node for node in ast.walk(walk) if node is not walk
               and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
     assert nested == []
+
+
+FUZZY_SEARCH_NAMES = {"taut0_bounded", "sat_pos_bounded", "_find"}
+
+
+def test_the_verifier_searches_no_fuzzy_structure():
+    # Lemma 1 proves the star output 0 on every structure and a lifted B2
+    # model is the positive witness, so no function of the verifier may fall
+    # back on a bounded fuzzy search (the names stay imported for the tracer)
+    reduction = next(p for p in SOURCES if p.name == "reduction.py")
+    defs = {node.name: node for node in _tree(reduction).body if isinstance(node, ast.FunctionDef)}
+    assert {"verify_reduction_instance", "_verify_non_contradiction"} <= set(defs)
+    for name, node in defs.items():
+        assert set(_names(node)) & FUZZY_SEARCH_NAMES == set(), name

@@ -1,18 +1,24 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzyfo import reduction
 from fuzzyfo.chains import enumerate_mtl_chains, make_lukasiewicz_chain
-from fuzzyfo.decision import dual_herbrand_search, HerbrandWitness
+from fuzzyfo.decision import dual_herbrand_search, HerbrandWitness, sat1_bounded, taut0_bounded
 from fuzzyfo.reduction import (
-    ReductionVerificationError, VerificationReport, hardness_reduce, matrix_to_lattice_literals,
-    to_purely_universal, verify_reduction_instance,
+    ReductionBoundsError, ReductionVerificationError, VerificationReport, hardness_reduce,
+    matrix_to_lattice_literals, to_purely_universal, verify_reduction_instance,
 )
+from fuzzyfo.semantics import Structure, eval
 from fuzzyfo.syntax import (
-    Vocabulary, VocabularyError, classify, format_formula, parse,
+    Atom, Const, Exists, Forall, Join, Meet, Neg, Var, Vocabulary, VocabularyError, classify,
+    format_formula, parse, star_translate,
 )
 
 B2 = make_lukasiewicz_chain(2)
 L3 = make_lukasiewicz_chain(3)
+MTL_CHAINS = [c for size in (2, 3, 4) for c in enumerate_mtl_chains(size)]
 
 
 def test_to_purely_universal_skolem_constant():
@@ -111,8 +117,11 @@ def test_verify_non_contradiction_instance():
     report = verify_reduction_instance(trace, [B2, L3])
     assert not report.is_contradiction
     assert report.consistent
-    values = [check for check in report.checks if "positive witness" in check[0]]
-    assert values and all(ok for _, ok, _ in values)
+    # a lifted model with the top value is a SAT+ and a SAT1 witness alike
+    assert report.checks[1:] == (
+        ("lifted model gives star output top value on size-2 chain", True, "value 1"),
+        ("lifted model gives star output top value on size-3 chain", True, "value 2"),
+    )
 
 
 def test_verify_classical_tautology_instance():
@@ -154,7 +163,6 @@ def test_verification_searches_for_the_b2_model_once(monkeypatch):
     assert report == VerificationReport(False, "B2 model with domain 1", (
         ("B2 model of the purely universal form exists", True, "domain 1"),
         ("lifted model gives star output top value on size-3 chain", True, "value 2"),
-        ("positive witness on size-3 chain", True, "value 2"),
     ))
 
 
@@ -170,3 +178,91 @@ def test_witness_contradiction_check_gets_the_verifier_budget(monkeypatch):
     trace = hardness_reduce(parse("forall x. (P(x) /\\ ~P(f(x)))"))
     assert verify_reduction_instance(trace, [B2], budget=5000).consistent
     assert budgets == [5000]
+
+
+def test_verify_unknown_within_bounds_is_a_bounds_error():
+    # the Skolemized sentence needs a domain-3 B2 model, the Herbrand search
+    # finds no witness up to depth 2: neither answer is reachable
+    trace = hardness_reduce(parse("forall x. exists y. (R(x, y) /\\ ~R(y, x))"))
+    with pytest.raises(ReductionBoundsError, match="term depth 0..2 .* domain <= 2"):
+        verify_reduction_instance(trace, [L3])
+    assert not verify_reduction_instance(trace, [L3], max_domain=3).is_contradiction
+
+
+def test_non_contradiction_model_above_max_domain_verifies():
+    # the B2 model sits at the Bernays-Schonfinkel bound 2, above --max-domain 1,
+    # and no fuzzy search is bounded by max_domain any more
+    trace = hardness_reduce(parse("P(a) /\\ ~P(b)"))
+    report = verify_reduction_instance(trace, [L3], max_domain=1)
+    assert report == VerificationReport(
+        False, "Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 2", (
+            ("B2 model of the purely universal form exists", True, "domain 2"),
+            ("lifted model gives star output top value on size-3 chain", True, "value 2"),
+        ))
+
+
+def test_contradiction_checks_are_proofs():
+    trace = hardness_reduce(parse("forall x. (P(x) /\\ ~P(f(x)))"))
+    report = verify_reduction_instance(trace, MTL_CHAINS)
+    assert report.checks[1:] == (
+        ("star output is the star of a lattice-literal matrix", True,
+         "star_translate of the lattice matrix"),
+        ("square-meet law a^2 /\\ (~a)^2 = 0 on every chain", True, "32 ranks on 9 chains"),
+    )
+
+
+def test_a_tampered_star_output_fails_the_shape_check():
+    trace = hardness_reduce(parse("exists x. (P(x) /\\ ~P(x))"))
+    tampered = replace(trace, star_output=trace.lattice_matrix_form)
+    with pytest.raises(ReductionVerificationError, match="not star_translate of the lattice matrix"):
+        verify_reduction_instance(tampered, [L3])
+
+
+def test_a_chain_breaking_lemma_1_fails_the_lemma_check(monkeypatch):
+    monkeypatch.setattr(reduction, "check_square_meet_law",
+                        lambda chain: 1 if chain.size == 3 else None)
+    trace = hardness_reduce(parse("exists x. (P(x) /\\ ~P(x))"))
+    with pytest.raises(ReductionVerificationError,
+                       match=r"fails at rank 1 of chain 1 \(size 3\)"):
+        verify_reduction_instance(trace, [B2, L3])
+
+
+# -- the star projection: what Lemma 1 lets the verifier prove -------------------
+
+_terms = st.sampled_from([Var("x"), Var("y"), Const("c")])
+_literals = st.one_of(
+    st.builds(lambda t: Atom("P", (t,)), _terms),
+    st.builds(lambda s, t: Atom("R", (s, t)), _terms, _terms),
+).flatmap(lambda atom: st.sampled_from([atom, Neg(atom)]))
+_matrices = st.recursive(
+    _literals,
+    lambda sub: st.tuples(sub, sub, st.booleans()).map(
+        lambda t: Meet(t[0], t[1]) if t[2] else Join(t[0], t[1])),
+    max_leaves=5,
+)
+_quantified = st.builds(
+    lambda qx, qy, matrix: qx("x", qy("y", matrix)),
+    st.sampled_from([Forall, Exists]), st.sampled_from([Forall, Exists]), _matrices)
+# a meet of two sentences is a contradiction often enough to exhaust both searches
+lattice_sentences = st.one_of(_quantified, st.builds(Meet, _quantified, _quantified))
+
+
+def _plus(chain, structure):
+    """M+: the B2 structure where P(d) holds iff P(d)^2 is above 0 in M."""
+    return Structure(structure.domain_size, dict(structure.constants), {}, {
+        p: {k: int(chain.square(v) != chain.bot) for k, v in table.items()}
+        for p, table in structure.predicates.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_sentences)
+def test_star_is_refuted_on_a_chain_exactly_where_b2_has_a_model(lattice):
+    star = star_translate(lattice)
+    for domain in (1, 2):
+        classical = sat1_bounded([B2], lattice, domain)
+        for chain in MTL_CHAINS:
+            fuzzy = taut0_bounded([chain], star, domain)
+            assert (fuzzy.kind == "refuted") == (classical.kind == "member_witness"), \
+                (format_formula(lattice), domain, chain.describe())
+            if fuzzy.kind == "refuted":
+                assert eval(B2, _plus(chain, fuzzy.structure), lattice) == B2.top

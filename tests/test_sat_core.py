@@ -19,7 +19,7 @@ from fuzzyfo.decision import (
     HERBRAND_INSTANCE_CAP, HerbrandWitness, _greedy_minimal, bsr_decide, dual_herbrand_search,
     is_classical_contradiction_prop, prop_satisfiable, purely_universal_contradiction,
 )
-from fuzzyfo.reduction import _propositional_star_check, hardness_reduce, verify_reduction_instance
+from fuzzyfo.reduction import hardness_reduce, verify_reduction_instance
 from fuzzyfo.semantics import BudgetExceededError, eval_propositional
 from fuzzyfo.syntax import (
     BOTTOM, TOP, Atom, Biimpl, Const, Impl, Join, Meet, Neg, StrongConj, TruthConst, atoms_of,
@@ -229,7 +229,7 @@ SMALL_CHAINS = [c for size in range(2, 5) for c in enumerate_mtl_chains(size)]
 
 
 def _star_check_by_valuations(conjunction, K):
-    """The verifier's star check as a plain scan of every valuation."""
+    """Whether the star of a conjunction is 0 under every valuation over K, by a plain scan."""
     star = star_translate(conjunction)
     atoms = atoms_of(conjunction)
     scanned = 0
@@ -244,20 +244,24 @@ def _star_check_by_valuations(conjunction, K):
 @settings(max_examples=80, deadline=None)
 @given(lattice_formulas)
 def test_star_check_matches_valuation_scan(phi):
-    assert _propositional_star_check(phi, SMALL_CHAINS) == _star_check_by_valuations(phi, SMALL_CHAINS)
+    # Lemma 1 on every chain of SMALL_CHAINS is what the verifier proves this from
+    vanishes, _ = _star_check_by_valuations(phi, SMALL_CHAINS)
+    assert vanishes == is_classical_contradiction_prop(phi)
 
 
 def test_star_check_keeps_the_atom_order_past_ten_atoms():
-    # nonzero iff a2 or a10: scanning in atoms_of order finds a10 = 1 first,
-    # which a name order putting a10 before a2 would not
+    # nonzero iff a2 or a10: scanning in atoms_of order finds a10 = 1 first
     atoms = [Atom("P", (Const(f"c{i}"),)) for i in range(11)]
     phi = Join(atoms[0], Neg(atoms[0]))
     for atom in atoms[1:]:
         phi = Meet(phi, Join(atom, Neg(atom)))
     phi = Meet(phi, Join(atoms[10], atoms[2]))
-    ok, detail = _propositional_star_check(phi, [B2])
-    assert (ok, detail) == _star_check_by_valuations(phi, [B2])
+    ok, detail = _star_check_by_valuations(phi, [B2])
+    assert not ok and not is_classical_contradiction_prop(phi)
     assert detail == f"nonzero star value under valuation {(0,) * 10 + (1,)} on size-2 chain"
+    contradiction = Meet(phi, Meet(Neg(atoms[10]), Neg(atoms[2])))
+    assert _star_check_by_valuations(contradiction, [B2])[0]
+    assert is_classical_contradiction_prop(contradiction)
 
 
 def test_verification_runs_the_herbrand_search_once(monkeypatch):
