@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 # make_boolean_chain, enumerate_structures and eval_propositional are no
 # longer called here, but perfbench/tracing.py wraps them at this module's
@@ -19,10 +19,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .chains import FiniteChain, make_boolean_chain
 from .semantics import (
     DEFAULT_BUDGET, BudgetExceededError, EvaluatorMismatchError, Structure, TruthValue,
-    compile_chunks, enumerate_structures, eval, eval_flat, eval_propositional, flat_layout,
+    enumerate_structures, eval, eval_propositional, first_at_least,
 )
 from .syntax import (
-    App, Atom, BOTTOM, MAX_NESTING, TOP, Const, Exists, Formula, FragmentError, Join,
+    App, Atom, BOTTOM, MAX_NESTING, Const, Exists, Formula, FragmentError, Join,
     Meet, Neg, Term, TruthConst, Var, classical_nnf, classify,
     ensure_constant, format_formula, herbrand_levels, herbrand_universe_sizes,
     is_quantifier_free, split_universal_prefix, substitute, vocabulary_of,
@@ -47,37 +47,26 @@ class Verdict:
     bounds: str = ""
 
 
-def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
-          accept: Callable[[FiniteChain, TruthValue], bool],
+def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int, top: bool,
           ) -> Optional[tuple[FiniteChain, Structure, TruthValue]]:
-    """The first (chain, structure, value) in search order that `accept`s, or None.
+    """The first (chain, structure, value) in search order whose value is
+    the chain's top when `top`, else above its bottom; None if there is none.
 
     The order is chains in K, then domain sizes 1..max_domain, then the
-    structures in `enumerate_structures` order.  The budget is checked per
-    (chain, domain size) before that space is searched.  Each space is
-    evaluated one way: chunk by chunk (`compile_chunks`) from its first
-    structure on, or, on a chain above MAX_SLICED_CHAIN ranks, one flat
-    value tuple at a time by the reference walk (`eval_flat`).  The witness
-    is rebuilt as a Structure, and its value must be accepted and agree with
-    `eval` on it, or EvaluatorMismatchError is raised instead of returning it.
+    structures in `enumerate_structures` order; `first_at_least` checks the
+    budget and scans one (chain, domain size) space.  The witness's value
+    must reach the threshold and agree with `eval` on it, or
+    EvaluatorMismatchError is raised instead of returning it.
     """
     vocab = vocabulary_of(phi)
     for chain in K:
-        accepted = frozenset(v for v in chain.carrier() if accept(chain, v))
-        # byte r is 1 when rank r is accepted; chunked chains have at most 16
-        # ranks, and a translate table has 256 bytes
-        table = bytes(r in accepted for r in chain.carrier()).ljust(256, b"\0")
+        least = chain.top if top else chain.bot + 1
         for n in range(1, max_domain + 1):
-            layout = flat_layout(vocab, chain, n, budget)
-            chunks = compile_chunks(phi, chain, layout)
-            found = (_first(itertools.product(*layout.ranges),
-                            lambda values: eval_flat(chain, layout, values, phi), accepted)
-                     if chunks is None else _first_in_chunks(chunks, layout, table))
+            found = first_at_least(phi, vocab, chain, n, least, budget)
             if found is not None:
-                values, value = found
-                structure = layout.structure(values)
+                structure, value = found
                 reference = eval(chain, structure, phi)
-                if not (value == reference and value in accepted):
+                if not (value == reference and value >= least):
                     raise EvaluatorMismatchError(
                         f"found value {value} but reference value {reference} on a "
                         f"size-{chain.size} chain for {format_formula(phi)}:\n"
@@ -86,50 +75,21 @@ def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int,
     return None
 
 
-def _first(structures, value_of, accepted: frozenset) -> Optional[tuple[tuple[int, ...], int]]:
-    """(values, value) of the first structure whose value is in `accepted`, or None."""
-    for values in structures:
-        value = value_of(values)
-        if value in accepted:
-            return values, value
-    return None
-
-
-def _first_in_chunks(chunks, layout, table: bytes) -> Optional[tuple[tuple[int, ...], int]]:
-    """(values, value) of the first structure whose chunk rank r has table[r] == 1, or None."""
-    _, prefixes, evaluate = chunks
-    for prefix in itertools.product(*prefixes):
-        ranks = evaluate(prefix)
-        i = ranks.translate(table).find(1)
-        if i >= 0:
-            rest = itertools.product(*layout.ranges[len(prefix):])
-            return prefix + next(itertools.islice(rest, i, None)), ranks[i]
-    return None
-
-
-def _nonzero(chain: FiniteChain, value: TruthValue) -> bool:
-    return value != chain.bot
-
-
-def _top(chain: FiniteChain, value: TruthValue) -> bool:
-    return value == chain.top
-
-
 def _bounds_text(K: ChainClass, max_domain: int) -> str:
     sizes = ",".join(str(c.size) for c in K)
     return f"chains of sizes [{sizes}], domains 1..{max_domain}"
 
 
-def _bounded(K: ChainClass, phi: Formula, max_domain: int, budget: int,
-             accept: Callable[[FiniteChain, TruthValue], bool], kind: str,
-             settled: Optional[Verdict] = None) -> Verdict:
+def _bounded(K: ChainClass, phi: Formula, max_domain: int, budget: int, kind: str, *,
+             top: bool, settled: Optional[Verdict] = None) -> Verdict:
     """The shared entry of the four deciders: `settled` when phi's form
-    already answers, otherwise the first structure whose value `accept`s."""
+    already answers, otherwise the first structure where phi's value is the
+    top (`top`) or above the bottom."""
     if max_domain < 1:
         raise ValueError(f"max domain must be at least 1, got {max_domain}")
     if settled is not None:
         return settled
-    found = _find(K, phi, max_domain, budget, accept)
+    found = _find(K, phi, max_domain, budget, top)
     if found is None:
         return Verdict("exhausted", bounds=_bounds_text(K, max_domain))
     chain, structure, value = found
@@ -142,7 +102,7 @@ def taut0_bounded(K: ChainClass, phi: Formula, max_domain: int,
     """Search for a refutation of `phi takes value 0 everywhere`."""
     settled = (Verdict("decided", decided=True, reason="the constant 0 is 0 everywhere")
                if phi == BOTTOM else None)
-    return _bounded(K, phi, max_domain, budget, _nonzero, "refuted", settled)
+    return _bounded(K, phi, max_domain, budget, "refuted", top=False, settled=settled)
 
 
 def sat_pos_bounded(K: ChainClass, phi: Formula, max_domain: int,
@@ -150,21 +110,20 @@ def sat_pos_bounded(K: ChainClass, phi: Formula, max_domain: int,
     """Search for a structure giving phi a value above 0."""
     settled = (Verdict("decided", decided=False, reason="the constant 0 is 0 everywhere")
                if phi == BOTTOM else None)
-    return _bounded(K, phi, max_domain, budget, _nonzero, "member_witness", settled)
+    return _bounded(K, phi, max_domain, budget, "member_witness", top=False,
+                    settled=settled)
 
 
 def taut_lt1_bounded(K: ChainClass, phi: Formula, max_domain: int,
                      budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a structure where phi attains the top value."""
-    settled = (Verdict("refuted", value=K[0].top, chain=K[0], structure=Structure(1),
-                       bounds=_bounds_text(K, max_domain)) if phi == TOP else None)
-    return _bounded(K, phi, max_domain, budget, _top, "refuted", settled)
+    return _bounded(K, phi, max_domain, budget, "refuted", top=True)
 
 
 def sat1_bounded(K: ChainClass, phi: Formula, max_domain: int,
                  budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a structure where phi attains exactly the top value."""
-    return _bounded(K, phi, max_domain, budget, _top, "member_witness")
+    return _bounded(K, phi, max_domain, budget, "member_witness", top=True)
 
 
 # -- the ground SAT core ---------------------------------------------------
@@ -402,28 +361,17 @@ def _dpll(n_vars: int, clauses: list[list[int]], budget: int) -> Optional[list[i
         trail.append(next_var)
 
 
-class GroundClauses(NamedTuple):
-    """Clauses grounded over a grounder's variables, ready for one SAT call."""
-
-    grounder: _Grounder
-    clauses: list[list[int]]
-
-
-def prop_satisfiable(phi: Formula | Sequence[Formula] | GroundClauses,
+def prop_satisfiable(phi: Formula | Sequence[Formula],
                      budget: int = DEFAULT_BUDGET) -> Optional[dict[Atom, int]]:
     """Classical satisfiability of closed quantifier-free formulas.
 
-    phi is one formula, a list of conjuncts, or clauses grounded here.
-    Returns a satisfying valuation of the atoms the clauses mention (any
-    other atom may take 0), or None.  Raises BudgetExceededError after
-    `budget` DPLL decisions.
+    phi is one formula or a list of conjuncts.  Returns a satisfying
+    valuation of the atoms the clauses mention (any other atom may take 0),
+    or None.  Raises BudgetExceededError after `budget` DPLL decisions.
     """
-    if isinstance(phi, GroundClauses):
-        grounder, clauses = phi.grounder, phi.clauses
-    else:
-        grounder, clauses = _Grounder(), []
-        for conjunct in (phi if isinstance(phi, (list, tuple)) else [phi]):
-            clauses += _Template(classical_nnf(conjunct), grounder, {}).ground(())
+    grounder, clauses = _Grounder(), []
+    for conjunct in (phi if isinstance(phi, (list, tuple)) else [phi]):
+        clauses += _Template(classical_nnf(conjunct), grounder, {}).ground(())
     value = _dpll(len(grounder.atom_keys) - 1, clauses, budget)
     return None if value is None else grounder.model(value)
 
@@ -468,8 +416,9 @@ class _Instances:
         return keys
 
     def contradictory(self, keys: Sequence[tuple[int, ...]], budget: int) -> bool:
+        """Whether the instances' clauses are unsatisfiable; no model is decoded."""
         clauses = [clause for key in keys for clause in self.groups[key]]
-        return prop_satisfiable(GroundClauses(self.grounder, clauses), budget) is None
+        return _dpll(len(self.grounder.atom_keys) - 1, clauses, budget) is None
 
 
 # -- Bernays-Schonfinkel decider -----------------------------------------

@@ -301,10 +301,10 @@ _MAX = bytes(max(i >> 4, i & 15) for i in range(256))
 
 
 def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
-                   ) -> Optional[tuple[int, tuple[range, ...], Callable[[Sequence[int]], bytes]]]:
-    """phi over chunks of consecutive structures, as (size, prefix, evaluate).
+                   ) -> Optional[tuple[tuple[range, ...], Callable[[Sequence[int]], bytes]]]:
+    """phi over chunks of consecutive structures, as (prefix, evaluate).
 
-    A chunk is the `size` structures that share every slot but the longest
+    A chunk is the structures that share every slot but the longest
     trailing run of predicate slots with at most CHUNK_LIMIT structures.
     The j-th chunk is fixed by the j-th tuple of `itertools.product(*prefix)`,
     and `evaluate(that tuple)` gives phi's rank on each of its structures,
@@ -429,7 +429,38 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
     def evaluate(prefix: Sequence[int]) -> bytes:
         cells[:cut - first_pred] = [fill[r] for r in prefix[first_pred:]]
         return root(prefix)
-    return size, ranges[:cut], evaluate
+    return ranges[:cut], evaluate
+
+
+def first_at_least(phi: Formula, vocab: Vocabulary, chain: FiniteChain, domain_size: int,
+                   least: int, budget: int = DEFAULT_BUDGET) -> Optional[tuple[Structure, int]]:
+    """(structure, rank) of the first structure, in `enumerate_structures`
+    order, on which phi's rank is at least `least`, or None.
+
+    The space is checked against the budget first (`flat_layout`).  It is
+    evaluated one way: chunk by chunk (`compile_chunks`) from its first
+    structure on, or, on a chain above MAX_SLICED_CHAIN ranks, one flat
+    value tuple at a time by the reference walk (`eval_flat`).  Only the
+    structure returned is built.
+    """
+    layout = flat_layout(vocab, chain, domain_size, budget)
+    chunks = compile_chunks(phi, chain, layout)
+    if chunks is None:
+        for values in itertools.product(*layout.ranges):
+            value = eval_flat(chain, layout, values, phi)
+            if value >= least:
+                return layout.structure(values), value
+        return None
+    prefixes, evaluate = chunks
+    # byte r is 1 when rank r reaches `least`; a translate table has 256 bytes
+    table = bytes(least).ljust(256, b"\1")
+    for prefix in itertools.product(*prefixes):
+        ranks = evaluate(prefix)
+        i = ranks.translate(table).find(1)
+        if i >= 0:
+            rest = itertools.product(*layout.ranges[len(prefix):])
+            return layout.structure(prefix + next(itertools.islice(rest, i, None))), ranks[i]
+    return None
 
 
 # -- structure file format -----------------------------------------------

@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from fuzzyfo import cli, decision
+from fuzzyfo import cli, semantics
 from fuzzyfo.chains import enumerate_mtl_chains, make_godel_chain, make_lukasiewicz_chain
 from fuzzyfo.decision import (
     sat1_bounded, sat_pos_bounded, taut0_bounded, taut_lt1_bounded,
@@ -260,12 +260,12 @@ def test_unbound_variables_raise_the_reference_error(phi):
 
 
 def test_disagreeing_witness_raises_instead_of_returning(monkeypatch):
-    real = decision.eval_flat
+    real = semantics.eval_flat
 
     def off_by_one(chain, layout, values, phi):
         return min(chain.top, real(chain, layout, values, phi) + 1)
 
-    monkeypatch.setattr(decision, "eval_flat", off_by_one)
+    monkeypatch.setattr(semantics, "eval_flat", off_by_one)
     # chains above 16 ranks are searched by the flat reader alone
     phi = parse("P(c) & ~P(c)")
     with pytest.raises(EvaluatorMismatchError):

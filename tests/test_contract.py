@@ -95,3 +95,23 @@ def test_the_verifier_searches_no_fuzzy_structure():
     assert {"verify_reduction_instance", "_verify_non_contradiction"} <= set(defs)
     for name, node in defs.items():
         assert set(_names(node)) & FUZZY_SEARCH_NAMES == set(), name
+
+
+LAYOUT_NAMES = {"compile_chunks", "eval_flat", "flat_layout", "FlatLayout", "_pair_table",
+                "CHUNK_LIMIT", "MAX_SLICED_CHAIN"}
+
+
+def test_the_search_layout_stays_behind_semantics():
+    # `semantics.first_at_least` owns the scan of one (chain, domain size)
+    # space; the deciders order the spaces and pass a rank threshold, so
+    # nothing in `decision` may read the flat layout or the byte kernel
+    decision = next(p for p in SOURCES if p.name == "decision.py")
+    tree = _tree(decision)
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert any(getattr(node, "name", None) == "_find" for node in functions)
+    for node in functions:
+        assert set(_names(node)) & LAYOUT_NAMES == set(), getattr(node, "name", "lambda")
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & LAYOUT_NAMES == set()

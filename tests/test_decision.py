@@ -76,6 +76,16 @@ def test_taut_lt1_top_refuted():
     assert taut_lt1_bounded([B2], parse("P(c)"), 1).kind == "refuted"
 
 
+@pytest.mark.parametrize("decider", [taut0_bounded, sat_pos_bounded, taut_lt1_bounded,
+                                     sat1_bounded], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("text", ["1", "P(c)", "forall x. exists y. R(x, y)", PHI_TEXT])
+def test_empty_chain_class_is_exhausted(decider, text):
+    # no chain, so no structure: even the constant 1 has no witness
+    for max_domain in (1, 3):
+        verdict = decider([], parse(text), max_domain)
+        assert verdict == Verdict("exhausted", bounds=f"chains of sizes [], domains 1..{max_domain}")
+
+
 def test_taut_lt1_phi_never_one():
     phi = parse(PHI_TEXT)
     K = [make_lukasiewicz_chain(k) for k in range(2, 7)]

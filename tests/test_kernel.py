@@ -41,7 +41,8 @@ def test_chunk_bytes_equal_the_closures(chain, phi, limit):
             if structure_space_size(vocab, chain, n) > SWEEP_CAP:
                 break
             layout = flat_layout(vocab, chain, n)
-            size, prefix, evaluate = compile_chunks(phi, chain, layout)
+            prefix, evaluate = compile_chunks(phi, chain, layout)
+            size = len(evaluate(tuple(r[0] for r in prefix)))
             # one structure per chunk when no predicate slot fits in one
             assert 1 <= size <= limit
             assert size > 1 or not vocab.predicates or chain.size > limit
@@ -73,7 +74,7 @@ def test_small_chains_search_without_the_closures(spec, phi, name, max_domain):
     def refused(*args):
         raise AssertionError("eval_flat called on a chain of at most 16 ranks")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decision, "eval_flat", refused)
+        mp.setattr(semantics, "eval_flat", refused)
         got = outcome(lambda: DECIDERS[name][0](K, phi, max_domain, budget=SWEEP_CAP))
     assert got == outcome(lambda: reference_verdict(name, K, phi, max_domain, SWEEP_CAP))
 
@@ -100,8 +101,8 @@ def test_chain_above_size_16_takes_the_closures(monkeypatch):
     luk16 = make_lukasiewicz_chain(16)
     assert compile_chunks(phi, luk16, flat_layout(vocab, luk16, 1)) is not None
     called = []
-    real = decision.eval_flat
-    monkeypatch.setattr(decision, "eval_flat",
+    real = semantics.eval_flat
+    monkeypatch.setattr(semantics, "eval_flat",
                         lambda *args: called.append(args[0].size) or real(*args))
     for name in DECIDERS:
         got = outcome(lambda: DECIDERS[name][0]([chain], phi, 1))
@@ -112,20 +113,22 @@ def test_chain_above_size_16_takes_the_closures(monkeypatch):
 
 
 def test_kernel_off_by_one_raises(monkeypatch):
-    real = decision.compile_chunks
+    real = semantics.compile_chunks
 
     def off_by_one(phi, chain, layout):
-        size, prefix, evaluate = real(phi, chain, layout)
-        return size, prefix, lambda v: bytes(min(r + 1, chain.top) for r in evaluate(v))
-    monkeypatch.setattr(decision, "compile_chunks", off_by_one)
+        prefix, evaluate = real(phi, chain, layout)
+        return prefix, lambda v: bytes(min(r + 1, chain.top) for r in evaluate(v))
+    monkeypatch.setattr(semantics, "compile_chunks", off_by_one)
     _assert_mismatch("P(c) & Q(c)")
 
 
 def test_kernel_returning_an_unaccepted_structure_raises(monkeypatch):
-    def first_structure(chunks, layout, accept_table):
-        size, prefix, evaluate = chunks
-        return tuple(r[0] for r in layout.ranges), evaluate(tuple(r[0] for r in prefix))[0]
-    monkeypatch.setattr(decision, "_first_in_chunks", first_structure)
+    def first_structure(phi, vocab, chain, n, least, budget):
+        layout = semantics.flat_layout(vocab, chain, n, budget)
+        prefix, evaluate = semantics.compile_chunks(phi, chain, layout)
+        return (layout.structure(tuple(r[0] for r in layout.ranges)),
+                evaluate(tuple(r[0] for r in prefix))[0])
+    monkeypatch.setattr(decision, "first_at_least", first_structure)
     _assert_mismatch("P(c) & Q(c)")
 
 
