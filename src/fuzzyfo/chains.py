@@ -14,6 +14,8 @@ from itertools import repeat
 from operator import le
 from typing import Iterator, Optional, Sequence, Union
 
+from .syntax import decimal
+
 # The largest size `enumerate_mtl_chains` enumerates.  Its time grows about
 # 8-10x per size (3 s at size 9) and no budget bounds it, so the limit is fixed.
 DEFAULT_ENUM_CAP = 7
@@ -247,7 +249,8 @@ def enumerate_mtl_chains(size: int) -> Iterator[FiniteChain]:
     a completed row breaks associativity (`_associative_through`, two
     `bytes.translate` calls per smaller rank).  Every completed table is
     still validated in full by `make_chain_from_table`, which checks each
-    law a row at a time on byte rows.
+    law a row at a time on byte rows; the pruning already guarantees every
+    law, so a table it rejects is a pruning bug and its error propagates.
     """
     if size < 2:
         raise EnumerationCapError(f"size {size} below minimum 2")
@@ -265,11 +268,8 @@ def enumerate_mtl_chains(size: int) -> Iterator[FiniteChain]:
 
     def assign(idx: int) -> Iterator[FiniteChain]:
         if idx == len(positions):
-            try:
-                # the chain copies the rows, so the live table can be passed
-                yield make_chain_from_table(size, table)
-            except ChainValidationError:
-                pass
+            # the chain copies the rows, so the live table can be passed
+            yield make_chain_from_table(size, table)
             return
         x, y = positions[idx]
         lo = max(table[x - 1][y] if x >= 1 else 0, table[x][y - 1] if y - 1 >= x else 0)
@@ -375,7 +375,7 @@ def parse_chain_file(text: str) -> FiniteChain:
     if not lines or not lines[0].startswith("chain "):
         raise ValueError("chain file must start with 'chain <size>'")
     try:
-        size = int(lines[0].split()[1])
+        size = decimal(lines[0].split()[1])
     except (IndexError, ValueError):
         raise ValueError("chain file must start with 'chain <size>'")
     _check_table_size(size)  # before any row is read
@@ -385,7 +385,7 @@ def parse_chain_file(text: str) -> FiniteChain:
     table = []
     for ln in rows:
         try:
-            table.append([int(tok) for tok in ln.split()])
+            table.append([decimal(tok) for tok in ln.split()])
         except ValueError:
             raise ValueError(f"bad table row: {ln!r}")
     return make_chain_from_table(size, table)

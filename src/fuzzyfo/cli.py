@@ -18,8 +18,6 @@ from . import chains as chains_mod
 from . import decision, phi, reduction, semantics, syntax
 
 BUDGET_ENV = "FUZZYFO_BUDGET"
-# int() refuses longer digit strings (sys.int_info.default_max_str_digits)
-MAX_DIGITS = 4300
 
 
 class CliError(Exception):
@@ -33,23 +31,18 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _decimal(text: str) -> int:
-    """The argparse `type` of every integer option: ASCII digits after an optional `-`.
-
-    int() would also read spaces, underscores and other scripts' digits.
-    """
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
-    if len(digits) > MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"{len(digits)} digits, above the cap of {MAX_DIGITS}")
-    return int(text)
+    """The argparse `type` of every integer option (`syntax.decimal`)."""
+    try:
+        return syntax.decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _budget() -> int:
     raw = os.environ.get(BUDGET_ENV, str(semantics.DEFAULT_BUDGET))
     try:
-        budget = _decimal(raw)
-    except argparse.ArgumentTypeError as exc:
+        budget = syntax.decimal(raw)
+    except ValueError as exc:
         raise CliError(f"{BUDGET_ENV}: {exc}")
     if budget < 1:
         raise CliError(f"{BUDGET_ENV} must be at least 1, got {raw!r}")
@@ -90,7 +83,7 @@ def _parse_chain_spec(spec: str) -> list[chains_mod.FiniteChain]:
     digits = arg.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise CliError(f"chain spec {spec!r}: size must be a decimal integer")
-    if len(digits) > MAX_DIGITS:
+    if len(digits) > syntax.MAX_DIGITS:
         cap = chains_mod.DEFAULT_ENUM_CAP if kind == "enum" else chains_mod.MAX_NAMED_CHAIN_SIZE
         raise CliError(
             f"chain spec '{kind}:{arg[:12]}...': its {len(digits)}-digit size is outside 2..{cap}")
@@ -176,6 +169,14 @@ def cmd_eval(args, budget: int) -> Report:
         raise CliError("eval needs exactly one chain")
     vocab = vocab or syntax.vocabulary_of(formula)
     structure = semantics.parse_structure_file(_read_file(args.structure), vocab)
+    # the walk is priced as n^depth assignments, one binder at a time, so a
+    # huge domain is refused before its power is built
+    price = 1
+    for depth in range(1, syntax.quantifier_depth(formula) + 1):
+        price *= structure.domain_size
+        if price > budget:
+            raise semantics.BudgetExceededError(
+                price, budget, f"assignments at quantifier depth {depth}")
     value = semantics.eval(chains[0], structure, formula)
     report = Report()
     report.add("formula", syntax.format_formula(formula))

@@ -170,12 +170,6 @@ class _Grounder:
         self.atom_keys.append(None)
         return len(self.atom_keys) - 1
 
-    def model(self, value: list[int]) -> dict[Atom, int]:
-        """The atoms the solver assigned, with their values."""
-        terms = self.terms
-        return {Atom(key[0], tuple(terms[i] for i in key[1:])): int(value[var] == 1)
-                for var, key in enumerate(self.atom_keys) if key is not None and value[var]}
-
 
 def _operands(phi: Formula, cls: type) -> list[Formula]:
     """The operands of a chain of cls nodes, left to right."""
@@ -190,25 +184,31 @@ def _operands(phi: Formula, cls: type) -> list[Formula]:
     return out
 
 
-class _Template:
-    """The clauses of an NNF matrix over slots, grounded once per instance.
+class _Instances:
+    """The instances of an NNF matrix, compiled to clauses once and each grounded once.
 
-    A slot is an atom, kept as (predicate, term templates), or
-    None for a Plaisted-Greenbaum auxiliary; a clause holds slot s as s and
+    The k-th prefix variable is an instance's k-th argument and `bind` fixes
+    other variables to term ids; any other variable is a constant.  An
+    instance is its tuple of term ids, and its clauses are kept as one group,
+    so a set of instances is one SAT call.  The clauses are compiled over
+    slots: a slot is an atom, kept as (predicate, term templates), or None
+    for a Plaisted-Greenbaum auxiliary, and a clause holds slot s as s and
     its negation as ~s.  A term template is a term id (>= 0), ~k for the
-    instance's k-th argument, or (function, term templates...).  `bind` maps
-    variable names to term templates; any other variable is a constant.
+    instance's k-th argument, or (function, term templates...).
     """
 
-    def __init__(self, nnf: Formula, grounder: _Grounder, bind: dict[str, int]):
+    def __init__(self, matrix: Formula, grounder: _Grounder, bind: dict[str, int],
+                 prefix: Sequence[str]):
+        self.grounder = grounder
+        self.arity = len(prefix)
         self.slots: list = []
         self.clauses: list[list[int]] = []
-        self._grounder = grounder
-        self._bind = bind
+        self.groups: dict[tuple[int, ...], list[list[int]]] = {}
+        self._bind = {**bind, **{v: ~k for k, v in enumerate(prefix)}}
         self._atom_slots: dict = {}
         # classical_nnf folds 0 and 1 away below the root, so only a
         # conjunct can still be a truth constant
-        for conjunct in _operands(nnf, Meet):
+        for conjunct in _operands(matrix, Meet):
             if isinstance(conjunct, TruthConst):
                 if not conjunct.top:
                     self.clauses.append([])
@@ -221,9 +221,9 @@ class _Template:
         if isinstance(t, App):
             args = tuple(self._term(a) for a in t.args)
             if all(type(a) is int and a >= 0 for a in args):
-                return self._grounder.app((t.func,) + args)
+                return self.grounder.app((t.func,) + args)
             return (t.func,) + args
-        return self._grounder.term(t)
+        return self.grounder.term(t)
 
     def _slot(self, atom: Atom) -> int:
         args = tuple(self._term(t) for t in atom.args)
@@ -253,7 +253,7 @@ class _Template:
 
     def ground(self, args: tuple[int, ...]) -> list[list[int]]:
         """The clauses of the instance whose k-th argument is the term id args[k]."""
-        grounder = self._grounder
+        grounder = self.grounder
         var = []
         for slot in self.slots:
             if slot is None:
@@ -263,6 +263,22 @@ class _Template:
             var.append(grounder.atom((pred,) + tuple(_ground_term(t, args, grounder)
                                                      for t in targs)))
         return [[var[s] if s >= 0 else -var[~s] for s in clause] for clause in self.clauses]
+
+    def over(self, universe: list[int], budget: int) -> list[tuple[int, ...]]:
+        """Every instance over the universe, grounded; the count is checked first."""
+        count = len(universe) ** self.arity
+        if count > budget:
+            raise BudgetExceededError(count, budget, "ground instances")
+        keys = list(itertools.product(universe, repeat=self.arity))
+        for key in keys:
+            if key not in self.groups:
+                self.groups[key] = self.ground(key)
+        return keys
+
+    def contradictory(self, keys: Sequence[tuple[int, ...]], budget: int) -> bool:
+        """Whether the instances' clauses are unsatisfiable; no model is decoded."""
+        clauses = [clause for key in keys for clause in self.groups[key]]
+        return _dpll(len(self.grounder.atom_keys) - 1, clauses, budget) is None
 
 
 def _ground_term(t, args: tuple[int, ...], grounder: _Grounder) -> int:
@@ -371,9 +387,13 @@ def prop_satisfiable(phi: Formula | Sequence[Formula],
     """
     grounder, clauses = _Grounder(), []
     for conjunct in (phi if isinstance(phi, (list, tuple)) else [phi]):
-        clauses += _Template(classical_nnf(conjunct), grounder, {}).ground(())
+        clauses += _Instances(classical_nnf(conjunct), grounder, {}, ()).ground(())
     value = _dpll(len(grounder.atom_keys) - 1, clauses, budget)
-    return None if value is None else grounder.model(value)
+    if value is None:
+        return None
+    terms = grounder.terms
+    return {Atom(key[0], tuple(terms[i] for i in key[1:])): int(value[var] == 1)
+            for var, key in enumerate(grounder.atom_keys) if key is not None and value[var]}
 
 
 def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) -> bool:
@@ -384,41 +404,6 @@ def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) 
     if not is_quantifier_free(phi):
         raise FragmentError("propositional contradiction check needs a quantifier-free formula")
     return prop_satisfiable(phi, budget) is None
-
-
-# -- instance grounding ----------------------------------------------------
-
-class _Instances:
-    """The instances of a matrix over universes of term ids, each grounded once.
-
-    The prefix variables range over the universe and `bind` fixes any others
-    to term ids.  An instance is its tuple of term ids; its clauses are kept
-    as one group, so a set of instances is one SAT call.
-    """
-
-    def __init__(self, matrix: Formula, grounder: _Grounder, bind: dict[str, int],
-                 prefix: list[str]):
-        self.grounder = grounder
-        self.arity = len(prefix)
-        self.template = _Template(matrix, grounder,
-                                  {**bind, **{v: ~k for k, v in enumerate(prefix)}})
-        self.groups: dict[tuple[int, ...], list[list[int]]] = {}
-
-    def over(self, universe: list[int], budget: int) -> list[tuple[int, ...]]:
-        """Every instance over the universe, grounded; the count is checked first."""
-        count = len(universe) ** self.arity
-        if count > budget:
-            raise BudgetExceededError(count, budget, "ground instances")
-        keys = list(itertools.product(universe, repeat=self.arity))
-        for key in keys:
-            if key not in self.groups:
-                self.groups[key] = self.template.ground(key)
-        return keys
-
-    def contradictory(self, keys: Sequence[tuple[int, ...]], budget: int) -> bool:
-        """Whether the instances' clauses are unsatisfiable; no model is decoded."""
-        clauses = [clause for key in keys for clause in self.groups[key]]
-        return _dpll(len(self.grounder.atom_keys) - 1, clauses, budget) is None
 
 
 # -- Bernays-Schonfinkel decider -----------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .chains import FiniteChain, StandardChain
 from .syntax import (
     Atom, TruthConst, Neg, StrongConj, Meet, Join, Impl, Biimpl, Forall, Exists,
-    Formula, Term, Var, Const, Vocabulary,
+    Formula, Term, Var, Const, Vocabulary, decimal,
 )
 
 TruthValue = Union[int, Fraction]
@@ -485,17 +485,17 @@ def parse_structure_file(text: str, vocab: Optional[Vocabulary] = None) -> Struc
             continue
         keyword, _, body = line.partition(" ")
         if keyword == "domain":
-            domain_size = _parse_token(lineno, "domain", body.strip(), int)
+            domain_size = _parse_token(lineno, "domain", body.strip(), decimal)
         elif keyword == "const":
             name, eq, val = (part.strip() for part in body.partition("="))
             if not name or not eq:
                 raise ValueError(f"line {lineno}: expected 'const <name> = <element>'")
-            constants[name] = _parse_token(lineno, f"const {name}", val, int)
+            constants[name] = _parse_token(lineno, f"const {name}", val, decimal)
         elif keyword in ("fun", "pred"):
             name, colon, vals = (part.strip() for part in body.partition(":"))
             if not name or not colon:
                 raise ValueError(f"line {lineno}: expected '{keyword} <name> : <values>'")
-            parse_one = int if keyword == "fun" else _parse_value
+            parse_one = decimal if keyword == "fun" else _parse_value
             rows = fun_rows if keyword == "fun" else pred_rows
             rows[name] = [_parse_token(lineno, f"{keyword} {name}", v, parse_one)
                           for v in vals.split()]
@@ -599,6 +599,6 @@ def _parse_token(lineno: int, symbol: str, tok: str, parse_one: Callable):
 def _parse_value(tok: str) -> TruthValue:
     """A rank `#k`, or a rational `p/q` or `p`."""
     if tok.startswith("#"):
-        return int(tok[1:])
+        return decimal(tok[1:])
     num, slash, den = tok.partition("/")
-    return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(decimal(num), decimal(den) if slash else 1)

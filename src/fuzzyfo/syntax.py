@@ -29,6 +29,23 @@ class VocabularyError(ValueError):
     """Symbol clash, arity mismatch, or a function symbol in a relational vocabulary."""
 
 
+# int() refuses longer digit strings (sys.int_info.default_max_str_digits)
+MAX_DIGITS = 4300
+
+
+def decimal(text: str) -> int:
+    """An integer input: ASCII digits after an optional `-`, at most MAX_DIGITS.
+
+    int() would also read spaces, underscores, a `+` and other scripts' digits.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"{len(digits)} digits, above the cap of {MAX_DIGITS}")
+    return int(text)
+
+
 # -- vocabulary ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -77,13 +94,9 @@ def parse_vocabulary(text: str) -> Vocabulary:
         if line == "relational":
             relational = True
             continue
-        m = re.fullmatch(r"pred\s+(\w+)/(\d+)", line)
+        m = re.fullmatch(rf"(pred|fun)\s+(\w+)/([0-9]{{1,{MAX_DIGITS}}})", line)
         if m:
-            preds[m.group(1)] = int(m.group(2))
-            continue
-        m = re.fullmatch(r"fun\s+(\w+)/(\d+)", line)
-        if m:
-            funcs[m.group(1)] = int(m.group(2))
+            (preds if m.group(1) == "pred" else funcs)[m.group(2)] = int(m.group(3))
             continue
         m = re.fullmatch(r"const\s+(\w+)", line)
         if m:
@@ -264,6 +277,11 @@ def is_quantifier_free(phi: Formula) -> bool:
     return not any(isinstance(s, _QUANT) for s in subformulas(phi))
 
 
+def quantifier_depth(phi: Formula) -> int:
+    """The most quantifiers on one path from phi's root to a leaf."""
+    return isinstance(phi, _QUANT) + max(map(quantifier_depth, children(phi)), default=0)
+
+
 def split_universal_prefix(phi: Formula) -> tuple[list[str], Formula]:
     prefix: list[str] = []
     while isinstance(phi, Forall):
@@ -378,8 +396,8 @@ class _Parser:
         self.i = 0
         self.vocab = vocab
         self.infer = infer
-        self.inferred_preds: dict[str, int] = {}
-        self.inferred_funcs: dict[str, int] = {}
+        # predicates start uppercase and functions lowercase, so one table holds both
+        self.inferred: dict[str, int] = {}
         self.bound_stack: list[str] = []
         self.open = 0  # constructs still open around the current token
         self.height = 0  # height of the formula or term parsed last
@@ -398,6 +416,20 @@ class _Parser:
         if height > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
         self.height = height
+
+    def _check_arity(self, kind: str, name: str, arity: int, pos: int) -> None:
+        """Check a predicate's or function's arity against its first use
+        (inferred mode) or against the vocabulary."""
+        if self.infer:
+            first = self.inferred.setdefault(name, arity)
+            if first != arity:
+                raise ParseError(f"{kind} {name} used with arities {first} and {arity}", pos)
+            return
+        declared = self.vocab.predicates if kind == "predicate" else self.vocab.functions
+        if name not in declared:
+            raise ParseError(f"undeclared {kind} {name}", pos)
+        if declared[name] != arity:
+            raise ParseError(f"{kind} {name} expects {declared[name]} arguments, got {arity}", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -477,20 +509,7 @@ class _Parser:
         if self.peek()[0] == "lpar":
             args = self.arg_list()
         self._rise(self.height + 1, name_tok[2])
-        if self.infer:
-            arity = self.inferred_preds.setdefault(name, len(args))
-            if arity != len(args):
-                raise ParseError(
-                    f"predicate {name} used with arities {arity} and {len(args)}", name_tok[2]
-                )
-        else:
-            if name not in self.vocab.predicates:
-                raise ParseError(f"undeclared predicate {name}", name_tok[2])
-            if self.vocab.predicates[name] != len(args):
-                raise ParseError(
-                    f"predicate {name} expects {self.vocab.predicates[name]} arguments, got {len(args)}",
-                    name_tok[2],
-                )
+        self._check_arity("predicate", name, len(args), name_tok[2])
         return Atom(name, args)
 
     def arg_list(self) -> tuple[Term, ...]:
@@ -515,24 +534,10 @@ class _Parser:
         if self.peek()[0] == "lpar":
             args = self._nested(pos, self.arg_list)
             self._rise(self.height + 1, pos)
-            if self.infer:
-                arity = self.inferred_funcs.setdefault(text, len(args))
-                if arity != len(args):
-                    raise ParseError(
-                        f"function {text} used with arities {arity} and {len(args)}", pos
-                    )
-            else:
-                if self.vocab.relational:
-                    raise ParseError(
-                        f"function symbol {text} not permitted in relational vocabulary", pos
-                    )
-                if text not in self.vocab.functions:
-                    raise ParseError(f"undeclared function {text}", pos)
-                if self.vocab.functions[text] != len(args):
-                    raise ParseError(
-                        f"function {text} expects {self.vocab.functions[text]} arguments, got {len(args)}",
-                        pos,
-                    )
+            if not self.infer and self.vocab.relational:
+                raise ParseError(
+                    f"function symbol {text} not permitted in relational vocabulary", pos)
+            self._check_arity("function", text, len(args), pos)
             return App(text, args)
         self.height = 1
         if self.infer:

@@ -317,6 +317,14 @@ def test_enumeration_counts(size, count):
     assert len(list(enumerate_mtl_chains(size))) == count
 
 
+def test_enumeration_propagates_a_table_the_pruning_let_through(monkeypatch):
+    # the pruning guarantees every axiom, so a rejected table is a pruning
+    # bug: with associativity pruning off, size 4 reaches a bad table
+    monkeypatch.setattr(chains_mod, "_associative_through", lambda t, x: True)
+    with pytest.raises(ChainValidationError):
+        list(enumerate_mtl_chains(4))
+
+
 def unpruned_mtl_chains(size):
     """The enumeration without associativity pruning: every table filled in
     with monotonicity pruning only, then kept if it validates in full."""

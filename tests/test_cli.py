@@ -296,6 +296,13 @@ def test_eval_rejects_other_values_outside_domain_or_chain(tmp_path):
     ("domain 1\nconst c = 0\npred P : 1/0\n", "line 3: pred P: bad value '1/0': zero denominator"),
     ("domain 1\nconst c 0\npred P : #1\n", "line 2: expected 'const <name> = <element>'"),
     ("domain 1\nconst c = 0\npred : #1\n", "line 3: expected 'pred <name> : <values>'"),
+    # integers are ASCII decimal: \u0662 and \u0661 are ARABIC-INDIC DIGITS TWO and ONE
+    ("domain \u0662\npred P : #1 #1\n", "line 1: domain: bad value '\u0662'"),
+    ("domain 2\nconst c = 1_0\npred P : #1 #1\n", "line 2: const c: bad value '1_0'"),
+    ("domain 2\nconst c = 0\npred P : #\u0662 #1\n", "line 3: pred P: bad value '#\u0662'"),
+    ("domain 2\nconst c = 0\npred P : +1 1\n", "line 3: pred P: bad value '+1'"),
+    ("domain 2\nconst c = 0\nfun f : \u0661 0\npred P : #1 #1\n",
+     "line 3: fun f: bad value '\u0661'"),
 ])
 def test_eval_names_the_line_and_symbol_of_a_bad_token(tmp_path, struct_text, message):
     code, text = _eval_struct(tmp_path, struct_text, "P(f(c))" if "fun" in struct_text else "P(c)")
@@ -701,6 +708,116 @@ def test_chain_spec_size_past_the_digit_cap_names_spec_and_cap(kind, cap):
                       "--chain", f"{kind}:{'1' * 5000}"])
     assert (code, text) == (
         1, f"error: chain spec '{kind}:111111111111...': its 5000-digit size is outside 2..{cap}\n")
+
+
+# \u0662 and \u0661 are ARABIC-INDIC DIGITS TWO and ONE, which int() reads
+@pytest.mark.parametrize("chain_text, message", [
+    ("chain \u0662\n0 0\n0 1\n", "chain file must start with 'chain <size>'"),
+    ("chain 1_0\n", "chain file must start with 'chain <size>'"),
+    ("chain 2\n0 0\n0 \u0661\n", "bad table row: '0 \u0661'"),
+])
+def test_chain_file_integers_are_ascii_decimal(tmp_path, chain_text, message):
+    path = tmp_path / "x.chain"
+    path.write_text(chain_text)
+    assert run(["decide", "--set", "sat1", "--formula", "P(c)", "--chain", f"file:{path}"]) == (
+        1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("vocab_text, line", [
+    ("pred P/\u0661\n", "line 1: cannot parse 'pred P/\u0661'"),
+    ("pred P/1\nfun f/\u0661\n", "line 2: cannot parse 'fun f/\u0661'"),
+])
+def test_vocabulary_file_arities_are_ascii_decimal(tmp_path, vocab_text, line):
+    path = tmp_path / "x.vocab"
+    path.write_text(vocab_text)
+    assert run(["parse", "--formula", "P(c)", "--vocab", str(path)]) == (1, f"error: {line}\n")
+
+
+def test_eval_prices_the_walk_against_the_budget(tmp_path, monkeypatch):
+    # domain 11 and two nested quantifiers: 121 assignments
+    monkeypatch.setenv("FUZZYFO_BUDGET", "100")
+    assert _eval_struct(tmp_path, "domain 11\npred Q : #1\n", "forall x. forall y. Q") == (
+        1, "error: search space of 121 assignments at quantifier depth 2 exceeds budget 100\n")
+    assert _eval_struct(tmp_path, "domain 10\npred Q : #1\n", "forall x. forall y. Q") == (
+        0, "formula: forall x. forall y. Q\nchain-size: 3\nvalue: 1\n")
+    # a huge domain is refused at the first binder, before any power is built
+    monkeypatch.delenv("FUZZYFO_BUDGET")
+    start = time.perf_counter()
+    code, text = _eval_struct(tmp_path, f"domain {10 ** 4000}\npred Q : #1\n",
+                              "forall x. exists y. forall z. Q")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and text.endswith(
+        " assignments at quantifier depth 1 exceeds budget 10000000\n"), text
+
+
+# -- input files under fuzzing -------------------------------------------------
+
+_odd_integers = st.sampled_from(["\u0662", "1_0", "+1", "-1", "00", "0x1", "\uff14", "1" * 5000])
+_file_integers = st.one_of(st.integers(-1, 300).map(str), _odd_integers)
+
+
+@st.composite
+def _chain_file(draw):
+    """A chain header and rows: a named chain's table, perhaps with one odd entry."""
+    size = draw(st.integers(2, 5))
+    rows = [[min(x, y) for y in range(size)] for x in range(size)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, size - 1))][draw(st.integers(0, size - 1))] = draw(_file_integers)
+    header = draw(st.one_of(st.just(str(size)), st.just(str(size)), _file_integers))
+    lines = [f"chain {header}"]
+    kept = draw(st.sampled_from([size, size, size - 1]))
+    lines += [" ".join(map(str, row)) for row in rows[:kept]]
+    return lines
+
+
+@st.composite
+def _vocab_lines(draw):
+    """A vocabulary for the parse formulas, then perhaps an odd arity or line."""
+    lines = ["pred P/1", "pred R/2", "fun f/1", "const c", "const d"]
+    i = draw(st.integers(0, 2))
+    defect = draw(st.sampled_from(["none", "arity", "line"]))
+    if defect == "arity":
+        lines[i] = f"{lines[i].partition('/')[0]}/{draw(_file_integers)}"
+    elif defect == "line":
+        lines.insert(i, draw(st.one_of(
+            st.sampled_from(["relational", "# note", "pred P/1 # ok", "fun c/1", "pred/1"]),
+            st.text(alphabet="predfunconstl /#0123\u0662_", max_size=12))))
+    return lines
+
+
+@st.composite
+def _file_argv(draw):
+    """argv of eval, decide --chain file: or parse --vocab, and the file's text."""
+    command = draw(st.sampled_from(["eval", "decide", "parse"]))
+    if command == "eval":
+        lines = draw(_structure_lines())
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = f"{lines[i].rpartition(' ')[0]} {draw(_file_integers)}"
+        return ["eval", "--chain", "luk:4", "--formula", draw(st.sampled_from(EVAL_FORMULAS)),
+                "--structure"], lines
+    if command == "decide":
+        return ["decide", "--set", draw(st.sampled_from(["taut0", "sat1"])), "--formula",
+                "forall x. P(x)", "--chain"], draw(_chain_file())
+    formula = draw(st.sampled_from(["P(c)", "forall x. R(x, f(x))", "P(f(c)) /\\ R(c, d)"]))
+    return ["parse", "--formula", formula, "--vocab"], draw(_vocab_lines())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_file_argv())
+def test_input_files_answer_or_fail_on_one_line(tmp_path_factory, argv_and_lines):
+    """Structure, chain and vocabulary files with odd integers: an answer, or
+    one line of error; never a traceback."""
+    argv, lines = argv_and_lines
+    path = tmp_path_factory.getbasetemp() / "fuzz.input"
+    path.write_text("\n".join(lines) + "\n")
+    target = f"file:{path}" if argv[0] == "decide" else str(path)
+    code, text = run(argv + [target])
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in text
+    if code:
+        assert text.count("\n") == 1, (lines, text)
+        assert text.startswith("error: " if code == 1 else "internal "), (lines, text)
 
 
 # -- the verifier proves: contradiction families at any size ----------------------

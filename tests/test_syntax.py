@@ -53,6 +53,27 @@ def test_parse_errors():
         parse("P(f(c))", REL_VOCAB)  # function under relational flag
 
 
+@pytest.mark.parametrize("text, vocab, message", [
+    ("P(c) /\\ P(c, d)", None, "predicate P used with arities 1 and 2 at position 8"),
+    ("Q /\\ Q(c)", None, "predicate Q used with arities 0 and 1 at position 5"),
+    ("P(f(c)) \\/ P(f(c, d))", None, "function f used with arities 1 and 2 at position 13"),
+    ("S(c)", VOCAB, "undeclared predicate S at position 0"),
+    ("P(c, d)", VOCAB, "predicate P expects 1 arguments, got 2 at position 0"),
+    ("Q(c) /\\ Q", VOCAB, "predicate Q expects 1 arguments, got 0 at position 8"),
+    ("forall x. R(x, h(x))", VOCAB, "undeclared function h at position 15"),
+    ("P(f(g(c)))", VOCAB, "function g expects 2 arguments, got 1 at position 4"),
+    ("P(f(c))", REL_VOCAB, "function symbol f not permitted in relational vocabulary at position 2"),
+    # the relational check comes before the declaration check
+    ("P(h(c, c))", REL_VOCAB,
+     "function symbol h not permitted in relational vocabulary at position 2"),
+])
+def test_arity_and_declaration_messages(text, vocab, message):
+    # one check serves predicates and functions, inferred and declared
+    with pytest.raises(ParseError) as exc:
+        parse(text, vocab)
+    assert str(exc.value) == message
+
+
 def test_parse_renames_bound_variables_apart():
     phi = parse("(forall x. P(x)) /\\ (forall x. Q(x))", VOCAB)
     assert phi.left.var == "x"
