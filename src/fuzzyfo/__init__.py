@@ -8,9 +8,9 @@ from .chains import (
 from .syntax import (
     Atom, BOTTOM, Biimpl, Const, Exists, Forall, Formula, FragmentError, Impl,
     Join, Meet, Neg, ParseError, StrongConj, TOP, Term, TruthConst, Var,
-    Vocabulary, VocabularyError, classical_nnf, classify, format_formula,
-    format_term, free_vars, herbrand_universe, parse, parse_vocabulary,
-    skolemize, star_translate, substitute, vocabulary_of,
+    Vocabulary, VocabularyError, classical_nnf, format_formula, format_term,
+    free_vars, herbrand_universe, is_lattice_literal_combination, parse,
+    parse_vocabulary, skolemize, star_translate, substitute, vocabulary_of,
 )
 from .semantics import (
     BudgetExceededError, EvalError, Structure, enumerate_structures, eval,

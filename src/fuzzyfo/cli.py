@@ -111,7 +111,7 @@ def _load_chains(args) -> list[chains_mod.FiniteChain]:
 
 
 class Report:
-    """Ordered key/value report with a plain and a `records` rendering."""
+    """Ordered key/value report, one rendering for `--format plain` and `records`."""
 
     def __init__(self):
         self.items: list[tuple[str, str]] = []
@@ -119,7 +119,7 @@ class Report:
     def add(self, key: str, value) -> None:
         self.items.append((key, str(value)))
 
-    def render(self, fmt: str) -> str:
+    def render(self) -> str:
         lines = []
         for key, value in self.items:
             if "\n" in value:
@@ -150,14 +150,14 @@ def _add_verdict(report: Report, verdict: decision.Verdict) -> None:
 
 def cmd_parse(args, budget: int) -> Report:
     formula = _load_formula(args)
-    flags = syntax.classify(formula)
     report = Report()
     report.add("formula", syntax.format_formula(formula))
-    report.add("sentence", flags.is_sentence)
-    report.add("literal", flags.is_literal)
-    report.add("lattice-literal-combination", flags.is_lattice_literal_combination)
-    report.add("purely-universal", flags.is_purely_universal)
-    report.add("relational", flags.is_relational)
+    report.add("sentence", syntax.is_sentence(formula))
+    report.add("literal", syntax.is_literal(formula))
+    report.add("lattice-literal-combination", syntax.is_lattice_literal_combination(formula))
+    report.add("purely-universal",
+               syntax.is_quantifier_free(syntax.split_universal_prefix(formula)[1]))
+    report.add("relational", not syntax.vocabulary_of(formula).functions)
     return report
 
 
@@ -447,9 +447,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         args = parser.parse_args(argv)
         budget = _budget()
         report = args.func(args, budget)
-    except (CliError, syntax.ParseError, syntax.VocabularyError, syntax.FragmentError,
-            chains_mod.ChainValidationError, chains_mod.EnumerationCapError,
-            semantics.BudgetExceededError, semantics.EvalError, ValueError) as exc:
+    except (CliError, semantics.BudgetExceededError, ValueError) as exc:
         return 1, f"error: {exc}\n"
     except reduction.ReductionBoundsError as exc:
         return 1, f"error: {exc} (raise them with --max-depth and --max-domain)\n"
@@ -459,7 +457,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         # a defect, not an input error: report it on one line, never as a
         # traceback (a BaseException such as KeyboardInterrupt passes)
         return 2, f"internal error: {type(exc).__name__}: {exc}\n"
-    text = report.render(args.format)
+    text = report.render()
     if args.output:
         try:
             with open(args.output, "w") as fh:

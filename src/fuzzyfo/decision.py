@@ -23,9 +23,9 @@ from .semantics import (
 )
 from .syntax import (
     App, Atom, BOTTOM, MAX_NESTING, Const, Exists, Formula, FragmentError, Join,
-    Meet, Neg, Term, TruthConst, Var, classical_nnf, classify,
-    ensure_constant, format_formula, herbrand_levels, herbrand_universe_sizes,
-    is_quantifier_free, split_universal_prefix, substitute, vocabulary_of,
+    Meet, Neg, Term, TruthConst, Var, classical_nnf, ensure_constant,
+    format_formula, herbrand_levels, herbrand_universe_sizes, is_quantifier_free,
+    is_sentence, split_universal_prefix, substitute, vocabulary_of,
 )
 
 ChainClass = Sequence[FiniteChain]
@@ -81,14 +81,15 @@ def _bounds_text(K: ChainClass, max_domain: int) -> str:
 
 
 def _bounded(K: ChainClass, phi: Formula, max_domain: int, budget: int, kind: str, *,
-             top: bool, settled: Optional[Verdict] = None) -> Verdict:
-    """The shared entry of the four deciders: `settled` when phi's form
-    already answers, otherwise the first structure where phi's value is the
-    top (`top`) or above the bottom."""
+             top: bool) -> Verdict:
+    """The shared entry of the four deciders: the first structure where phi's
+    value is the top (`top`) or above the bottom.  The constant 0 is never
+    above the bottom, so that question needs no search for it."""
     if max_domain < 1:
         raise ValueError(f"max domain must be at least 1, got {max_domain}")
-    if settled is not None:
-        return settled
+    if phi == BOTTOM and not top:
+        return Verdict("decided", decided=kind == "refuted",
+                       reason="the constant 0 is 0 everywhere")
     found = _find(K, phi, max_domain, budget, top)
     if found is None:
         return Verdict("exhausted", bounds=_bounds_text(K, max_domain))
@@ -100,18 +101,13 @@ def _bounded(K: ChainClass, phi: Formula, max_domain: int, budget: int, kind: st
 def taut0_bounded(K: ChainClass, phi: Formula, max_domain: int,
                   budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a refutation of `phi takes value 0 everywhere`."""
-    settled = (Verdict("decided", decided=True, reason="the constant 0 is 0 everywhere")
-               if phi == BOTTOM else None)
-    return _bounded(K, phi, max_domain, budget, "refuted", top=False, settled=settled)
+    return _bounded(K, phi, max_domain, budget, "refuted", top=False)
 
 
 def sat_pos_bounded(K: ChainClass, phi: Formula, max_domain: int,
                     budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a structure giving phi a value above 0."""
-    settled = (Verdict("decided", decided=False, reason="the constant 0 is 0 everywhere")
-               if phi == BOTTOM else None)
-    return _bounded(K, phi, max_domain, budget, "member_witness", top=False,
-                    settled=settled)
+    return _bounded(K, phi, max_domain, budget, "member_witness", top=False)
 
 
 def taut_lt1_bounded(K: ChainClass, phi: Formula, max_domain: int,
@@ -419,13 +415,13 @@ def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     |U|^#forall instances are checked against the budget, grounded, and
     decided by one SAT call.
     """
-    flags = classify(phi)
-    if not flags.is_relational:
+    vocab = vocabulary_of(phi)
+    if vocab.functions:
         raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
-    if not flags.is_sentence:
+    if not is_sentence(phi):
         raise FragmentError("Bernays-Schonfinkel decider needs a sentence")
     grounder = _Grounder()
-    universe = [grounder.term(Const(c)) for c in sorted(vocabulary_of(phi).constants)]
+    universe = [grounder.term(Const(c)) for c in sorted(vocab.constants)]
     matrix, skolem = classical_nnf(phi), {}
     while isinstance(matrix, Exists):
         skolem[matrix.var] = grounder.term(Const(f"@{len(skolem)}"))
@@ -472,11 +468,11 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     instance, so the search stops there with an exact answer; otherwise
     `exhausted` only means no witness at the depths named.
     """
-    if not classify(phi).is_purely_universal:
+    prefix, matrix = split_universal_prefix(phi)
+    if not is_quantifier_free(matrix):
         raise FragmentError("dual Herbrand search needs a purely universal sentence")
     if max_depth < 0:
         raise ValueError(f"max depth must be at least 0, got {max_depth}")
-    prefix, matrix = split_universal_prefix(phi)
     vocab = ensure_constant(vocabulary_of(phi))
     grounder = _Grounder()
     instances = _Instances(classical_nnf(matrix), grounder, {}, prefix)

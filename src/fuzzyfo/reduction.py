@@ -25,8 +25,9 @@ from .semantics import (
     DEFAULT_BUDGET, Structure, enumerate_structures, eval, eval_propositional,
 )
 from .syntax import (
-    Forall, Formula, Neg, Vocabulary, VocabularyError, classical_nnf, classify, is_sentence,
-    pull_universals, skolemize, split_universal_prefix, star_translate, vocabulary_of,
+    Forall, Formula, Neg, Vocabulary, VocabularyError, classical_nnf,
+    is_lattice_literal_combination, is_quantifier_free, is_sentence, pull_universals,
+    skolemize, split_universal_prefix, star_translate, vocabulary_of,
 )
 
 
@@ -58,7 +59,7 @@ def to_purely_universal(phi: Formula, vocab: Optional[Vocabulary] = None) -> tup
     nnf = classical_nnf(phi)
     skolemized, extended = skolemize(nnf, vocab)
     result = pull_universals(skolemized)
-    assert classify(result).is_purely_universal
+    assert is_quantifier_free(split_universal_prefix(result)[1])
     return result, extended
 
 
@@ -119,7 +120,7 @@ class VerificationReport:
 def _star_shape_check(trace: ReductionTrace) -> tuple[str, bool, str]:
     """The star output squares the literals of a universal lattice-literal matrix."""
     _, matrix = split_universal_prefix(trace.lattice_matrix_form)
-    ok = (classify(matrix).is_lattice_literal_combination
+    ok = (is_lattice_literal_combination(matrix)
           and trace.star_output == star_translate(trace.lattice_matrix_form))
     return ("star output is the star of a lattice-literal matrix", ok,
             f"{'' if ok else 'not '}star_translate of the lattice matrix")

@@ -28,9 +28,20 @@ class EvalError(ValueError):
     """Uninterpreted symbol or unbound variable during evaluation."""
 
 
+def _count_text(n: int) -> str:
+    """n in decimal, or `about 10^k` where str() refuses its digits."""
+    try:
+        return str(n)
+    except ValueError:
+        k = int(math.log10(n))  # the float may be one off; exact powers settle it
+        k += 10 ** (k + 1) <= n
+        k -= 10 ** k > n
+        return f"about 10^{k}"
+
+
 class BudgetExceededError(RuntimeError):
     def __init__(self, space: int, budget: int, unit: str = "structures"):
-        super().__init__(f"search space of {space} {unit} exceeds budget {budget}")
+        super().__init__(f"search space of {_count_text(space)} {unit} exceeds budget {budget}")
         self.space = space
         self.budget = budget
 
@@ -525,7 +536,8 @@ def _table(kind: str, name: str, vals: list, n: int, arities: dict[str, int]) ->
     if name in arities:
         arity = arities[name]
         if len(vals) != n ** arity:
-            raise ValueError(f"{kind} {name}: expected {n ** arity} values, got {len(vals)}")
+            raise ValueError(
+                f"{kind} {name}: expected {_count_text(n ** arity)} values, got {len(vals)}")
     else:
         arity = _infer_arity(len(vals), n, name)
     return dict(zip(itertools.product(range(n), repeat=arity), vals))

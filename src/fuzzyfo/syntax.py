@@ -256,21 +256,11 @@ def is_literal(phi: Formula) -> bool:
     return isinstance(phi, Atom) or (isinstance(phi, Neg) and isinstance(phi.body, Atom))
 
 
-@dataclass(frozen=True)
-class Classification:
-    is_literal: bool
-    is_lattice_literal_combination: bool
-    is_purely_universal: bool
-    is_relational: bool
-    is_sentence: bool
-
-
-def _is_lattice_literal(phi: Formula) -> bool:
-    if is_literal(phi):
-        return True
+def is_lattice_literal_combination(phi: Formula) -> bool:
+    """phi is built from literals by /\\ and \\/ alone."""
     if isinstance(phi, (Meet, Join)):
-        return _is_lattice_literal(phi.left) and _is_lattice_literal(phi.right)
-    return False
+        return all(map(is_lattice_literal_combination, children(phi)))
+    return is_literal(phi)
 
 
 def is_quantifier_free(phi: Formula) -> bool:
@@ -288,23 +278,6 @@ def split_universal_prefix(phi: Formula) -> tuple[list[str], Formula]:
         prefix.append(phi.var)
         phi = phi.body
     return prefix, phi
-
-
-def classify(phi: Formula) -> Classification:
-    _, matrix = split_universal_prefix(phi)
-    relational = not any(
-        isinstance(t, App)
-        for s in subformulas(phi)
-        if isinstance(s, Atom)
-        for t in _walk_terms(*s.args)
-    )
-    return Classification(
-        is_literal=is_literal(phi),
-        is_lattice_literal_combination=_is_lattice_literal(phi),
-        is_purely_universal=is_quantifier_free(matrix),
-        is_relational=relational,
-        is_sentence=is_sentence(phi),
-    )
 
 
 def _walk_terms(*terms: Term) -> Iterator[Term]:

@@ -10,6 +10,7 @@ from fuzzyfo.cli import build_parser, main, run
 from fuzzyfo.syntax import format_formula
 
 from test_compiled import sentences
+from test_decision import balanced_join
 
 PHI = "exists x. (P(x) <-> ~P(x)) & forall x. exists y. (P(x) <-> (P(y) & P(y)))"
 
@@ -621,29 +622,62 @@ _fuzz_specs = st.one_of(
 )
 
 
+_formula_tokens = st.sampled_from([
+    "forall", "exists", "x", "y", ".", "(", ")", ",", "~", "&", "/\\", "\\/", "->", "<->",
+    "0", "1", "P", "Q", "R", "f", "g", "c", "d", "P(x)", "R(x, y)", "f(c)", "g(c, d)",
+])
+_stray = st.sampled_from(["$", "@", "#", "_", "'", "{", "\\", "/", "-", "<", ">", ":", "\t",
+                          "\n", "\u0662", "\u00e9", "\x00", "9" * 5])
+# names read as a function and as a constant: inferred parsing lets both through
+_clashes = st.sampled_from(["P(f(c), f)", "P(f) /\\ Q(f(c))", "forall x. R(x, g) -> R(g(x, x), x)",
+                            "exists y. P(c(y)) \\/ P(c)"])
+_pieces = st.one_of(_formula_tokens, _formula_tokens, _stray, _clashes)
+
+
+@st.composite
+def _raw_formula(draw):
+    """Formula text that need not parse: grammar tokens, stray characters and
+    clashing names, strung together or spliced into a printed sentence."""
+    if draw(st.booleans()):
+        parts = draw(st.lists(_pieces, max_size=14))
+        return "".join(part + draw(st.sampled_from(["", " "])) for part in parts)
+    text = format_formula(draw(sentences()))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(st.one_of(_pieces, st.just(""))) + text[j:]
+    return text
+
+
 @st.composite
 def _fuzz_argv(draw):
-    """argv of decide, reduce --verify, bsr or eval; eval's structure file text last."""
-    text = draw(st.one_of(sentences().map(format_formula), st.sampled_from(PREDICATE_FREE)))
+    """argv of decide, reduce --verify, bsr, eval, parse, star or herbrand;
+    eval's structure file text last."""
+    text = draw(st.one_of(sentences().map(format_formula), st.sampled_from(PREDICATE_FREE),
+                          _raw_formula()))
     spec = draw(_fuzz_specs)
-    command = draw(st.sampled_from(["decide", "reduce", "bsr", "eval"]))
+    command = draw(st.sampled_from(["decide", "reduce", "bsr", "eval", "parse", "star",
+                                    "herbrand"]))
     if command == "decide":
         return ["decide", "--set", draw(st.sampled_from(["taut0", "satpos", "sat1", "tautlt1"])),
                 "--chain", spec, "--max-domain", str(draw(st.integers(1, 3))),
                 "--formula", text], None
     if command == "reduce":
         return ["reduce", "--verify", "--chain", spec, "--formula", text], None
-    if command == "bsr":
-        return ["bsr", "--formula", text], None
+    if command in ("bsr", "parse", "star"):
+        return [command, "--formula", text], None
+    if command == "herbrand":
+        return ["herbrand", "--depth", str(draw(st.integers(0, 3))), "--formula", text], None
     return ["eval", "--chain", spec, "--formula", text], "\n".join(draw(_structure_lines())) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
 @given(_fuzz_argv())
 def test_cli_answers_in_the_chain_or_fails_on_one_line(tmp_path_factory, argv_and_structure):
-    """Any command on any sentence and chain spec: exit 0 with every value inside
-    the chain, or exit 1 with one `error:` line; never a traceback.  The budget
-    bounds every search, so each example runs in well under a second."""
+    """Any command on any sentence, formula text and chain spec: exit 0 with
+    every value inside the chain, or exit 1 with one `error:` line; never a
+    traceback.  The budget bounds every search, so each example runs in well
+    under a second."""
     argv, structure_text = argv_and_structure
     if structure_text is not None:
         structure = tmp_path_factory.getbasetemp() / "fuzz-cli.struct"
@@ -748,6 +782,29 @@ def test_eval_prices_the_walk_against_the_budget(tmp_path, monkeypatch):
     assert time.perf_counter() - start < 0.5
     assert code == 1 and text.endswith(
         " assignments at quantifier depth 1 exceeds budget 10000000\n"), text
+
+
+def test_counts_too_long_to_print_are_named_by_size(tmp_path):
+    # str() refuses integers past 4,300 digits; the messages name their size
+    assert run(["decide", "--set", "sat1", "--chain", "luk:2048", "--max-domain", "1",
+                "--formula", balanced_join([f"P{i}" for i in range(1400)])]) == (
+        1, "error: search space of about 10^4635 structures exceeds budget 10000000\n")
+    vocab = tmp_path / "p2.voc"
+    vocab.write_text("pred P/2\n")
+    structure = tmp_path / "m.struct"
+    structure.write_text(f"domain {10 ** 2999}\npred P : #1 #1 #1 #1\n")
+    assert run(["eval", "--vocab", str(vocab), "--chain", "luk:3", "--formula", "P(x, x)",
+                "--structure", str(structure)]) == (
+        1, "error: pred P: expected about 10^5998 values, got 4\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["parse"], ["bsr"], ["herbrand"], ["reduce"], ["decide", "--set", "sat1", "--chain", "luk:3"],
+], ids=lambda argv: argv[0])
+def test_a_name_used_as_function_and_constant_is_refused(command):
+    # inferred parsing reads `f(c)` as a function and a bare `f` as a constant
+    assert run(command + ["--formula", "P(f(c), f)"]) == (
+        1, "error: predicate/function/constant names must be disjoint\n")
 
 
 # -- input files under fuzzing -------------------------------------------------

@@ -121,6 +121,24 @@ def test_classical_contradiction_guards():
         is_classical_contradiction_prop(parse(wide), budget=3)
 
 
+def balanced_join(names):
+    """`\\/` over the names as a balanced tree, so that nesting stays shallow."""
+    if len(names) == 1:
+        return names[0]
+    half = len(names) // 2
+    return f"({balanced_join(names[:half])} \\/ {balanced_join(names[half:])})"
+
+
+def test_a_space_too_long_to_print_raises_the_budget_error():
+    # 1,400 zero-ary atoms on luk:2048 give 2048^1400 structures, a number
+    # of 4,636 digits; str() refuses past 4,300, so it is named by its size
+    phi = parse(balanced_join([f"P{i}" for i in range(1400)]))
+    with pytest.raises(BudgetExceededError) as info:
+        sat1_bounded([make_lukasiewicz_chain(2048)], phi, 1)
+    assert str(info.value) == "search space of about 10^4635 structures exceeds budget 10000000"
+    assert info.value.space == 2048 ** 1400
+
+
 def test_prop_satisfiable_returns_model():
     phi = parse("(P(c) \\/ Q(c)) /\\ ~P(c)")
     model = prop_satisfiable(phi)

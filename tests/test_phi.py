@@ -12,7 +12,9 @@ from fuzzyfo.phi import (
     consistency_check_valuesets, eval_phi_on_valueset, phi_fin_refutation, phi_maximum,
     phi_sentence, phi_truncated_witness, witness_family,
 )
-from fuzzyfo.syntax import FragmentError, classify, format_formula, parse, star_translate
+from fuzzyfo.syntax import (
+    FragmentError, format_formula, is_sentence, parse, star_translate, vocabulary_of,
+)
 
 
 def oracle_phi_value(values):
@@ -52,8 +54,7 @@ def test_phi_parses_back():
 
 
 def test_phi_classification():
-    flags = classify(phi_sentence())
-    assert flags.is_sentence and flags.is_relational
+    assert is_sentence(phi_sentence()) and not vocabulary_of(phi_sentence()).functions
     with pytest.raises(FragmentError):
         star_translate(phi_sentence())
 

@@ -12,8 +12,9 @@ from fuzzyfo.reduction import (
 )
 from fuzzyfo.semantics import Structure, eval
 from fuzzyfo.syntax import (
-    Atom, Const, Exists, Forall, Join, Meet, Neg, Var, Vocabulary, VocabularyError, classify,
-    format_formula, parse, star_translate,
+    Atom, Const, Exists, Forall, Join, Meet, Neg, Var, Vocabulary, VocabularyError,
+    format_formula, is_lattice_literal_combination, is_quantifier_free, is_sentence, parse,
+    split_universal_prefix, star_translate,
 )
 
 B2 = make_lukasiewicz_chain(2)
@@ -37,7 +38,7 @@ def test_to_purely_universal_skolem_function():
     out, vocab = to_purely_universal(parse("forall x. exists y. (R(x, y) /\\ ~R(x, y))"))
     assert format_formula(out) == "forall x. (R(x, sk_0(x)) /\\ ~R(x, sk_0(x)))"
     assert vocab.functions["sk_0"] == 1
-    assert classify(out).is_purely_universal
+    assert is_quantifier_free(split_universal_prefix(out)[1])
 
 
 def test_to_purely_universal_relational_violation():
@@ -66,12 +67,12 @@ def test_hardness_reduce_stage_contracts():
     ]
     for text in corpus:
         trace = hardness_reduce(parse(text))
-        assert classify(trace.purely_universal_form).is_purely_universal
+        assert is_quantifier_free(split_universal_prefix(trace.purely_universal_form)[1])
         prefixless = trace.lattice_matrix_form
         while hasattr(prefixless, "var"):
             prefixless = prefixless.body
-        assert classify(prefixless).is_lattice_literal_combination
-        assert classify(trace.star_output).is_sentence
+        assert is_lattice_literal_combination(prefixless)
+        assert is_sentence(trace.star_output)
 
 
 def test_hardness_reduce_star_output_example():

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from fuzzyfo.syntax import (
     Atom, BOTTOM, Biimpl, Const, Exists, Forall, FragmentError, Impl, Join,
     Meet, Neg, ParseError, StrongConj, TOP, TruthConst, Var, App, Vocabulary,
-    VocabularyError, MAX_NESTING, children, classical_nnf, classify, ensure_constant,
+    VocabularyError, MAX_NESTING, children, classical_nnf, ensure_constant,
     format_formula, format_term, free_vars, herbrand_levels, herbrand_universe,
-    herbrand_universe_sizes, parse, parse_vocabulary, rebuild, skolemize,
-    split_universal_prefix, star_translate, substitute, vocabulary_of,
+    herbrand_universe_sizes, is_lattice_literal_combination, is_quantifier_free, parse,
+    parse_vocabulary, rebuild, skolemize, split_universal_prefix, star_translate,
+    substitute, vocabulary_of,
 )
 
 VOCAB = Vocabulary(
@@ -174,12 +175,12 @@ def test_star_commutes_with_meet():
 
 
 def test_classify_examples():
-    assert classify(parse("P(c) /\\ (~Q(c) \\/ P(c))", VOCAB)).is_lattice_literal_combination
-    flags = classify(parse("forall x. forall y. (P(x) \\/ ~P(y))", VOCAB))
-    assert flags.is_purely_universal and flags.is_relational
-    flags = classify(parse("forall x. exists y. P(f(x))", VOCAB))
-    assert not flags.is_purely_universal
-    assert not flags.is_relational
+    assert is_lattice_literal_combination(parse("P(c) /\\ (~Q(c) \\/ P(c))", VOCAB))
+    phi = parse("forall x. forall y. (P(x) \\/ ~P(y))", VOCAB)
+    assert is_quantifier_free(split_universal_prefix(phi)[1]) and not vocabulary_of(phi).functions
+    phi = parse("forall x. exists y. P(f(x))", VOCAB)
+    assert not is_quantifier_free(split_universal_prefix(phi)[1])
+    assert vocabulary_of(phi).functions
 
 
 def test_classical_nnf_examples():
@@ -191,7 +192,7 @@ def test_classical_nnf_examples():
 def test_classical_nnf_quantifier_free_is_lattice_literal():
     for text in ["P(c) -> (Q(c) <-> ~P(d))", "~(P(c) & ~Q(c))", "~~P(c)"]:
         nnf = classical_nnf(parse(text, VOCAB))
-        assert classify(nnf).is_lattice_literal_combination
+        assert is_lattice_literal_combination(nnf)
 
 
 def _fold(phi):
