@@ -49,6 +49,11 @@ def _budget() -> int:
     return budget
 
 
+def _sum_of_squares(n: int) -> int:
+    """1^2 + 2^2 + ... + n^2, for n >= 0."""
+    return n * (n + 1) * (2 * n + 1) // 6
+
+
 def _read_file(path: str) -> str:
     try:
         with open(path) as fh:
@@ -206,6 +211,7 @@ def cmd_decide(args, budget: int) -> Report:
 
 def cmd_star(args, budget: int) -> Report:
     formula = _load_formula(args)
+    syntax.vocabulary_of(formula)  # refuses a name read as two kinds of symbol
     starred = syntax.star_translate(formula)
     report = Report()
     report.add("input", syntax.format_formula(formula))
@@ -305,6 +311,11 @@ def cmd_check_lemma1(args, budget: int) -> Report:
         # refused before any chain is built, not after building them all
         raise CliError(
             f"--luk {args.luk} above the named-chain cap {chains_mod.MAX_NAMED_CHAIN_SIZE}")
+    # each size k in 2..luk builds two chains of two k x k tables: the entries
+    # are priced before any chain is built or enumerated
+    entries = 4 * (_sum_of_squares(max(args.luk, 1)) - 1)
+    if entries > budget:
+        raise semantics.BudgetExceededError(entries, budget, "chain table entries")
     report = Report()
     total = 0
     for size in range(2, args.enum + 1):
@@ -341,7 +352,7 @@ def cmd_phi_witness(args, budget: int) -> Report:
     if args.n < 1:
         raise CliError(f"n {args.n} below minimum 1")
     # row N walks Phi's body for at most N^2 pairs (x, y): cubic in n overall
-    evaluations = args.n * (args.n + 1) * (2 * args.n + 1) // 6
+    evaluations = _sum_of_squares(args.n)
     if evaluations > budget:
         raise semantics.BudgetExceededError(evaluations, budget, "Phi body evaluations")
     report = Report()

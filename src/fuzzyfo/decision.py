@@ -23,7 +23,7 @@ from .semantics import (
 )
 from .syntax import (
     App, Atom, BOTTOM, MAX_NESTING, Const, Exists, Formula, FragmentError, Join,
-    Meet, Neg, Term, TruthConst, Var, classical_nnf, ensure_constant,
+    Meet, Neg, TOP, Term, TruthConst, Var, classical_nnf, ensure_constant,
     format_formula, herbrand_levels, herbrand_universe_sizes, is_quantifier_free,
     is_sentence, split_universal_prefix, substitute, vocabulary_of,
 )
@@ -130,43 +130,6 @@ def sat1_bounded(K: ChainClass, phi: Formula, max_domain: int,
 # conjunction it names.  DPLL with two watched literals and unit propagation
 # solves the clauses, branching on the lowest unassigned variable, true first.
 
-class _Grounder:
-    """Interned closed terms and ground atoms; SAT variables number from 1."""
-
-    def __init__(self):
-        self.term_ids: dict = {}  # Const or Var, or (function, argument ids...) -> id
-        self.terms: list[Term] = []
-        self.atom_ids: dict = {}  # (predicate, argument ids...) -> variable
-        self.atom_keys: list = [None]  # variable -> atom key; None for auxiliaries
-
-    def term(self, t: Term) -> int:
-        if isinstance(t, App):
-            return self.app((t.func,) + tuple(self.term(a) for a in t.args))
-        tid = self.term_ids.get(t)
-        if tid is None:
-            tid = self.term_ids[t] = len(self.terms)
-            self.terms.append(t)
-        return tid
-
-    def app(self, key: tuple) -> int:
-        tid = self.term_ids.get(key)
-        if tid is None:
-            tid = self.term_ids[key] = len(self.terms)
-            self.terms.append(App(key[0], tuple(self.terms[i] for i in key[1:])))
-        return tid
-
-    def atom(self, key: tuple) -> int:
-        var = self.atom_ids.get(key)
-        if var is None:
-            var = self.atom_ids[key] = len(self.atom_keys)
-            self.atom_keys.append(key)
-        return var
-
-    def fresh(self) -> int:
-        self.atom_keys.append(None)
-        return len(self.atom_keys) - 1
-
-
 def _operands(phi: Formula, cls: type) -> list[Formula]:
     """The operands of a chain of cls nodes, left to right."""
     out: list[Formula] = []
@@ -183,8 +146,10 @@ def _operands(phi: Formula, cls: type) -> list[Formula]:
 class _Instances:
     """The instances of an NNF matrix, compiled to clauses once and each grounded once.
 
-    The k-th prefix variable is an instance's k-th argument and `bind` fixes
-    other variables to term ids; any other variable is a constant.  An
+    Closed terms are interned to term ids (`terms`) and ground atoms to SAT
+    variables numbered from 1 (`atom_keys`, None for an auxiliary).  The k-th
+    prefix variable is an instance's k-th argument and `bind` fixes other
+    variables to closed terms; any other variable is a constant.  An
     instance is its tuple of term ids, and its clauses are kept as one group,
     so a set of instances is one SAT call.  The clauses are compiled over
     slots: a slot is an atom, kept as (predicate, term templates), or None
@@ -193,14 +158,17 @@ class _Instances:
     instance's k-th argument, or (function, term templates...).
     """
 
-    def __init__(self, matrix: Formula, grounder: _Grounder, bind: dict[str, int],
-                 prefix: Sequence[str]):
-        self.grounder = grounder
+    def __init__(self, matrix: Formula, bind: dict[str, Term], prefix: Sequence[str]):
+        self.term_ids: dict = {}  # Const or Var, or (function, argument ids...) -> id
+        self.terms: list[Term] = []
+        self.atom_ids: dict = {}  # (predicate, argument ids...) -> variable
+        self.atom_keys: list = [None]  # variable -> atom key; None for auxiliaries
         self.arity = len(prefix)
         self.slots: list = []
         self.clauses: list[list[int]] = []
         self.groups: dict[tuple[int, ...], list[list[int]]] = {}
-        self._bind = {**bind, **{v: ~k for k, v in enumerate(prefix)}}
+        self._bind = {**{v: self.term(t) for v, t in bind.items()},
+                      **{v: ~k for k, v in enumerate(prefix)}}
         self._atom_slots: dict = {}
         # classical_nnf folds 0 and 1 away below the root, so only a
         # conjunct can still be a truth constant
@@ -211,18 +179,35 @@ class _Instances:
             else:
                 self.clauses.append(self._part(conjunct))
 
-    def _term(self, t: Term):
+    def term(self, t: Term) -> int:
+        """The id of the closed term t, interned on first sight."""
+        if isinstance(t, App):
+            return self._app((t.func,) + tuple(self.term(a) for a in t.args))
+        tid = self.term_ids.get(t)
+        if tid is None:
+            tid = self.term_ids[t] = len(self.terms)
+            self.terms.append(t)
+        return tid
+
+    def _app(self, key: tuple) -> int:
+        tid = self.term_ids.get(key)
+        if tid is None:
+            tid = self.term_ids[key] = len(self.terms)
+            self.terms.append(App(key[0], tuple(self.terms[i] for i in key[1:])))
+        return tid
+
+    def _template(self, t: Term):
         if isinstance(t, Var) and t.name in self._bind:
             return self._bind[t.name]
         if isinstance(t, App):
-            args = tuple(self._term(a) for a in t.args)
+            args = tuple(self._template(a) for a in t.args)
             if all(type(a) is int and a >= 0 for a in args):
-                return self.grounder.app((t.func,) + args)
+                return self._app((t.func,) + args)
             return (t.func,) + args
-        return self.grounder.term(t)
+        return self.term(t)
 
     def _slot(self, atom: Atom) -> int:
-        args = tuple(self._term(t) for t in atom.args)
+        args = tuple(self._template(t) for t in atom.args)
         key = (atom.pred, args)
         slot = self._atom_slots.get(key)
         if slot is None:
@@ -247,17 +232,26 @@ class _Instances:
         raise FragmentError("classical satisfiability needs a quantifier-free formula, "
                             f"got {format_formula(phi)!r}")
 
+    def _ground_term(self, t, args: tuple[int, ...]) -> int:
+        if type(t) is int:
+            return t if t >= 0 else args[~t]
+        return self._app((t[0],) + tuple(self._ground_term(s, args) for s in t[1:]))
+
     def ground(self, args: tuple[int, ...]) -> list[list[int]]:
         """The clauses of the instance whose k-th argument is the term id args[k]."""
-        grounder = self.grounder
+        atom_ids, atom_keys = self.atom_ids, self.atom_keys
         var = []
         for slot in self.slots:
             if slot is None:
-                var.append(grounder.fresh())
+                var.append(len(atom_keys))
+                atom_keys.append(None)
                 continue
-            pred, targs = slot
-            var.append(grounder.atom((pred,) + tuple(_ground_term(t, args, grounder)
-                                                     for t in targs)))
+            key = (slot[0],) + tuple(self._ground_term(t, args) for t in slot[1])
+            v = atom_ids.get(key)
+            if v is None:
+                v = atom_ids[key] = len(atom_keys)
+                atom_keys.append(key)
+            var.append(v)
         return [[var[s] if s >= 0 else -var[~s] for s in clause] for clause in self.clauses]
 
     def over(self, universe: list[int], budget: int) -> list[tuple[int, ...]]:
@@ -274,13 +268,7 @@ class _Instances:
     def contradictory(self, keys: Sequence[tuple[int, ...]], budget: int) -> bool:
         """Whether the instances' clauses are unsatisfiable; no model is decoded."""
         clauses = [clause for key in keys for clause in self.groups[key]]
-        return _dpll(len(self.grounder.atom_keys) - 1, clauses, budget) is None
-
-
-def _ground_term(t, args: tuple[int, ...], grounder: _Grounder) -> int:
-    if type(t) is int:
-        return t if t >= 0 else args[~t]
-    return grounder.app((t[0],) + tuple(_ground_term(s, args, grounder) for s in t[1:]))
+        return _dpll(len(self.atom_keys) - 1, clauses, budget) is None
 
 
 def _dpll(n_vars: int, clauses: list[list[int]], budget: int) -> Optional[list[int]]:
@@ -377,19 +365,20 @@ def prop_satisfiable(phi: Formula | Sequence[Formula],
                      budget: int = DEFAULT_BUDGET) -> Optional[dict[Atom, int]]:
     """Classical satisfiability of closed quantifier-free formulas.
 
-    phi is one formula or a list of conjuncts.  Returns a satisfying
-    valuation of the atoms the clauses mention (any other atom may take 0),
-    or None.  Raises BudgetExceededError after `budget` DPLL decisions.
+    phi is one formula or a list of conjuncts, grounded as one matrix.
+    Returns a satisfying valuation of the atoms the clauses mention (any
+    other atom may take 0), or None.  Raises BudgetExceededError after
+    `budget` DPLL decisions.
     """
-    grounder, clauses = _Grounder(), []
-    for conjunct in (phi if isinstance(phi, (list, tuple)) else [phi]):
-        clauses += _Instances(classical_nnf(conjunct), grounder, {}, ()).ground(())
-    value = _dpll(len(grounder.atom_keys) - 1, clauses, budget)
+    conjuncts = phi if isinstance(phi, (list, tuple)) else [phi]
+    instances = _Instances(reduce(Meet, map(classical_nnf, conjuncts), TOP), {}, ())
+    clauses = instances.ground(())  # first: grounding numbers the atoms _dpll counts
+    value = _dpll(len(instances.atom_keys) - 1, clauses, budget)
     if value is None:
         return None
-    terms = grounder.terms
+    terms = instances.terms
     return {Atom(key[0], tuple(terms[i] for i in key[1:])): int(value[var] == 1)
-            for var, key in enumerate(grounder.atom_keys) if key is not None and value[var]}
+            for var, key in enumerate(instances.atom_keys) if key is not None and value[var]}
 
 
 def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) -> bool:
@@ -420,19 +409,16 @@ def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
         raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
     if not is_sentence(phi):
         raise FragmentError("Bernays-Schonfinkel decider needs a sentence")
-    grounder = _Grounder()
-    universe = [grounder.term(Const(c)) for c in sorted(vocab.constants)]
     matrix, skolem = classical_nnf(phi), {}
     while isinstance(matrix, Exists):
-        skolem[matrix.var] = grounder.term(Const(f"@{len(skolem)}"))
+        skolem[matrix.var] = Const(f"@{len(skolem)}")
         matrix = matrix.body
     forall_vars, matrix = split_universal_prefix(matrix)
     if not is_quantifier_free(matrix):
         raise FragmentError("not an exists*-forall* prefix sentence")
-    universe += skolem.values()
-    if not universe:
-        universe.append(grounder.term(Const("@0")))
-    instances = _Instances(matrix, grounder, skolem, forall_vars)
+    instances = _Instances(matrix, skolem, forall_vars)
+    universe = [Const(c) for c in sorted(vocab.constants)] + list(skolem.values())
+    universe = [instances.term(t) for t in universe or [Const("@0")]]
     sat = not instances.contradictory(instances.over(universe, budget), budget)
     bound = len(universe)
     return Verdict("decided", decided=sat,
@@ -474,8 +460,7 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     if max_depth < 0:
         raise ValueError(f"max depth must be at least 0, got {max_depth}")
     vocab = ensure_constant(vocabulary_of(phi))
-    grounder = _Grounder()
-    instances = _Instances(classical_nnf(matrix), grounder, {}, prefix)
+    instances = _Instances(classical_nnf(matrix), {}, prefix)
     levels = herbrand_levels(vocab)
     universe: list[int] = []
     searched = 0
@@ -483,12 +468,12 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     for depth, size in zip(depths, herbrand_universe_sizes(vocab)):
         if depth and size ** len(prefix) > HERBRAND_INSTANCE_CAP:
             break
-        universe += [grounder.term(t) for t in next(levels)]
+        universe += [instances.term(t) for t in next(levels)]
         keys = instances.over(universe, budget)
         if instances.contradictory(keys, budget):
             keep = _greedy_minimal(len(keys), lambda idx: instances.contradictory(
                 [keys[i] for i in idx], budget))
-            terms = tuple(tuple(grounder.terms[t] for t in keys[i]) for i in keep)
+            terms = tuple(tuple(instances.terms[t] for t in keys[i]) for i in keep)
             return HerbrandWitness(depth, len(keep), terms, reduce(Meet, [
                 substitute(matrix, dict(zip(prefix, args))) for args in terms]))
         searched = depth

@@ -39,6 +39,14 @@ def _count_text(n: int) -> str:
         return f"about 10^{k}"
 
 
+def _power_text(base: int, exp: int) -> str:
+    """base ** exp as `_count_text` names it or, when it has over 2^15 bits,
+    as `base^exp` without building it."""
+    if exp * (base.bit_length() - 1) >= 1 << 15:
+        return f"{_count_text(base)}^{exp}"
+    return _count_text(base ** exp)
+
+
 class BudgetExceededError(RuntimeError):
     def __init__(self, space: int, budget: int, unit: str = "structures"):
         super().__init__(f"search space of {_count_text(space)} {unit} exceeds budget {budget}")
@@ -535,9 +543,11 @@ def _table(kind: str, name: str, vals: list, n: int, arities: dict[str, int]) ->
     """Key a row-major table by argument tuples; the vocabulary's arity wins."""
     if name in arities:
         arity = arities[name]
-        if len(vals) != n ** arity:
+        # for n > 1, n^arity >= 2^arity exceeds any row shorter than 2^arity,
+        # so such an arity is refused before its power is built
+        if (n > 1 and arity >= len(vals).bit_length()) or len(vals) != n ** arity:
             raise ValueError(
-                f"{kind} {name}: expected {_count_text(n ** arity)} values, got {len(vals)}")
+                f"{kind} {name}: expected {_power_text(n, arity)} values, got {len(vals)}")
     else:
         arity = _infer_arity(len(vals), n, name)
     return dict(zip(itertools.product(range(n), repeat=arity), vals))

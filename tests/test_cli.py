@@ -649,15 +649,33 @@ def _raw_formula(draw):
     return text
 
 
+# integer options: small, on either side of the enumeration cap 7, of
+# phi-report's cap 64 and of the named-chain cap 2048, negative and huge
+_int_options = st.one_of(
+    st.integers(-2, 9), st.sampled_from([1, 2, 7, 8, 64, 65, 2048, 2049]),
+    st.integers(max_value=-1), st.integers(min_value=10 ** 6),
+).map(str) | st.sampled_from(["9" * 4300, "9" * 4301])
+_INT_COMMANDS = {"enum-chains": ["--size"], "check-lemma1": ["--enum", "--luk"],
+                 "phi-report": ["--max-k"], "phi-witness": ["--n"]}
+
+
 @st.composite
 def _fuzz_argv(draw):
-    """argv of decide, reduce --verify, bsr, eval, parse, star or herbrand;
-    eval's structure file text last."""
+    """argv of decide, reduce --verify, verify-reduction, bsr, eval, parse,
+    star, herbrand or one of the integer-option commands; eval's structure
+    file text last."""
     text = draw(st.one_of(sentences().map(format_formula), st.sampled_from(PREDICATE_FREE),
                           _raw_formula()))
     spec = draw(_fuzz_specs)
-    command = draw(st.sampled_from(["decide", "reduce", "bsr", "eval", "parse", "star",
-                                    "herbrand"]))
+    command = draw(st.sampled_from(["decide", "reduce", "verify-reduction", "bsr", "eval",
+                                    "parse", "star", "herbrand", *_INT_COMMANDS]))
+    if command in _INT_COMMANDS:
+        argv = [command] + [arg for option in _INT_COMMANDS[command]
+                            for arg in (option, draw(_int_options))]
+        return argv + (["--tables"] if command == "enum-chains" and draw(st.booleans()) else []), None
+    if command == "verify-reduction":
+        return ["verify-reduction", "--chain", spec, "--max-domain", draw(_int_options),
+                "--max-depth", draw(_int_options), "--formula", text], None
     if command == "decide":
         return ["decide", "--set", draw(st.sampled_from(["taut0", "satpos", "sat1", "tautlt1"])),
                 "--chain", spec, "--max-domain", str(draw(st.integers(1, 3))),
@@ -798,8 +816,33 @@ def test_counts_too_long_to_print_are_named_by_size(tmp_path):
         1, "error: pred P: expected about 10^5998 values, got 4\n")
 
 
+def test_a_vocabulary_arity_is_refused_before_its_power_is_built(tmp_path):
+    # 10^3000000 has a million decimal digits; a 2-value row cannot match it
+    vocab = tmp_path / "big.voc"
+    vocab.write_text("pred P/3000000\npred Q/0\n")
+    structure = tmp_path / "m.struct"
+    structure.write_text("domain 10\npred P : #0 #1\npred Q : #1\n")
+    start = time.perf_counter()
+    assert run(["eval", "--vocab", str(vocab), "--chain", "luk:3", "--formula", "Q",
+                "--structure", str(structure)]) == (
+        1, "error: pred P: expected 10^3000000 values, got 2\n")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_check_lemma1_prices_its_named_chains_before_building(monkeypatch):
+    # sizes 2..500 would build two chains of two k x k tables each
+    monkeypatch.setenv("FUZZYFO_BUDGET", "100")
+    start = time.perf_counter()
+    assert run(["check-lemma1", "--enum", "2", "--luk", "500"]) == (
+        1, "error: search space of 167166996 chain table entries exceeds budget 100\n")
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.delenv("FUZZYFO_BUDGET")
+    assert "chains-checked: 79" in ok(["check-lemma1", "--enum", "2", "--luk", "40"])
+
+
 @pytest.mark.parametrize("command", [
     ["parse"], ["bsr"], ["herbrand"], ["reduce"], ["decide", "--set", "sat1", "--chain", "luk:3"],
+    ["star"],
 ], ids=lambda argv: argv[0])
 def test_a_name_used_as_function_and_constant_is_refused(command):
     # inferred parsing reads `f(c)` as a function and a bare `f` as a constant
