@@ -241,7 +241,7 @@ def make_boolean_chain() -> FiniteChain:
 
 
 def enumerate_mtl_chains(size: int) -> Iterator[FiniteChain]:
-    """Yield every MTL-chain of the given size, once, in lexicographic table order.
+    """An iterator over every MTL-chain of the given size, once, in lexicographic table order.
 
     The free entries are t[x][y] for 1 <= x <= y <= size-2 (row 0 and the top
     row/column are forced).  Backtracking assigns them in lexicographic
@@ -251,6 +251,7 @@ def enumerate_mtl_chains(size: int) -> Iterator[FiniteChain]:
     still validated in full by `make_chain_from_table`, which checks each
     law a row at a time on byte rows; the pruning already guarantees every
     law, so a table it rejects is a pruning bug and its error propagates.
+    The size is checked when this is called, not when the first chain is asked for.
     """
     if size < 2:
         raise EnumerationCapError(f"size {size} below minimum 2")
@@ -282,7 +283,7 @@ def enumerate_mtl_chains(size: int) -> Iterator[FiniteChain]:
         table[x][y] = 0
         table[y][x] = 0
 
-    yield from assign(0)
+    return assign(0)
 
 
 def _associative_through(t: Sequence[Sequence[int]], x: int) -> bool:

@@ -99,10 +99,9 @@ def _parse_chain_spec(spec: str) -> list[chains_mod.FiniteChain]:
         return [chains_mod.make_godel_chain(size)]
     if size < 2:
         raise CliError(f"size {size} below minimum 2")
-    out = []
-    for s in range(2, size + 1):
-        out.extend(chains_mod.enumerate_mtl_chains(s))
-    return out
+    # every size is checked against the cap before any chain is built
+    sizes = [chains_mod.enumerate_mtl_chains(s) for s in range(2, size + 1)]
+    return [chain for chains in sizes for chain in chains]
 
 
 def _load_chains(args) -> list[chains_mod.FiniteChain]:
@@ -316,10 +315,12 @@ def cmd_check_lemma1(args, budget: int) -> Report:
     entries = 4 * (_sum_of_squares(max(args.luk, 1)) - 1)
     if entries > budget:
         raise semantics.BudgetExceededError(entries, budget, "chain table entries")
+    # every size is checked against the cap before any chain is built
+    sizes = [chains_mod.enumerate_mtl_chains(size) for size in range(2, args.enum + 1)]
     report = Report()
     total = 0
-    for size in range(2, args.enum + 1):
-        for chain in chains_mod.enumerate_mtl_chains(size):
+    for size, chains in enumerate(sizes, 2):
+        for chain in chains:
             total += 1
             witness = chains_mod.check_square_meet_law(chain)
             if witness is not None:

@@ -18,8 +18,8 @@ from .chains import FiniteChain, check_square_meet_law, make_boolean_chain
 # and eval_propositional are no longer called here, but perfbench/tracing.py wraps
 # them at this binding, so the names stay importable from this module.
 from .decision import (
-    HerbrandWitness, dual_herbrand_search, herbrand_verdict, is_classical_contradiction_prop,
-    purely_universal_contradiction, sat1_bounded, sat_pos_bounded, taut0_bounded,
+    dual_herbrand_search, is_classical_contradiction_prop, purely_universal_contradiction,
+    sat1_bounded, sat_pos_bounded, taut0_bounded,
 )
 from .semantics import (
     DEFAULT_BUDGET, Structure, enumerate_structures, eval, eval_propositional,
@@ -150,16 +150,16 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
     size, once it is the star of a lattice-literal matrix and Lemma 1 holds
     on K: were it above 0 in M, the B2 structure M+ (P(d) iff P(d)^2 > 0)
     would model the matrix.  A non-contradiction's B2 model must lift to a
-    top value on every chain.  `max_domain` bounds the B2 search only.
+    top value on every chain.  A relational input's model comes from the
+    Herbrand search's SAT call; `max_domain` bounds the B2 search for the rest.
     """
     if max_domain < 1:
         raise ValueError(f"max domain must be at least 1, got {max_domain}")
     pu = trace.purely_universal_form
-    # one search certifies the input and, for a contradiction, gives the witness
-    found = dual_herbrand_search(pu, max_depth, budget=budget)
-    cert = herbrand_verdict(pu, found, max_depth)
-
-    if isinstance(found, HerbrandWitness):
+    # the one classical search: a witness, a relational model, or neither
+    cert = dual_herbrand_search(pu, max_depth, budget=budget)
+    found = cert.herbrand
+    if found is not None:
         report = VerificationReport(True, cert.reason, (
             ("herbrand witness is a propositional contradiction",
              is_classical_contradiction_prop(found.conjunction, budget),
@@ -167,23 +167,17 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
             _star_shape_check(trace),
             _square_meet_check(K),
         ))
-    elif cert.kind == "decided":
-        # a relational purely universal non-contradiction always has a model at
-        # the Bernays-Schonfinkel bound (#constants), which may exceed max_domain
-        bound = max(1, len(vocabulary_of(pu).constants))
-        report = _verify_non_contradiction(
-            trace, K, cert.reason, _find_b2_model(pu, max(max_domain, bound), budget))
     else:
-        # full-vocabulary input with no witness in depth: try to certify
-        # non-contradiction through a B2 model instead
-        model = _find_b2_model(pu, max_domain, budget)
+        model = cert.structure or _find_b2_model(pu, max_domain, budget)
         if model is None:
+            capped = f" ({cert.reason})" if cert.reason else ""
             raise ReductionBoundsError(
                 "cannot certify the input either way within bounds: "
-                f"Herbrand search exhausted at {found.bounds} and no B2 model "
+                f"Herbrand search exhausted at {cert.bounds}{capped} and no B2 model "
                 f"with domain <= {max_domain}")
-        report = _verify_non_contradiction(
-            trace, K, f"B2 model with domain {model.domain_size}", model)
+        certificate = (cert.reason if model is cert.structure
+                       else f"B2 model with domain {model.domain_size}")
+        report = _verify_non_contradiction(trace, K, certificate, model)
 
     if not report.consistent:
         failed = "; ".join(f"check [{name}] ({detail})"
@@ -193,11 +187,10 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
 
 
 def _verify_non_contradiction(trace: ReductionTrace, K: Sequence[FiniteChain], certificate: str,
-                              model: Optional[Structure]) -> VerificationReport:
+                              model: Structure) -> VerificationReport:
     """A B2 model must lift to the top value, a SAT+ and SAT1 witness, on every chain."""
-    checks = [("B2 model of the purely universal form exists", model is not None,
-               f"domain {model.domain_size}" if model else "none in bounds")]
-    for chain in K if model else ():
+    checks = [("B2 model of the purely universal form exists", True, f"domain {model.domain_size}")]
+    for chain in K:
         value = eval(chain, _lift_structure(model, chain), trace.star_output)
         checks.append((f"lifted model gives star output top value on size-{chain.size} chain",
                        value == chain.top, f"value {value}"))

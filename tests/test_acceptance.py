@@ -17,7 +17,7 @@ from fuzzyfo.chains import (
 )
 from fuzzyfo.cli import run
 from fuzzyfo.decision import (
-    HerbrandWitness, bsr_decide, dual_herbrand_search,
+    bsr_decide, dual_herbrand_search,
     is_classical_contradiction_prop,
 )
 from fuzzyfo.phi import (
@@ -128,9 +128,9 @@ HERBRAND_CONTRADICTIONS = [
 def test_criterion_3_dual_herbrand_contradictions():
     witnessed = 0
     for text in HERBRAND_CONTRADICTIONS:
-        witness = dual_herbrand_search(parse(text), 2)
-        if isinstance(witness, HerbrandWitness) and \
-                is_classical_contradiction_prop(witness.conjunction):
+        out = dual_herbrand_search(parse(text), 2)
+        if out.herbrand is not None and out.decided and \
+                is_classical_contradiction_prop(out.herbrand.conjunction):
             witnessed += 1
     report(3, f"Herbrand witness at depth <= 2, itself a propositional "
               f"contradiction, for {witnessed}/10 corpus sentences",

@@ -396,6 +396,13 @@ def test_enumeration_cap_refused():
         list(enumerate_mtl_chains(8))
 
 
+@pytest.mark.parametrize("size", [1, 8])
+def test_enumeration_checks_the_size_when_called(size):
+    # not when the first chain is asked for, so a caller can check every size first
+    with pytest.raises(EnumerationCapError):
+        enumerate_mtl_chains(size)
+
+
 def test_derived_ops_lukasiewicz_3():
     c = make_lukasiewicz_chain(3)
     assert c.square(1) == 0

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzyfo import chains
 from fuzzyfo.cli import build_parser, main, run
 from fuzzyfo.syntax import format_formula
 
@@ -495,6 +496,20 @@ def test_chain_enumeration_above_the_fixed_cap_exits_1(argv):
     assert (code, text) == (
         1, "error: size 8 above cap 7: the table space grows too fast to enumerate\n")
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--set", "sat1", "--chain", "enum:8", "--formula", "P(c)"],
+    ["check-lemma1", "--enum", "8", "--luk", "2"],
+])
+def test_chain_enumeration_above_the_cap_builds_no_table(monkeypatch, argv):
+    # every size is checked before the smaller ones are enumerated
+    built = []
+    build = chains.make_chain_from_table
+    monkeypatch.setattr(chains, "make_chain_from_table", lambda *a: built.append(a) or build(*a))
+    assert run(argv) == (
+        1, "error: size 8 above cap 7: the table space grows too fast to enumerate\n")
+    assert built == []
 
 
 @pytest.mark.parametrize("argv", [["enum-chains", "--size", "3"], ["check-lemma1"]])

@@ -115,3 +115,22 @@ def test_the_search_layout_stays_behind_semantics():
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported & LAYOUT_NAMES == set()
+
+
+def _mentions(node, name, scope=()):
+    """The scope (enclosing class and function names) of each use of `name` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _mentions(child, name, scope + (child.name,))
+            continue
+        if name in (getattr(child, "id", None), getattr(child, "attr", None)):
+            yield ".".join(scope), isinstance(node, ast.Call) and node.func is child
+        yield from _mentions(child, name, scope)
+
+
+def test_the_sat_core_has_one_solver_entry():
+    # CDCL, assumptions and proof logging replace the solver behind one seam:
+    # every SAT question, prop_satisfiable's included, goes through it
+    sites = [(path.stem, where, called) for path in SOURCES
+             for where, called in _mentions(_tree(path), "_dpll")]
+    assert sites == [("decision", "_Instances.solve", True)]

@@ -161,14 +161,18 @@ def test_bsr_rejects_wrong_fragment():
 
 
 def test_dual_herbrand_depth0():
-    w = dual_herbrand_search(parse("forall x. (P(x) /\\ ~P(x))"), 2)
+    out = dual_herbrand_search(parse("forall x. (P(x) /\\ ~P(x))"), 2)
+    assert (out.kind, out.decided) == ("decided", True)
+    w = out.herbrand
     assert isinstance(w, HerbrandWitness)
     assert w.depth == 0 and w.m == 1
     assert is_classical_contradiction_prop(w.conjunction)
 
 
 def test_dual_herbrand_needs_depth1():
-    w = dual_herbrand_search(parse("forall x. (P(x) /\\ ~P(f(x)))"), 2)
+    out = dual_herbrand_search(parse("forall x. (P(x) /\\ ~P(f(x)))"), 2)
+    assert (out.kind, out.decided) == ("decided", True)
+    w = out.herbrand
     assert isinstance(w, HerbrandWitness)
     assert w.depth == 1 and w.m == 2
     assert is_classical_contradiction_prop(w.conjunction)
@@ -177,8 +181,12 @@ def test_dual_herbrand_needs_depth1():
 
 
 def test_dual_herbrand_exhausts_on_satisfiable():
-    out = dual_herbrand_search(parse("forall x. P(x)"), 3)
-    assert isinstance(out, Verdict) and out.kind == "exhausted"
+    # relational, so depth 0 decides it and the SAT call's model is the witness
+    phi = parse("forall x. P(x)")
+    out = dual_herbrand_search(phi, 3)
+    assert isinstance(out, Verdict) and out.herbrand is None
+    assert (out.kind, out.decided, out.bounds) == ("decided", False, "single domain size 1")
+    assert eval(B2, out.structure, phi) == 1
 
 
 def test_purely_universal_contradiction_relational():

@@ -58,7 +58,7 @@ def _patched(owner, attr):
 ], ids=["bsr", "reduce-verify"])
 def test_tracer_runs_the_ground_sat_paths_and_restores_every_name(argv, line, spans):
     # bsr and the verifier's Herbrand search reach the SAT core through
-    # `_Instances.contradictory`, not through the traced `prop_satisfiable`
+    # `_Instances.solve`, not through the traced `prop_satisfiable`
     tracing = _load_tracing()
     fz = SimpleNamespace(**{m: importlib.import_module(f"fuzzyfo.{m}") for m in MODULES})
     tracer = tracing.Tracer()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzyfo import reduction
+from fuzzyfo.cli import run
 from fuzzyfo.chains import enumerate_mtl_chains, make_lukasiewicz_chain
 from fuzzyfo.decision import dual_herbrand_search, HerbrandWitness, sat1_bounded, taut0_bounded
 from fuzzyfo.reduction import (
@@ -93,9 +94,9 @@ def test_equi_contradictoriness_via_herbrand_witnesses():
     phi = parse("forall x. exists y. (R(x, y) /\\ ~R(x, y))")
     trace = hardness_reduce(phi)
     w = dual_herbrand_search(trace.purely_universal_form, 2)
-    assert isinstance(w, HerbrandWitness)
+    assert w.decided and isinstance(w.herbrand, HerbrandWitness)
     w_lattice = dual_herbrand_search(trace.lattice_matrix_form, 2)
-    assert isinstance(w_lattice, HerbrandWitness)
+    assert w_lattice.decided and isinstance(w_lattice.herbrand, HerbrandWitness)
 
 
 def test_verify_contradiction_instance():
@@ -165,6 +166,37 @@ def test_verification_searches_for_the_b2_model_once(monkeypatch):
         ("B2 model of the purely universal form exists", True, "domain 1"),
         ("lifted model gives star output top value on size-3 chain", True, "value 2"),
     ))
+
+
+STRICT_ORDER_4 = ("R(a,b) /\\ R(a,c) /\\ R(a,d) /\\ R(b,c) /\\ R(b,d) /\\ R(c,d)"
+                  " /\\ ~R(a,a) /\\ ~R(b,b) /\\ ~R(c,c) /\\ ~R(d,d)")
+
+
+def test_relational_model_beyond_the_enumeration_budget_certifies():
+    # 2**24 B2 structures on domain 4: the model comes from the Herbrand SAT call
+    code, text = run(["verify-reduction", "--chain", "luk:3", "--formula", STRICT_ORDER_4])
+    assert code == 0, text
+    assert "certificate: Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 4\n" in text
+    assert "check [B2 model of the purely universal form exists]: pass (domain 4)\n" in text
+
+
+@pytest.mark.parametrize("text", [
+    STRICT_ORDER_4,
+    STRICT_ORDER_4 + " /\\ R(d,e) /\\ R(a,e) /\\ ~R(e,e)",
+    "forall x. P(x)",
+    "forall x. (P(x) \\/ ~P(x))",
+    "exists x. forall y. (Q(x) \\/ ~Q(y))",
+    "exists x. exists y. forall z. (R(x, z) /\\ ~R(y, z))",
+    "forall x. forall y. (R(x, y) -> R(y, x)) /\\ R(a, b) /\\ S",
+])
+def test_relational_non_contradictions_certify_without_a_b2_search(monkeypatch, text):
+    def refuse(*args):
+        raise AssertionError("relational input reached the B2 structure search")
+
+    monkeypatch.setattr(reduction, "_find_b2_model", refuse)
+    report = verify_reduction_instance(hardness_reduce(parse(text)), [B2, L3])
+    assert not report.is_contradiction and report.consistent
+    assert report.certificate.startswith("Bernays-Schonfinkel: satisfiable")
 
 
 def test_witness_contradiction_check_gets_the_verifier_budget(monkeypatch):

@@ -16,14 +16,15 @@ from fuzzyfo import decision, reduction
 from fuzzyfo.chains import enumerate_mtl_chains, make_boolean_chain
 from fuzzyfo.cli import run
 from fuzzyfo.decision import (
-    HERBRAND_INSTANCE_CAP, HerbrandWitness, _greedy_minimal, bsr_decide, dual_herbrand_search,
+    HERBRAND_INSTANCE_CAP, _greedy_minimal, bsr_decide, dual_herbrand_search,
     is_classical_contradiction_prop, prop_satisfiable, purely_universal_contradiction,
+    sat1_bounded,
 )
 from fuzzyfo.reduction import hardness_reduce, verify_reduction_instance
-from fuzzyfo.semantics import BudgetExceededError, eval_propositional
+from fuzzyfo.semantics import BudgetExceededError, eval, eval_propositional
 from fuzzyfo.syntax import (
-    BOTTOM, TOP, Atom, Biimpl, Const, Impl, Join, Meet, Neg, StrongConj, TruthConst, atoms_of,
-    parse, star_translate,
+    BOTTOM, TOP, Atom, Biimpl, Const, Forall, Impl, Join, Meet, Neg, StrongConj, TruthConst,
+    Var, atoms_of, parse, star_translate, vocabulary_of,
 )
 
 from oracles import _Cnf, _sat, _tseitin
@@ -163,6 +164,15 @@ def test_herbrand_search_honours_budget():
     with pytest.raises(BudgetExceededError, match="ground instances"):
         purely_universal_contradiction(phi, 2, 3)
     assert purely_universal_contradiction(phi, 2, 9).kind == "exhausted"
+
+
+def test_relational_model_tables_are_priced_before_they_are_built():
+    # one ground instance, no decision: only the total 5-ary table, 5**5 entries, is large
+    phi = parse("R(a, b, c, d, e)")
+    with pytest.raises(BudgetExceededError, match="^search space of 3125 B2 table entries"):
+        dual_herbrand_search(phi, 2, budget=3124)
+    out = dual_herbrand_search(phi, 2, budget=3125)
+    assert len(out.structure.predicates["R"]) == 3125 and eval(B2, out.structure, phi) == 1
 
 
 def test_bsr_matches_element_assignment_reference():
@@ -324,9 +334,30 @@ def test_herbrand_search_bounds_name_only_the_depths_searched():
 
 
 def test_herbrand_search_stops_where_no_depth_adds_an_instance():
-    for text in ("forall x. (P(x) \\/ Q(c))", "P(g(c, c, c)) \\/ Q(c)"):
-        out = dual_herbrand_search(parse(text), 9)
-        assert (out.kind, out.bounds) == ("exhausted", "term depth 0..0"), text
+    # relational: depth 0 holds every instance and decides the sentence
+    phi = parse("forall x. (P(x) \\/ Q(c))")
+    out = dual_herbrand_search(phi, 9)
+    assert (out.kind, out.decided, out.bounds) == ("decided", False, "single domain size 1")
+    assert eval(B2, out.structure, phi) == 1
+    out = dual_herbrand_search(parse("P(g(c, c, c)) \\/ Q(c)"), 9)
+    assert (out.kind, out.bounds) == ("exhausted", "term depth 0..0")
+
+
+def test_herbrand_search_names_the_instance_cap_that_stopped_it():
+    # depth 4 has 677 closed terms, so 677**2 instances: no --max-depth reaches it
+    t5 = "c"
+    for _ in range(5):
+        t5 = f"g({t5}, c)"
+    text = f"forall x. forall y. ((~P(x) \\/ ~P(y) \\/ P(g(x, y))) /\\ P(c) /\\ ~P({t5}))"
+    capped = "depth 4 has 458329 instances, above HERBRAND_INSTANCE_CAP 4096"
+    out = dual_herbrand_search(parse(text), 6)
+    assert (out.kind, out.reason, out.bounds) == ("exhausted", capped, "term depth 0..3")
+    assert dual_herbrand_search(parse(text), 3).reason == ""  # the depth bound stopped it
+    assert run(["reduce", "--verify", "--chain", "luk:3", "--max-depth", "6",
+                "--formula", text]) == (
+        1, "error: cannot certify the input either way within bounds: Herbrand search "
+           f"exhausted at term depth 0..3 ({capped}) and no B2 model with domain <= 2 "
+           "(raise them with --max-depth and --max-domain)\n")
 
 
 def test_herbrand_search_stops_at_the_nesting_limit():
@@ -426,5 +457,49 @@ def test_herbrand_witnesses_equal_one_at_a_time_deletion(monkeypatch):
     witnesses = 0
     for text, out in zip(texts, found):
         assert dual_herbrand_search(parse(text), 2) == out, text
-        witnesses += isinstance(out, HerbrandWitness) and out.m > 1
+        witnesses += out.herbrand is not None and out.herbrand.m > 1
     assert witnesses >= 40
+
+
+# -- relational sentences: the search decides and returns the model --------
+
+RELATIONAL_TERMS = [Var("x"), Var("y"), Const("a"), Const("b"), Const("c")]
+
+
+def _relational_universal(k: int):
+    """Purely universal sentences over P/1, R/2 and S/0 with k universal variables."""
+    terms = RELATIONAL_TERMS[2 - k:]
+    atoms = ([Atom("S")] + [Atom("P", (t,)) for t in terms]
+             + [Atom("R", (s, t)) for s in terms for t in terms])
+    matrices = st.recursive(
+        st.sampled_from(atoms),
+        lambda sub: st.one_of(
+            sub.map(Neg),
+            *(st.tuples(sub, sub).map(lambda lr, node=node: node(*lr))
+              for node in (Meet, Join, Impl)),
+        ),
+        max_leaves=8,
+    )
+    return matrices.map(lambda m: _forall(["x", "y"][2 - k:] if k else [], m))
+
+
+def _forall(names, matrix):
+    for name in reversed(names):
+        matrix = Forall(name, matrix)
+    return matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2).flatmap(_relational_universal))
+def test_relational_search_decides_like_bsr_and_returns_a_model(phi):
+    out = dual_herbrand_search(phi, 2)
+    assert out.kind == "decided"
+    assert out.decided == (not bsr_decide(phi).decided)
+    if out.decided:
+        assert out.structure is None and out.herbrand is not None
+        return
+    bound = max(1, len(vocabulary_of(phi).constants))
+    assert out.herbrand is None
+    assert out.structure.domain_size == bound
+    assert eval(B2, out.structure, phi) == 1
+    assert sat1_bounded([B2], phi, bound).kind == "member_witness"
