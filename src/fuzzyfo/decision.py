@@ -280,17 +280,17 @@ class _Instances:
         return _dpll(len(self.atom_keys) - 1, clauses, budget)
 
     def structure(self, universe: list[int], model: list[int], predicates: dict[str, int],
-                  budget: int) -> Structure:
-        """The model as a B2 structure whose element i is the constant universe[i];
-        an atom no clause mentions reads model[0], which is never set, so 0."""
-        n = len(universe)
-        entries = sum(n ** arity for arity in predicates.values())
-        if entries > budget:
-            raise BudgetExceededError(entries, budget, "B2 table entries")
-        return Structure(n, {self.terms[t].name: i for i, t in enumerate(universe)}, {}, {
-            p: {args: int(model[self.atom_ids.get((p,) + tuple(universe[i] for i in args), 0)] == 1)
-                for args in itertools.product(range(n), repeat=arity)}
-            for p, arity in predicates.items()})
+                  budget: int) -> Optional[Structure]:
+        """The model as a B2 structure whose element i is the constant universe[i], an
+        atom no clause mentions reading 0; None if its tables exceed `budget` entries."""
+        n, index = len(universe), {t: i for i, t in enumerate(universe)}
+        if sum(n ** arity for arity in predicates.values()) > budget:
+            return None
+        tables = {p: dict.fromkeys(itertools.product(range(n), repeat=arity), 0)
+                  for p, arity in predicates.items()}
+        for key, v in self.atom_ids.items():
+            tables[key[0]][tuple(index[t] for t in key[1:])] = int(model[v] == 1)
+        return Structure(n, {self.terms[t].name: i for t, i in index.items()}, {}, tables)
 
 
 def _dpll(n_vars: int, clauses: list[list[int]], budget: int) -> Optional[list[int]]:
@@ -464,7 +464,7 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     verdict's `herbrand` witness.  Depth 0 is always searched, a deeper one
     up to MAX_NESTING while its instance count is within HERBRAND_INSTANCE_CAP.
     A relational phi is Bernays-Schonfinkel: depth 0 decides it, and its B2
-    model is the SAT call's.  Otherwise `exhausted` means no witness in bounds.
+    model is the SAT call's, budget permitting.  Otherwise `exhausted` means no witness in bounds.
     """
     prefix, matrix = split_universal_prefix(phi)
     if not is_quantifier_free(matrix):
@@ -493,13 +493,12 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
             witness = HerbrandWitness(depth, len(keep), terms, reduce(Meet, [
                 substitute(matrix, dict(zip(prefix, args))) for args in terms]))
         if not vocab.functions:
-            bound = len(universe)
             return Verdict("decided", decided=witness is not None, herbrand=witness,
                            structure=None if witness else instances.structure(
                                universe, model, vocab.predicates, budget),
                            reason=f"Bernays-Schonfinkel: {'un' if witness else ''}satisfiable "
-                                  f"at the Bernays-Schonfinkel bound {bound}",
-                           bounds=f"single domain size {bound}")
+                                  f"at the Bernays-Schonfinkel bound {len(universe)}",
+                           bounds=f"single domain size {len(universe)}")
         if witness is not None:
             return Verdict("decided", decided=True, herbrand=witness,
                            reason=f"Herbrand witness with {witness.m} instances at depth {depth}",

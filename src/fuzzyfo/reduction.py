@@ -151,7 +151,7 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
     on K: were it above 0 in M, the B2 structure M+ (P(d) iff P(d)^2 > 0)
     would model the matrix.  A non-contradiction's B2 model must lift to a
     top value on every chain.  A relational input's model comes from the
-    Herbrand search's SAT call; `max_domain` bounds the B2 search for the rest.
+    Herbrand search's SAT call, budget permitting; `max_domain` bounds the B2 search.
     """
     if max_domain < 1:
         raise ValueError(f"max domain must be at least 1, got {max_domain}")
@@ -168,14 +168,17 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
             _square_meet_check(K),
         ))
     else:
-        model = cert.structure or _find_b2_model(pu, max_domain, budget)
+        # the search's model, unless it or its copies on K exceed the budget
+        model = cert.structure
+        if model is None or len(K) * sum(map(len, model.predicates.values())) > budget:
+            model = _find_b2_model(pu, max_domain, budget)
         if model is None:
-            capped = f" ({cert.reason})" if cert.reason else ""
+            why = f" ({cert.reason})" if cert.reason else ""
             raise ReductionBoundsError(
                 "cannot certify the input either way within bounds: "
-                f"Herbrand search exhausted at {cert.bounds}{capped} and no B2 model "
+                f"Herbrand search {cert.kind} at {cert.bounds}{why} and no B2 model "
                 f"with domain <= {max_domain}")
-        certificate = (cert.reason if model is cert.structure
+        certificate = (cert.reason if cert.kind == "decided"
                        else f"B2 model with domain {model.domain_size}")
         report = _verify_non_contradiction(trace, K, certificate, model)
 

@@ -180,6 +180,41 @@ def test_relational_model_beyond_the_enumeration_budget_certifies():
     assert "check [B2 model of the purely universal form exists]: pass (domain 4)\n" in text
 
 
+def test_high_arity_relational_model_certifies_at_domain_1():
+    # 8**8 table entries exceed the budget, so the B2 search finds the domain-1 model
+    code, text = run(["verify-reduction", "--chain", "luk:3", "--formula", "R(a,b,c,d,e,f,g,h)"])
+    assert (code, text) == (0, (
+        "input: R(a, b, c, d, e, f, g, h)\n"
+        "star-output: R(a, b, c, d, e, f, g, h) & R(a, b, c, d, e, f, g, h)\n"
+        "certified: non-contradiction\n"
+        "certificate: Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 8\n"
+        "check [B2 model of the purely universal form exists]: pass (domain 1)\n"
+        "check [lifted model gives star output top value on size-3 chain]: pass (value 2)\n"
+        "consistent: True\n"))
+
+
+@pytest.mark.parametrize("budget, K", [(3124, [L3]), (5000, [B2, L3])])
+def test_relational_model_over_budget_or_lift_price_falls_back_to_b2_search(budget, K):
+    # 5**5 = 3125 entries: over the budget, or within it but 6250 for two lifted copies
+    trace = hardness_reduce(parse("R(a, b, c, d, e)"))
+    report = verify_reduction_instance(trace, K, budget=budget)
+    assert report.consistent and not report.is_contradiction
+    assert report.certificate == "Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 5"
+    assert report.checks[0] == ("B2 model of the purely universal form exists", True, "domain 1")
+    assert len(report.checks) == 1 + len(K)
+
+
+def test_relational_model_over_the_lift_price_and_beyond_max_domain_is_reported():
+    # 2 entries, 6 for three lifted copies; a and b must be distinct
+    trace = hardness_reduce(parse("P(a) /\\ ~P(b)"))
+    with pytest.raises(ReductionBoundsError, match=(
+            "^cannot certify the input either way within bounds: Herbrand search decided at "
+            "single domain size 2 \\(Bernays-Schonfinkel: satisfiable at the "
+            "Bernays-Schonfinkel bound 2\\) and no B2 model with domain <= 1$")):
+        verify_reduction_instance(trace, [B2, L3, make_lukasiewicz_chain(4)], max_domain=1,
+                                  budget=5)
+
+
 @pytest.mark.parametrize("text", [
     STRICT_ORDER_4,
     STRICT_ORDER_4 + " /\\ R(d,e) /\\ R(a,e) /\\ ~R(e,e)",

@@ -167,12 +167,16 @@ def test_herbrand_search_honours_budget():
 
 
 def test_relational_model_tables_are_priced_before_they_are_built():
-    # one ground instance, no decision: only the total 5-ary table, 5**5 entries, is large
+    # one ground instance, no decision: only the total 5-ary table, 5**5 entries, is
+    # large; over the budget the verdict stands and only the model is left out
     phi = parse("R(a, b, c, d, e)")
-    with pytest.raises(BudgetExceededError, match="^search space of 3125 B2 table entries"):
-        dual_herbrand_search(phi, 2, budget=3124)
+    for search in (dual_herbrand_search, purely_universal_contradiction):
+        out = search(phi, 2, budget=3124)
+        assert (out.kind, out.decided, out.structure) == ("decided", False, None)
+        assert out.reason == "Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 5"
     out = dual_herbrand_search(phi, 2, budget=3125)
     assert len(out.structure.predicates["R"]) == 3125 and eval(B2, out.structure, phi) == 1
+    assert sum(out.structure.predicates["R"].values()) == 1
 
 
 def test_bsr_matches_element_assignment_reference():
