@@ -267,14 +267,14 @@ def cmd_reduce(args, budget: int) -> Report:
     if trace.fresh_functions:
         report.add("fresh-functions", ", ".join(f"{n}/{a}" for n, a in trace.fresh_functions))
     if args.verify:
-        chains = _load_chains(args)
-        result = reduction.verify_reduction_instance(
-            trace, chains, max_domain=args.max_domain, max_depth=args.max_depth, budget=budget)
-        _add_verification(report, result)
+        _add_verification(report, args, trace, budget)
     return report
 
 
-def _add_verification(report: Report, result: reduction.VerificationReport) -> None:
+def _add_verification(report: Report, args, trace: reduction.ReductionTrace, budget: int) -> None:
+    chains = _load_chains(args)
+    result = reduction.verify_reduction_instance(
+        trace, chains, max_domain=args.max_domain, max_depth=args.max_depth, budget=budget)
     report.add("certified", "contradiction" if result.is_contradiction else "non-contradiction")
     report.add("certificate", result.certificate)
     for name, ok, detail in result.checks:
@@ -284,13 +284,10 @@ def _add_verification(report: Report, result: reduction.VerificationReport) -> N
 
 def cmd_verify_reduction(args, budget: int) -> Report:
     trace = _load_trace(args)
-    chains = _load_chains(args)
-    result = reduction.verify_reduction_instance(
-        trace, chains, max_domain=args.max_domain, max_depth=args.max_depth, budget=budget)
     report = Report()
     report.add("input", syntax.format_formula(trace.input))
     report.add("star-output", syntax.format_formula(trace.star_output))
-    _add_verification(report, result)
+    _add_verification(report, args, trace, budget)
     return report
 
 
@@ -462,7 +459,8 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
     except (CliError, semantics.BudgetExceededError, ValueError) as exc:
         return 1, f"error: {exc}\n"
     except reduction.ReductionBoundsError as exc:
-        return 1, f"error: {exc} (raise them with --max-depth and --max-domain)\n"
+        bounds = "them with --max-depth and" if exc.depth_helps else "it with"
+        return 1, f"error: {exc} (raise {bounds} --max-domain)\n"
     except (reduction.ReductionVerificationError, semantics.EvaluatorMismatchError) as exc:
         return 2, f"internal consistency failure: {exc}\n"
     except Exception as exc:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chains import FiniteChain, check_square_meet_law, make_boolean_chain
-# purely_universal_contradiction, taut0_bounded, sat_pos_bounded, enumerate_structures
-# and eval_propositional are no longer called here, but perfbench/tracing.py wraps
-# them at this binding, so the names stay importable from this module.
+# perfbench/tracing.py wraps purely_universal_contradiction, taut0_bounded, sat_pos_bounded,
+# enumerate_structures and eval_propositional at this binding; nothing here calls them.
 from .decision import (
     dual_herbrand_search, is_classical_contradiction_prop, purely_universal_contradiction,
     sat1_bounded, sat_pos_bounded, taut0_bounded,
@@ -105,6 +104,10 @@ class ReductionVerificationError(RuntimeError):
 class ReductionBoundsError(ReductionVerificationError):
     """The input is certified neither way within the depth and domain bounds."""
 
+    def __init__(self, message: str, depth_helps: bool):
+        super().__init__(message)
+        self.depth_helps = depth_helps  # False: no --max-depth reaches further
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -149,9 +152,8 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
     A contradiction's star output is 0 in every structure over K, of every
     size, once it is the star of a lattice-literal matrix and Lemma 1 holds
     on K: were it above 0 in M, the B2 structure M+ (P(d) iff P(d)^2 > 0)
-    would model the matrix.  A non-contradiction's B2 model must lift to a
-    top value on every chain.  A relational input's model comes from the
-    Herbrand search's SAT call, budget permitting; `max_domain` bounds the B2 search.
+    would model the matrix.  A non-contradiction's B2 model comes from the
+    Herbrand search's SAT call, budget permitting, or a B2 search up to `max_domain`.
     """
     if max_domain < 1:
         raise ValueError(f"max domain must be at least 1, got {max_domain}")
@@ -168,16 +170,13 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
             _square_meet_check(K),
         ))
     else:
-        # the search's model, unless it or its copies on K exceed the budget
-        model = cert.structure
-        if model is None or len(K) * sum(map(len, model.predicates.values())) > budget:
-            model = _find_b2_model(pu, max_domain, budget)
+        model = cert.structure or _find_b2_model(pu, max_domain, budget)
         if model is None:
             why = f" ({cert.reason})" if cert.reason else ""
             raise ReductionBoundsError(
                 "cannot certify the input either way within bounds: "
                 f"Herbrand search {cert.kind} at {cert.bounds}{why} and no B2 model "
-                f"with domain <= {max_domain}")
+                f"with domain <= {max_domain}", cert.kind == "exhausted" and not cert.reason)
         certificate = (cert.reason if cert.kind == "decided"
                        else f"B2 model with domain {model.domain_size}")
         report = _verify_non_contradiction(trace, K, certificate, model)
@@ -191,18 +190,21 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
 
 def _verify_non_contradiction(trace: ReductionTrace, K: Sequence[FiniteChain], certificate: str,
                               model: Structure) -> VerificationReport:
-    """A B2 model must lift to the top value, a SAT+ and SAT1 witness, on every chain."""
-    checks = [("B2 model of the purely universal form exists", True, f"domain {model.domain_size}")]
+    """A B2 model lifts (0 -> bot, 1 -> top) to a top value, a SAT+ and SAT1 witness, on K.
+
+    On a chain whose t-norm and residuum on {bot, top} are B2's, the lift keeps them, the
+    order, both constants, min and max, so each lifted value is the lift of the B2 value.
+    Every MTL-chain passes that check; like Lemma 1 it runs per chain, as the proof rests on it.
+    """
+    b2 = make_boolean_chain()
+    star = eval(b2, model, trace.star_output)
+    checks = [("B2 model of the purely universal form exists",
+               eval(b2, model, trace.purely_universal_form) == 1, f"domain {model.domain_size}")]
     for chain in K:
-        value = eval(chain, _lift_structure(model, chain), trace.star_output)
+        ends = (chain.bot, chain.top)
+        embedded = all((chain.tnorm(x, y), chain.residuum(x, y)) == (min(x, y), ends[x <= y])
+                       for x in ends for y in ends)
         checks.append((f"lifted model gives star output top value on size-{chain.size} chain",
-                       value == chain.top, f"value {value}"))
+                       embedded and star == 1,
+                       f"value {ends[star]}" if embedded else "B2 is not embedded"))
     return VerificationReport(False, certificate, tuple(checks))
-
-
-def _lift_structure(structure: Structure, chain: FiniteChain) -> Structure:
-    """Read a B2 structure as a structure over any chain (0 -> bot, 1 -> top)."""
-    return Structure(structure.domain_size, dict(structure.constants),
-                     {f: dict(t) for f, t in structure.functions.items()},
-                     {p: {k: chain.top if v == 1 else chain.bot for k, v in t.items()}
-                      for p, t in structure.predicates.items()})

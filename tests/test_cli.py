@@ -403,6 +403,17 @@ def test_uncertifiable_input_exits_1_naming_the_bounds():
     assert "certified: non-contradiction\n" in ok(argv + ["--max-domain", "3"])
 
 
+def test_uncertifiable_relational_input_names_only_the_domain_bound(monkeypatch):
+    # depth 0 decides a relational input, so no --max-depth can help; its 4
+    # table entries exceed the budget 3, and a and b need domain 2
+    monkeypatch.setenv("FUZZYFO_BUDGET", "3")
+    assert run(["verify-reduction", "--formula", "R(a, b) /\\ ~R(b, a)", "--chain", "luk:3",
+                "--max-domain", "1"]) == (1, (
+        "error: cannot certify the input either way within bounds: Herbrand search decided "
+        "at single domain size 2 (Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel "
+        "bound 2) and no B2 model with domain <= 1 (raise it with --max-domain)\n"))
+
+
 @pytest.mark.parametrize("command", [["verify-reduction"], ["reduce", "--verify"]],
                          ids=lambda argv: argv[0])
 def test_model_above_max_domain_certifies_a_non_contradiction(command):

@@ -134,3 +134,10 @@ def test_the_sat_core_has_one_solver_entry():
     sites = [(path.stem, where, called) for path in SOURCES
              for where, called in _mentions(_tree(path), "_dpll")]
     assert sites == [("decision", "_Instances.solve", True)]
+
+
+def test_the_verifier_builds_no_structure():
+    # a B2 model is read on B2 and its lift to each chain is checked through
+    # the {bot, top} embedding, so no copy of it is ever built
+    reduction = next(p for p in SOURCES if p.name == "reduction.py")
+    assert [where for where, called in _mentions(_tree(reduction), "Structure") if called] == []

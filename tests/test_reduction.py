@@ -1,22 +1,30 @@
+import re
+import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fuzzyfo import reduction
 from fuzzyfo.cli import run
-from fuzzyfo.chains import enumerate_mtl_chains, make_lukasiewicz_chain
+from fuzzyfo.chains import (
+    FiniteChain, enumerate_mtl_chains, make_boolean_chain, make_lukasiewicz_chain,
+)
 from fuzzyfo.decision import dual_herbrand_search, HerbrandWitness, sat1_bounded, taut0_bounded
 from fuzzyfo.reduction import (
     ReductionBoundsError, ReductionVerificationError, VerificationReport, hardness_reduce,
     matrix_to_lattice_literals, to_purely_universal, verify_reduction_instance,
 )
-from fuzzyfo.semantics import Structure, eval
+from fuzzyfo.semantics import (
+    Structure, enumerate_structures, eval, flat_layout, structure_space_size,
+)
 from fuzzyfo.syntax import (
     Atom, Const, Exists, Forall, Join, Meet, Neg, Var, Vocabulary, VocabularyError,
     format_formula, is_lattice_literal_combination, is_quantifier_free, is_sentence, parse,
-    split_universal_prefix, star_translate,
+    split_universal_prefix, star_translate, vocabulary_of,
 )
+
+from test_compiled import CHAINS, SAMPLED, SWEEP_CAP, sentences
 
 B2 = make_lukasiewicz_chain(2)
 L3 = make_lukasiewicz_chain(3)
@@ -195,24 +203,28 @@ def test_high_arity_relational_model_certifies_at_domain_1():
 
 @pytest.mark.parametrize("budget, K", [(3124, [L3]), (5000, [B2, L3])])
 def test_relational_model_over_budget_or_lift_price_falls_back_to_b2_search(budget, K):
-    # 5**5 = 3125 entries: over the budget, or within it but 6250 for two lifted copies
+    # 5**5 = 3125 entries: over the budget the B2 search finds domain 1, within
+    # it the Herbrand search's domain-5 model is checked, whatever the chains
+    domain = 1 if budget < 5 ** 5 else 5
     trace = hardness_reduce(parse("R(a, b, c, d, e)"))
     report = verify_reduction_instance(trace, K, budget=budget)
     assert report.consistent and not report.is_contradiction
     assert report.certificate == "Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 5"
-    assert report.checks[0] == ("B2 model of the purely universal form exists", True, "domain 1")
+    assert report.checks[0] == ("B2 model of the purely universal form exists", True,
+                                f"domain {domain}")
     assert len(report.checks) == 1 + len(K)
 
 
 def test_relational_model_over_the_lift_price_and_beyond_max_domain_is_reported():
-    # 2 entries, 6 for three lifted copies; a and b must be distinct
-    trace = hardness_reduce(parse("P(a) /\\ ~P(b)"))
+    # 4 entries of R over the budget 3; a and b must be distinct
+    trace = hardness_reduce(parse("R(a, b) /\\ ~R(b, a)"))
     with pytest.raises(ReductionBoundsError, match=(
             "^cannot certify the input either way within bounds: Herbrand search decided at "
             "single domain size 2 \\(Bernays-Schonfinkel: satisfiable at the "
-            "Bernays-Schonfinkel bound 2\\) and no B2 model with domain <= 1$")):
+            "Bernays-Schonfinkel bound 2\\) and no B2 model with domain <= 1$")) as caught:
         verify_reduction_instance(trace, [B2, L3, make_lukasiewicz_chain(4)], max_domain=1,
-                                  budget=5)
+                                  budget=3)
+    assert not caught.value.depth_helps
 
 
 @pytest.mark.parametrize("text", [
@@ -293,6 +305,86 @@ def test_a_chain_breaking_lemma_1_fails_the_lemma_check(monkeypatch):
     with pytest.raises(ReductionVerificationError,
                        match=r"fails at rank 1 of chain 1 \(size 3\)"):
         verify_reduction_instance(trace, [B2, L3])
+
+
+def test_a_chain_without_b2_inside_fails_its_lift_row():
+    # top * top = bot on 3 ranks: no MTL-chain, so built past make_chain_from_table
+    broken = FiniteChain(3, ((0, 0, 0), (0, 1, 1), (0, 1, 0)), L3.residuum_table)
+    trace = hardness_reduce(parse("forall x. P(x)"))
+    with pytest.raises(ReductionVerificationError, match="^" + re.escape(
+            "certificate 'Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 1' "
+            "failed check [lifted model gives star output top value on size-3 chain] "
+            "(B2 is not embedded)") + "$"):
+        verify_reduction_instance(trace, [L3, broken])
+
+
+def test_a_model_falsifying_the_universal_form_fails_its_row(monkeypatch):
+    search = reduction.dual_herbrand_search
+
+    def flipped(*args, **kwargs):
+        verdict = search(*args, **kwargs)
+        model = verdict.structure
+        table = {key: 1 - value for key, value in model.predicates["P"].items()}
+        return replace(verdict, structure=replace(model, predicates={"P": table}))
+
+    monkeypatch.setattr(reduction, "dual_herbrand_search", flipped)
+    trace = hardness_reduce(parse("forall x. P(x)"))
+    with pytest.raises(ReductionVerificationError, match=re.escape(
+            "failed check [B2 model of the purely universal form exists] (domain 1); "
+            "check [lifted model gives star output top value on size-3 chain] (value 0)")):
+        verify_reduction_instance(trace, [L3])
+
+
+TRANSITIVE_5 = ("forall x. forall y. forall z. ((R(x,y) /\\ R(y,z)) -> R(x,z))"
+                " /\\ R(a,b) /\\ R(c,d) /\\ P(e)")
+
+
+def test_a_relational_model_is_read_on_b2_once_whatever_the_chains(monkeypatch):
+    # 576 chains and a domain-5 model: one eval per form on B2, none per chain
+    sizes = []
+    walk = reduction.eval
+
+    def recorded(chain, *args):
+        sizes.append(chain.size)
+        return walk(chain, *args)
+
+    monkeypatch.setattr(reduction, "eval", recorded)
+    start = time.perf_counter()
+    code, text = run(["verify-reduction", "--chain", "enum:7", "--formula", TRANSITIVE_5])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and text.count(": pass (value ") == 576
+    assert "check [B2 model of the purely universal form exists]: pass (domain 5)\n" in text
+    assert sizes == [2, 2]
+    assert elapsed < 0.5
+
+
+def lift(structure, chain):
+    """Read a B2 structure as a structure over any chain (0 -> bot, 1 -> top)."""
+    return Structure(structure.domain_size, dict(structure.constants),
+                     {f: dict(t) for f, t in structure.functions.items()},
+                     {p: {k: chain.top if v == 1 else chain.bot for k, v in t.items()}
+                      for p, t in structure.predicates.items()})
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(phi=sentences(), rnd=st.randoms(use_true_random=False))
+def test_the_lifted_value_is_the_lift_of_the_b2_value(phi, rnd):
+    # the lemma behind the verifier's rows, checked against a built lift
+    b2 = make_boolean_chain()
+    vocab = vocabulary_of(phi)
+    for n in (1, 2):
+        space = structure_space_size(vocab, b2, n)
+        if space <= SWEEP_CAP:
+            structures = enumerate_structures(vocab, b2, n)
+        else:
+            layout = flat_layout(vocab, b2, n, budget=space)
+            structures = [layout.structure(tuple(rnd.choice(r) for r in layout.ranges))
+                          for _ in range(SAMPLED)]
+        for structure in structures:
+            value = eval(b2, structure, phi)
+            for chain in CHAINS:
+                assert eval(chain, lift(structure, chain), phi) == (
+                    chain.top if value == 1 else chain.bot)
 
 
 # -- the star projection: what Lemma 1 lets the verifier prove -------------------

@@ -361,7 +361,7 @@ def test_herbrand_search_names_the_instance_cap_that_stopped_it():
                 "--formula", text]) == (
         1, "error: cannot certify the input either way within bounds: Herbrand search "
            f"exhausted at term depth 0..3 ({capped}) and no B2 model with domain <= 2 "
-           "(raise them with --max-depth and --max-domain)\n")
+           "(raise it with --max-domain)\n")
 
 
 def test_herbrand_search_stops_at_the_nesting_limit():
