@@ -153,45 +153,12 @@ def eval_propositional(chain: Chain, valuation: dict[Atom, TruthValue], phi: For
     return _walk(chain, phi, atom, None, {})
 
 
-def eval_flat(chain: FiniteChain, layout: FlatLayout, values: Sequence[int],
-              phi: Formula) -> int:
-    """phi's rank on `layout.structure(values)`, read from the flat tuple itself.
-
-    Equal to `eval` there when phi's symbols are the layout's, with no
-    Structure built or checked: an atom is the entry of `values` at its
-    predicate's offset plus the row-major index of its arguments.
-    """
-    n, offsets = layout.domain_size, layout.offsets
-
-    def atom(p: Atom, a: dict[str, int]) -> int:
-        return values[offsets[p.pred] + _flat_index(p.args, a, values, n, offsets)]
-    return _walk(chain, phi, atom, range(n), {})
-
-
-def _flat_index(args: Sequence[Term], a: dict[str, int], values: Sequence[int], n: int,
-                offsets: dict[str, int]) -> int:
-    """The row-major index of the args' elements; a function's is read from its table."""
-    i = 0
-    for t in args:
-        kind = type(t)
-        if kind is Var:
-            if t.name not in a:
-                raise EvalError(f"unbound variable {t.name}")
-            e = a[t.name]
-        elif kind is Const:
-            e = values[offsets[t.name]]
-        else:
-            e = values[offsets[t.func] + _flat_index(t.args, a, values, n, offsets)]
-        i = i * n + e
-    return i
-
-
 _BINARY = {StrongConj: "tnorm", Impl: "residuum", Meet: "meet", Join: "join", Biimpl: "biimpl"}
 
 
 def _walk(chain: Chain, phi: Formula, atom: Callable, domain: Optional[range],
           a: dict[str, int]) -> TruthValue:
-    """The one recursive evaluator behind `eval`, `eval_propositional` and `eval_flat`.
+    """The one recursive evaluator behind `eval` and `eval_propositional`.
 
     `atom(p, a)` is the value of the atom p under the assignment a.  The
     connectives are the chain's operations (~ is its negation, x -> 0, and
@@ -457,18 +424,17 @@ def first_at_least(phi: Formula, vocab: Vocabulary, chain: FiniteChain, domain_s
     order, on which phi's rank is at least `least`, or None.
 
     The space is checked against the budget first (`flat_layout`).  It is
-    evaluated one way: chunk by chunk (`compile_chunks`) from its first
-    structure on, or, on a chain above MAX_SLICED_CHAIN ranks, one flat
-    value tuple at a time by the reference walk (`eval_flat`).  Only the
-    structure returned is built.
+    evaluated chunk by chunk (`compile_chunks`) from its first structure on,
+    or, on a chain above MAX_SLICED_CHAIN ranks, by the reference scan: each
+    structure of `enumerate_structures` is built and valued by `eval`.
     """
     layout = flat_layout(vocab, chain, domain_size, budget)
     chunks = compile_chunks(phi, chain, layout)
     if chunks is None:
-        for values in itertools.product(*layout.ranges):
-            value = eval_flat(chain, layout, values, phi)
+        for structure in enumerate_structures(vocab, chain, domain_size, budget):
+            value = eval(chain, structure, phi)
             if value >= least:
-                return layout.structure(values), value
+                return structure, value
         return None
     prefixes, evaluate = chunks
     # byte r is 1 when rank r reaches `least`; a translate table has 256 bytes

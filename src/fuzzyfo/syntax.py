@@ -796,4 +796,6 @@ def herbrand_universe(vocab: Vocabulary, depth: int) -> list[Term]:
     """All closed terms of nesting depth <= depth, by depth then lexicographically."""
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
-    return [t for level in itertools.islice(herbrand_levels(vocab), depth + 1) for t in level]
+    # past MAX_NESTING the levels run out or raise, so a larger depth changes nothing
+    levels = itertools.islice(herbrand_levels(vocab), min(depth, MAX_NESTING + 1) + 1)
+    return [t for level in levels for t in level]

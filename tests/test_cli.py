@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import sys
 import time
 
 import pytest
@@ -93,6 +94,14 @@ def test_herbrand_without_functions_at_any_depth():
     text = ok(["herbrand", "--formula", "P(c)", "--depth", "1000000"])
     assert time.perf_counter() - start < 0.5
     assert text == "depth: 1000000\ncount: 1\nterms: c\n"
+
+
+@pytest.mark.parametrize("depth", [str(sys.maxsize), str(10**22)])
+def test_herbrand_depth_past_the_largest_index(depth):
+    assert run(["herbrand", "--formula", "P(c)", "--depth", depth]) == (
+        0, f"depth: {depth}\ncount: 1\nterms: c\n")
+    assert run(["herbrand", "--formula", "P(f(c))", "--depth", depth]) == (
+        1, "error: term depth 101 exceeds the nesting limit 100\n")
 
 
 def test_deep_herbrand_search_stops_at_the_nesting_limit():

@@ -73,10 +73,10 @@ def test_the_reference_walk_stays_independent_of_the_fast_paths():
     defs = {node.name: node for node in _tree(semantics).body if isinstance(node, ast.FunctionDef)}
     for name in ("eval", "_walk", "eval_term"):
         assert set(_names(defs[name])) & FAST_PATH_NAMES == set(), name
-    # the flat reader searches chains above 16 ranks through the walk; it
-    # reads a FlatLayout, but must not grow back into a second compiler
-    for name in ("eval_flat", "_flat_index"):
-        assert set(_names(defs[name])) & (FAST_PATH_NAMES - {"FlatLayout"}) == set(), name
+    # one walk, two readers: no other code of the module reaches the walk
+    for node in _tree(semantics).body:
+        if getattr(node, "name", None) not in ("eval", "eval_propositional", "_walk"):
+            assert "_walk" not in set(_names(node)), getattr(node, "name", node)
     walk = defs["_walk"]
     nested = [node for node in ast.walk(walk) if node is not walk
               and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
@@ -97,8 +97,8 @@ def test_the_verifier_searches_no_fuzzy_structure():
         assert set(_names(node)) & FUZZY_SEARCH_NAMES == set(), name
 
 
-LAYOUT_NAMES = {"compile_chunks", "eval_flat", "flat_layout", "FlatLayout", "_pair_table",
-                "CHUNK_LIMIT", "MAX_SLICED_CHAIN"}
+LAYOUT_NAMES = {"compile_chunks", "flat_layout", "FlatLayout", "_pair_table", "CHUNK_LIMIT",
+                "MAX_SLICED_CHAIN"}
 
 
 def test_the_search_layout_stays_behind_semantics():

@@ -4,7 +4,7 @@ Chunk bytes must equal `eval` on every structure, in enumeration order,
 and the deciders must give the reference loop's verdict whichever way a
 space is cut into chunks.  Each space is searched by one evaluator: the
 kernel on chains of at most 16 ranks, predicate-free spaces included, and
-the flat reader `eval_flat` on larger chains.
+the reference `eval` on larger chains.
 """
 
 import itertools
@@ -72,9 +72,9 @@ def test_small_chains_search_without_the_closures(spec, phi, name, max_domain):
     K = cli._parse_chain_spec(spec)
 
     def refused(*args):
-        raise AssertionError("eval_flat called on a chain of at most 16 ranks")
+        raise AssertionError("semantics.eval called on a chain of at most 16 ranks")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semantics, "eval_flat", refused)
+        mp.setattr(semantics, "eval", refused)
         got = outcome(lambda: DECIDERS[name][0](K, phi, max_domain, budget=SWEEP_CAP))
     assert got == outcome(lambda: reference_verdict(name, K, phi, max_domain, SWEEP_CAP))
 
@@ -101,8 +101,8 @@ def test_chain_above_size_16_takes_the_closures(monkeypatch):
     luk16 = make_lukasiewicz_chain(16)
     assert compile_chunks(phi, luk16, flat_layout(vocab, luk16, 1)) is not None
     called = []
-    real = semantics.eval_flat
-    monkeypatch.setattr(semantics, "eval_flat",
+    real = semantics.eval
+    monkeypatch.setattr(semantics, "eval",
                         lambda *args: called.append(args[0].size) or real(*args))
     for name in DECIDERS:
         got = outcome(lambda: DECIDERS[name][0]([chain], phi, 1))
