@@ -371,7 +371,13 @@ class _Parser:
         self.infer = infer
         # predicates start uppercase and functions lowercase, so one table holds both
         self.inferred: dict[str, int] = {}
-        self.bound_stack: list[str] = []
+        self.scope: dict[str, str] = {}  # bound name as written -> its name in the formula
+        # names of the binders and free variables so far -> the last suffix tried
+        self.taken: dict[str, int] = {}
+        # a renamed binder also avoids every name in the text and the vocabulary
+        self.written = {text for kind, text, _ in tokens if kind == "name"}
+        if not infer:
+            self.written |= vocab.all_names()
         self.open = 0  # constructs still open around the current token
         self.height = 0  # height of the formula or term parsed last
 
@@ -403,6 +409,16 @@ class _Parser:
             raise ParseError(f"undeclared {kind} {name}", pos)
         if declared[name] != arity:
             raise ParseError(f"{kind} {name} expects {declared[name]} arguments, got {arity}", pos)
+
+    def _bind(self, var: str) -> str:
+        """A binder's name: var unless a binder or free variable has it, else the
+        first var_k (k = 1, 2, ..) that is neither taken nor written."""
+        name = var
+        while name in self.taken or name != var and name in self.written:
+            self.taken[var] += 1
+            name = f"{var}_{self.taken[var]}"
+        self.taken[name] = 0
+        return name
 
     def peek(self):
         return self.tokens[self.i]
@@ -448,11 +464,12 @@ class _Parser:
             if not var[0].islower():
                 raise ParseError("bound variables must be lowercase", pos)
             self.expect("dot", "'.' after quantified variable")
-            self.bound_stack.append(var)
+            name = self._bind(var)
+            outer, self.scope = self.scope, {**self.scope, var: name}
             body = self._nested(pos, self.unary)
+            self.scope = outer
             self._rise(self.height + 1, pos)
-            self.bound_stack.pop()
-            return Forall(var, body) if kind == "forall" else Exists(var, body)
+            return Forall(name, body) if kind == "forall" else Exists(name, body)
         if kind == "lpar":
             self.next()
             inner = self._nested(pos, self.formula)
@@ -513,41 +530,14 @@ class _Parser:
             self._check_arity("function", text, len(args), pos)
             return App(text, args)
         self.height = 1
+        if not self.infer and text in self.vocab.constants:
+            return Const(text)
+        if text in self.scope:
+            return Var(self.scope[text])
         if self.infer:
-            if text in self.bound_stack:
-                return Var(text)
             return Const(text)
-        if text in self.vocab.constants:
-            return Const(text)
+        self.taken.setdefault(text, 0)  # a free variable: later binders avoid its name
         return Var(text)
-
-
-def rename_apart(phi: Formula) -> Formula:
-    """Rename bound variables so every binder is distinct: x, x_1, x_2, ..."""
-    used: dict[str, int] = {}
-    for v in free_vars(phi):
-        used[v] = used.get(v, 0)
-
-    def fresh(base: str) -> str:
-        if base not in used:
-            used[base] = 0
-            return base
-        while True:
-            used[base] += 1
-            cand = f"{base}_{used[base]}"
-            if cand not in used:
-                used[cand] = 0
-                return cand
-
-    def walk(phi: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(phi, Atom):
-            return substitute(phi, {k: Var(v) for k, v in env.items()})
-        if isinstance(phi, _QUANT):
-            new = fresh(phi.var)
-            return type(phi)(new, walk(phi.body, {**env, phi.var: new}))
-        return rebuild(phi, lambda sub: walk(sub, env))
-
-    return walk(phi, {})
 
 
 def parse(text: str, vocab: Optional[Vocabulary] = None) -> Formula:
@@ -558,7 +548,7 @@ def parse(text: str, vocab: Optional[Vocabulary] = None) -> Formula:
     tok = p.peek()
     if tok[0] != "eof":
         raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    return rename_apart(phi)
+    return phi
 
 
 # -- printer -------------------------------------------------------------
@@ -677,12 +667,12 @@ def skolemize(phi: Formula, vocab: Vocabulary) -> tuple[Formula, Vocabulary]:
     """Replace every existential in an NNF sentence by a fresh Skolem symbol.
 
     Skolem names are sk_0, sk_1, ... in left-to-right order (skipping names
-    the vocabulary already uses).  Raises VocabularyError when a relational
-    vocabulary would need a Skolem function of arity >= 1.
+    the vocabulary or a binder of phi already uses).  Raises VocabularyError
+    when a relational vocabulary would need a Skolem function of arity >= 1.
     """
     if free_vars(phi):
         raise FragmentError("skolemize expects a sentence")
-    taken = set(vocab.all_names())
+    taken = vocab.all_names() | {s.var for s in subformulas(phi) if isinstance(s, _QUANT)}
     counter = 0
 
     def fresh_name() -> str:
@@ -740,14 +730,13 @@ def pull_universals(phi: Formula) -> Formula:
 
 # -- Herbrand universe ---------------------------------------------------
 
-DEFAULT_HERBRAND_CONSTANT = "c0"
-
-
 def ensure_constant(vocab: Vocabulary) -> Vocabulary:
-    """Guarantee a nonempty set of constants (Herbrand convention)."""
+    """Guarantee a nonempty set of constants (Herbrand convention): the first of
+    c0, c1, .. that the vocabulary does not use."""
     if vocab.constants:
         return vocab
-    return vocab.with_constants([DEFAULT_HERBRAND_CONSTANT])
+    used = vocab.all_names()
+    return vocab.with_constants([next(c for k in itertools.count() if (c := f"c{k}") not in used)])
 
 
 def herbrand_universe_sizes(vocab: Vocabulary) -> Iterator[int]:

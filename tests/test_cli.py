@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzyfo import chains
 from fuzzyfo.cli import build_parser, main, run
-from fuzzyfo.syntax import format_formula
+from fuzzyfo.syntax import format_formula, parse
 
 from test_compiled import sentences
 from test_decision import balanced_join
@@ -125,6 +125,75 @@ def test_reduce_honours_a_relational_vocabulary(tmp_path, command):
     assert "star-output: forall x. (R(x, sk_0) & R(x, sk_0))\n" in text
     if command == "reduce":
         assert "fresh-constants: sk_0\n" in text
+
+
+STAGES = {"formula", "input", "negation-nnf", "herbrand-form", "purely-universal",
+          "lattice-matrix", "star-output"}
+
+
+def _stages_parse_back(text):
+    # x = parse(value) prints as value, so parse(format_formula(x)) == x
+    for line in text.splitlines():
+        key, _, value = line.partition(": ")
+        if key in STAGES:
+            assert format_formula(parse(value)) == value
+
+
+def test_a_renamed_binder_skips_a_constant_of_the_input():
+    formula = "(forall x. P(x)) /\\ forall x. Q(x, x_1)"
+    text = ok(["parse", "--formula", formula])
+    assert text == (
+        "formula: forall x. P(x) /\\ forall x_2. Q(x_2, x_1)\n"
+        "sentence: True\nliteral: False\nlattice-literal-combination: False\n"
+        "purely-universal: False\nrelational: True\n")
+    _stages_parse_back(text)
+    text = ok(["reduce", "--formula", formula])
+    assert text == (
+        "input: forall x. P(x) /\\ forall x_2. Q(x_2, x_1)\n"
+        "negation-nnf: exists x. ~P(x) \\/ exists x_2. ~Q(x_2, x_1)\n"
+        "herbrand-form: exists x. exists x_2. (~P(x) \\/ ~Q(x_2, x_1))\n"
+        "purely-universal: forall x. forall x_2. (P(x) /\\ Q(x_2, x_1))\n"
+        "lattice-matrix: forall x. forall x_2. (P(x) /\\ Q(x_2, x_1))\n"
+        "star-output: forall x. forall x_2. (P(x) & P(x) /\\ Q(x_2, x_1) & Q(x_2, x_1))\n")
+    _stages_parse_back(text)
+
+
+def test_a_skolem_constant_skips_a_bound_variable():
+    text = ok(["reduce", "--formula", "exists y. forall sk_0. (R(y, sk_0) /\\ ~R(sk_0, y))"])
+    assert text == (
+        "input: exists y. forall sk_0. (R(y, sk_0) /\\ ~R(sk_0, y))\n"
+        "negation-nnf: forall y. exists sk_0. (~R(y, sk_0) \\/ R(sk_0, y))\n"
+        "herbrand-form: exists sk_0. (~R(sk_1, sk_0) \\/ R(sk_0, sk_1))\n"
+        "purely-universal: forall sk_0. (R(sk_1, sk_0) /\\ ~R(sk_0, sk_1))\n"
+        "lattice-matrix: forall sk_0. (R(sk_1, sk_0) /\\ ~R(sk_0, sk_1))\n"
+        "star-output: forall sk_0. (R(sk_1, sk_0) & R(sk_1, sk_0) /\\ "
+        "~R(sk_0, sk_1) & ~R(sk_0, sk_1))\n"
+        "fresh-constants: sk_1\n")
+    _stages_parse_back(text)
+
+
+def test_the_herbrand_constant_skips_a_function_named_c0():
+    assert ok(["herbrand", "--formula", "forall x. P(c0(x))", "--depth", "1"]) == (
+        "depth: 1\ncount: 2\nterms:\n  c1\n  c0(c1)\n")
+    text = ok(["reduce", "--verify", "--chain", "luk:3",
+               "--formula", "forall x. (P(c0(x)) /\\ ~P(x))"])
+    assert text == (
+        "input: forall x. (P(c0(x)) /\\ ~P(x))\n"
+        "negation-nnf: exists x. (~P(c0(x)) \\/ P(x))\n"
+        "herbrand-form: exists x. (~P(c0(x)) \\/ P(x))\n"
+        "purely-universal: forall x. (P(c0(x)) /\\ ~P(x))\n"
+        "lattice-matrix: forall x. (P(c0(x)) /\\ ~P(x))\n"
+        "star-output: forall x. (P(c0(x)) & P(c0(x)) /\\ ~P(x) & ~P(x))\n"
+        "certified: contradiction\n"
+        "certificate: Herbrand witness with 2 instances at depth 1\n"
+        "check [herbrand witness is a propositional contradiction]: "
+        "pass (2 instances at depth 1)\n"
+        "check [star output is the star of a lattice-literal matrix]: "
+        "pass (star_translate of the lattice matrix)\n"
+        "check [square-meet law a^2 /\\ (~a)^2 = 0 on every chain]: "
+        "pass (3 ranks on 1 chains)\n"
+        "consistent: True\n")
+    _stages_parse_back(text)
 
 
 def test_eval_reads_the_vocabulary_once(tmp_path, monkeypatch):

@@ -141,3 +141,18 @@ def test_the_verifier_builds_no_structure():
     # the {bot, top} embedding, so no copy of it is ever built
     reduction = next(p for p in SOURCES if p.name == "reduction.py")
     assert [where for where, called in _mentions(_tree(reduction), "Structure") if called] == []
+
+
+SECOND_WALK_NAMES = {"free_vars", "substitute", "rebuild", "subformulas", "rename_apart"}
+
+
+def test_parse_is_one_pass():
+    # the parser names each binder as it reads it, so no walk over the built
+    # formula follows: `parse` returns what `_Parser.formula` built
+    tree = _tree(next(p for p in SOURCES if p.name == "syntax.py"))
+    parser = next(node for node in tree.body if getattr(node, "name", None) == "_Parser")
+    parse = next(node for node in tree.body if getattr(node, "name", None) == "parse")
+    methods = [node for node in parser.body if isinstance(node, ast.FunctionDef)]
+    assert len(methods) > 10
+    for node in [parse] + methods:
+        assert set(_names(node)) & SECOND_WALK_NAMES == set(), node.name

@@ -19,7 +19,7 @@ from fuzzyfo.semantics import (
     Structure, enumerate_structures, eval, flat_layout, structure_space_size,
 )
 from fuzzyfo.syntax import (
-    Atom, Const, Exists, Forall, Join, Meet, Neg, Var, Vocabulary, VocabularyError,
+    App, Atom, Const, Exists, Forall, Join, Meet, Neg, Var, Vocabulary, VocabularyError,
     format_formula, is_lattice_literal_combination, is_quantifier_free, is_sentence, parse,
     split_universal_prefix, star_translate, vocabulary_of,
 )
@@ -88,6 +88,28 @@ def test_hardness_reduce_star_output_example():
     trace = hardness_reduce(parse("exists x. (P(x) /\\ ~P(x))"))
     assert format_formula(trace.star_output) == \
         "P(sk_0) & P(sk_0) /\\ ~P(sk_0) & ~P(sk_0)"
+
+
+@pytest.mark.parametrize("text, universal", [
+    ("(forall x. P(x)) /\\ forall x. Q(x, x_1)", "forall x. forall x_2. (P(x) /\\ Q(x_2, x_1))"),
+    ("exists y. forall sk_0. (R(y, sk_0) /\\ ~R(sk_0, y))",
+     "forall sk_0. (R(sk_1, sk_0) /\\ ~R(sk_0, sk_1))"),
+    ("forall x. (P(c0(x)) /\\ ~P(x))", "forall x. (P(c0(x)) /\\ ~P(x))"),
+], ids=["binder", "skolem", "herbrand"])
+def test_every_stage_parses_back_when_the_input_uses_a_generated_name(text, universal):
+    trace = hardness_reduce(parse(text))
+    assert format_formula(trace.purely_universal_form) == universal
+    for stage in (trace.input, trace.negation, trace.herbrand_form, trace.purely_universal_form,
+                  trace.lattice_matrix_form, trace.star_output):
+        assert parse(format_formula(stage)) == stage
+
+
+def test_a_function_named_c0_leaves_the_herbrand_constant_c1():
+    trace = hardness_reduce(parse("forall x. (P(c0(x)) /\\ ~P(x))"))
+    verdict = dual_herbrand_search(trace.purely_universal_form, 1)
+    assert verdict.decided and (verdict.herbrand.depth, verdict.herbrand.m) == (1, 2)
+    assert {a for args in verdict.herbrand.instantiations for a in args} == {
+        Const("c1"), App("c0", (Const("c1"),))}
 
 
 def test_reduce_relational_violation_propagates():

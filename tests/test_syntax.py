@@ -8,8 +8,8 @@ from fuzzyfo.syntax import (
     Meet, Neg, ParseError, StrongConj, TOP, TruthConst, Var, App, Vocabulary,
     VocabularyError, MAX_NESTING, children, classical_nnf, ensure_constant,
     format_formula, format_term, free_vars, herbrand_levels, herbrand_universe,
-    herbrand_universe_sizes, is_lattice_literal_combination, is_quantifier_free, parse,
-    parse_vocabulary, rebuild, skolemize, split_universal_prefix, star_translate,
+    herbrand_universe_sizes, is_lattice_literal_combination, is_quantifier_free, is_sentence,
+    parse, parse_vocabulary, rebuild, skolemize, split_universal_prefix, star_translate,
     substitute, vocabulary_of,
 )
 
@@ -109,30 +109,94 @@ def test_print_parse_round_trip_on_samples():
 
 
 @st.composite
-def formulas(draw, depth=3):
+def formulas(draw, depth=3, args=(Const("c"), Const("d"), Var("u"))):
     if depth == 0 or draw(st.booleans()):
         name = draw(st.sampled_from(["P", "Q"]))
-        arg = draw(st.sampled_from([Const("c"), Const("d"), Var("u")]))
+        arg = draw(st.sampled_from(args))
         return Atom(name, (arg,))
     kind = draw(st.sampled_from(["neg", "meet", "join", "impl", "biimpl", "sconj",
                                  "forall", "exists"]))
     if kind == "neg":
-        return Neg(draw(formulas(depth=depth - 1)))
+        return Neg(draw(formulas(depth - 1, args)))
     if kind in ("forall", "exists"):
-        body = draw(formulas(depth=depth - 1))
+        body = draw(formulas(depth - 1, args))
         cls = Forall if kind == "forall" else Exists
         return cls("u", body)
-    left = draw(formulas(depth=depth - 1))
-    right = draw(formulas(depth=depth - 1))
+    left = draw(formulas(depth - 1, args))
+    right = draw(formulas(depth - 1, args))
     cls = {"meet": Meet, "join": Join, "impl": Impl, "biimpl": Biimpl, "sconj": StrongConj}[kind]
     return cls(left, right)
 
 
+def rename_apart(phi):
+    """The reference renamer, a second walk over a built formula: every binder
+    distinct, in preorder, as x, x_1, x_2, .. past the free variables."""
+    used: dict[str, int] = {}
+    for v in free_vars(phi):
+        used[v] = used.get(v, 0)
+
+    def fresh(base: str) -> str:
+        if base not in used:
+            used[base] = 0
+            return base
+        while True:
+            used[base] += 1
+            cand = f"{base}_{used[base]}"
+            if cand not in used:
+                used[cand] = 0
+                return cand
+
+    def walk(phi, env: dict[str, str]):
+        if isinstance(phi, Atom):
+            return substitute(phi, {k: Var(v) for k, v in env.items()})
+        if isinstance(phi, (Forall, Exists)):
+            new = fresh(phi.var)
+            return type(phi)(new, walk(phi.body, {**env, phi.var: new}))
+        return rebuild(phi, lambda sub: walk(sub, env))
+
+    return walk(phi, {})
+
+
 @given(formulas())
 def test_print_parse_round_trip_random(phi):
-    from fuzzyfo.syntax import rename_apart
     phi = rename_apart(phi)
     assert parse(format_formula(phi), VOCAB) == phi
+
+
+@given(formulas().filter(is_sentence))
+def test_parse_names_binders_like_the_reference_renamer(phi):
+    assert parse(format_formula(phi), VOCAB) == rename_apart(phi)
+
+
+# declares the names the renamer would give a second binder u
+U_VOCAB = Vocabulary(predicates={"P": 1, "Q": 1}, constants=frozenset({"c", "u_1", "u_2"}))
+
+
+@given(formulas(args=(Const("c"), Const("u_1"), Const("u_2"), Var("u"))))
+def test_a_renamed_binder_skips_the_declared_constants(phi):
+    p = parse(format_formula(phi), U_VOCAB)
+    assert parse(format_formula(p), U_VOCAB) == p
+
+
+def _round_trips(phi):
+    return parse(format_formula(phi)) == phi
+
+
+def test_a_renamed_binder_skips_the_names_of_the_text():
+    x, x_1, x_2 = Var("x"), Const("x_1"), Var("x_2")
+    phi = parse("(forall x. P(x)) /\\ forall x. Q(x, x_1)")
+    assert phi == Meet(Forall("x", Atom("P", (x,))), Forall("x_2", Atom("Q", (x_2, x_1))))
+    assert _round_trips(phi)
+    assert parse("~forall u. forall u. P(u)", U_VOCAB) == Neg(
+        Forall("u", Forall("u_3", Atom("P", (Var("u_3"),)))))
+
+
+def test_a_free_variable_read_after_a_binder_leaves_its_name():
+    # no lookahead: scope alone keeps the bound and the free x apart
+    phi = parse("(forall x. P(x)) /\\ Q(x)", VOCAB)
+    assert phi == Meet(Forall("x", Atom("P", (Var("x"),))), Atom("Q", (Var("x"),)))
+    assert parse(format_formula(phi), VOCAB) == phi
+    assert parse("Q(x) /\\ forall x. P(x)", VOCAB).right.var == "x_1"
 
 
 def test_star_translate_meet_of_literals():
@@ -299,6 +363,15 @@ def test_skolemize_exists_to_constant():
     assert "sk_0" in vocab.constants
 
 
+def test_skolem_names_skip_the_bound_variables():
+    phi = parse("exists y. forall sk_0. (R(y, sk_0) /\\ ~R(sk_0, y))")
+    out, vocab = skolemize(phi, vocabulary_of(phi))
+    sk_0, sk_1 = Var("sk_0"), Const("sk_1")
+    assert out == Forall("sk_0", Meet(Atom("R", (sk_1, sk_0)), Neg(Atom("R", (sk_0, sk_1)))))
+    assert vocab.constants == frozenset({"sk_1"})
+    assert _round_trips(phi) and _round_trips(out)
+
+
 def test_skolemize_relational_violation():
     phi = parse("forall x. exists y. R(x, y)", REL_VOCAB)
     with pytest.raises(VocabularyError):
@@ -328,6 +401,15 @@ def test_herbrand_universe_adds_default_constant():
     v = Vocabulary(predicates={"P": 1}, functions={"f": 1})
     terms = herbrand_universe(v, 1)
     assert [format_term(t) for t in terms] == ["c0", "f(c0)"]
+
+
+def test_the_default_constant_skips_the_used_names():
+    phi = parse("forall x. P(c0(x))")
+    assert _round_trips(phi)
+    terms = herbrand_universe(vocabulary_of(phi), 1)
+    assert [format_term(t) for t in terms] == ["c1", "c0(c1)"]
+    taken = Vocabulary(predicates={"c1": 0}, functions={"c0": 1, "c2": 2})
+    assert ensure_constant(taken).constants == frozenset({"c3"})
 
 
 def test_vocabulary_file():
