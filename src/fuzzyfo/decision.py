@@ -23,9 +23,9 @@ from .semantics import (
 )
 from .syntax import (
     App, Atom, BOTTOM, MAX_NESTING, Const, Exists, Formula, FragmentError, Join,
-    Meet, Neg, TOP, Term, TruthConst, Var, classical_nnf, ensure_constant,
-    format_formula, herbrand_levels, herbrand_universe_sizes, is_quantifier_free,
-    is_sentence, split_universal_prefix, substitute, vocabulary_of,
+    Meet, Neg, TOP, Term, TruthConst, Var, classical_nnf, format_formula,
+    herbrand_levels, herbrand_universe_sizes, is_quantifier_free, is_sentence,
+    split_universal_prefix, substitute, vocabulary_of,
 )
 
 ChainClass = Sequence[FiniteChain]
@@ -157,17 +157,16 @@ class _Instances:
 
     Closed terms are interned to term ids (`terms`) and ground atoms to SAT
     variables numbered from 1 (`atom_keys`, None for an auxiliary).  The k-th
-    prefix variable is an instance's k-th argument and `bind` fixes other
-    variables to closed terms; any other variable is a constant.  An
-    instance is its tuple of term ids, and its clauses are kept as one group,
-    so a set of instances is one SAT call.  The clauses are compiled over
-    slots: a slot is an atom, kept as (predicate, term templates), or None
-    for a Plaisted-Greenbaum auxiliary, and a clause holds slot s as s and
-    its negation as ~s.  A term template is a term id (>= 0), ~k for the
-    instance's k-th argument, or (function, term templates...).
+    prefix variable is an instance's k-th argument; any other variable is a
+    constant.  An instance is its tuple of term ids, and its clauses are kept
+    as one group, so a set of instances is one SAT call.  The clauses are
+    compiled over slots: a slot is an atom, kept as (predicate, term
+    templates), or None for a Plaisted-Greenbaum auxiliary, and a clause holds
+    slot s as s and its negation as ~s.  A term template is a term id (>= 0),
+    ~k for the instance's k-th argument, or (function, term templates...).
     """
 
-    def __init__(self, matrix: Formula, bind: dict[str, Term], prefix: Sequence[str]):
+    def __init__(self, matrix: Formula, prefix: Sequence[str]):
         self.term_ids: dict = {}  # Const or Var, or (function, argument ids...) -> id
         self.terms: list[Term] = []
         self.atom_ids: dict = {}  # (predicate, argument ids...) -> variable
@@ -176,8 +175,7 @@ class _Instances:
         self.slots: list = []
         self.clauses: list[list[int]] = []
         self.groups: dict[tuple[int, ...], list[list[int]]] = {}
-        self._bind = {**{v: self.term(t) for v, t in bind.items()},
-                      **{v: ~k for k, v in enumerate(prefix)}}
+        self._args = {v: ~k for k, v in enumerate(prefix)}
         self._atom_slots: dict = {}
         # classical_nnf folds 0 and 1 away below the root, so only a
         # conjunct can still be a truth constant
@@ -206,8 +204,8 @@ class _Instances:
         return tid
 
     def _template(self, t: Term):
-        if isinstance(t, Var) and t.name in self._bind:
-            return self._bind[t.name]
+        if isinstance(t, Var) and t.name in self._args:
+            return self._args[t.name]
         if isinstance(t, App):
             args = tuple(self._template(a) for a in t.args)
             if all(type(a) is int and a >= 0 for a in args):
@@ -393,7 +391,7 @@ def prop_satisfiable(phi: Formula | Sequence[Formula],
     `budget` DPLL decisions.
     """
     conjuncts = phi if isinstance(phi, (list, tuple)) else [phi]
-    instances = _Instances(reduce(Meet, map(classical_nnf, conjuncts), TOP), {}, ())
+    instances = _Instances(reduce(Meet, map(classical_nnf, conjuncts), TOP), ())
     value = instances.solve(instances.over([], budget), budget)
     if value is None:
         return None
@@ -407,8 +405,6 @@ def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) 
 
     Raises BudgetExceededError after `budget` DPLL decisions.
     """
-    if not is_quantifier_free(phi):
-        raise FragmentError("propositional contradiction check needs a quantifier-free formula")
     return prop_satisfiable(phi, budget) is None
 
 
@@ -417,29 +413,29 @@ def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) 
 def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact classical satisfiability for relational exists*-forall* sentences.
 
-    Without equality, exists x-bar forall y-bar M is satisfiable iff the
-    instances of M with x-bar read as fresh constants @0, @1, ... and y-bar
-    ranging over those and the sentence's constants (@0 alone when there are
-    neither) are propositionally satisfiable (Herbrand).  That universe has
-    max(1, #exists + #consts) elements, the Bernays-Schonfinkel bound.  The
+    Without equality, exists x-bar forall y-bar M is satisfiable iff its
+    Skolem form, M with x-bar read as fresh constants @0, @1, ..., is, and by
+    Herbrand at depth 0 iff that form's instances with y-bar ranging over
+    level 0 of `herbrand_levels`, as in `dual_herbrand_search`, are
+    propositionally satisfiable.  That level's size is the Bernays-Schonfinkel
+    bound: the number of constants occurring in the Skolem form, or 1.  The
     |U|^#forall instances are checked against the budget, grounded, and
     decided by one SAT call.
     """
-    vocab = vocabulary_of(phi)
-    if vocab.functions:
-        raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
-    if not is_sentence(phi):
-        raise FragmentError("Bernays-Schonfinkel decider needs a sentence")
     matrix, skolem = classical_nnf(phi), {}
     while isinstance(matrix, Exists):
         skolem[matrix.var] = Const(f"@{len(skolem)}")
         matrix = matrix.body
-    forall_vars, matrix = split_universal_prefix(matrix)
+    forall_vars, matrix = split_universal_prefix(substitute(matrix, skolem))
+    vocab = vocabulary_of(matrix)
+    if vocab.functions:
+        raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
+    if not is_sentence(phi):
+        raise FragmentError("Bernays-Schonfinkel decider needs a sentence")
     if not is_quantifier_free(matrix):
         raise FragmentError("not an exists*-forall* prefix sentence")
-    instances = _Instances(matrix, skolem, forall_vars)
-    universe = [Const(c) for c in sorted(vocab.constants)] + list(skolem.values())
-    universe = [instances.term(t) for t in universe or [Const("@0")]]
+    instances = _Instances(matrix, forall_vars)
+    universe = [instances.term(t) for t in next(herbrand_levels(vocab))]
     sat = instances.solve(instances.over(universe, budget), budget) is not None
     bound = len(universe)
     return Verdict("decided", decided=sat,
@@ -467,12 +463,10 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     model is the SAT call's, budget permitting.  Otherwise `exhausted` means no witness in bounds.
     """
     prefix, matrix = split_universal_prefix(phi)
-    if not is_quantifier_free(matrix):
-        raise FragmentError("dual Herbrand search needs a purely universal sentence")
     if max_depth < 0:
         raise ValueError(f"max depth must be at least 0, got {max_depth}")
-    vocab = ensure_constant(vocabulary_of(phi))
-    instances = _Instances(classical_nnf(matrix), {}, prefix)
+    vocab = vocabulary_of(phi)
+    instances = _Instances(classical_nnf(matrix), prefix)
     levels = herbrand_levels(vocab)
     universe: list[int] = []
     searched, capped = 0, ""

@@ -330,23 +330,17 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<forall>forall\b)|(?P<exists>exists\b)"
     r"|(?P<biimpl><->)|(?P<impl>->)|(?P<meet>/\\)|(?P<join>\\/)"
     r"|(?P<amp>&)|(?P<neg>~)|(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<dot>\.)"
-    r"|(?P<zero>0)|(?P<one>1)|(?P<name>[A-Za-z_][A-Za-z0-9_]*))"
+    r"|(?P<zero>0)|(?P<one>1)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
 

@@ -180,7 +180,7 @@ formula: P(c) & P(c)
 chain-size: 3
 value: 0
 """),
-    Case(['bsr', '--formula', 'exists a. exists b. exists c. exists d. exists e. forall x. forall y. forall z. ((R(x,y) /\\ ~R(y,z)) \\/ (R(a,x) /\\ ~R(a,x)))'],
+    Case(['bsr', '--formula', 'exists a. exists b. exists c. exists d. exists e. forall x. forall y. forall z. ((R(x,y) /\\ ~R(y,z)) \\/ (R(a,x) /\\ ~R(a,x)) \\/ (R(b,c) /\\ R(d,e) /\\ ~R(b,c)))'],
          '100', 1, """\
 error: search space of 125 ground instances exceeds budget 100
 """),

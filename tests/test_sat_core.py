@@ -23,8 +23,8 @@ from fuzzyfo.decision import (
 from fuzzyfo.reduction import hardness_reduce, verify_reduction_instance
 from fuzzyfo.semantics import BudgetExceededError, eval, eval_propositional
 from fuzzyfo.syntax import (
-    BOTTOM, TOP, Atom, Biimpl, Const, Forall, Impl, Join, Meet, Neg, StrongConj, TruthConst,
-    Var, atoms_of, parse, star_translate, vocabulary_of,
+    BOTTOM, TOP, Atom, Biimpl, Const, Exists, Forall, Impl, Join, Meet, Neg, StrongConj,
+    TruthConst, Var, atoms_of, parse, star_translate, vocabulary_of,
 )
 
 from oracles import _Cnf, _sat, _tseitin
@@ -132,29 +132,80 @@ def test_budget_error_default_text():
     assert str(BudgetExceededError(5, 3)) == "search space of 5 structures exceeds budget 3"
 
 
-# ROADMAP's unsatisfiable 5-exists/3-forall case and a renamed twin: 5^3
-# ground instances, where enumerating element assignments took 5^5 SAT calls.
+# ROADMAP's unsatisfiable 5-exists/3-forall case and a renamed twin, where
+# enumerating element assignments took 5^5 SAT calls.  Only a occurs in their
+# Skolem forms, so they ground 1 instance; in HARD_ALL all five occur, 5^3.
 HARD = ("exists a. exists b. exists c. exists d. exists e. forall x. forall y. forall z. "
         "((R(x,y) /\\ ~R(y,z)) \\/ (R(a,x) /\\ ~R(a,x)))")
 HARD_TWIN = ("exists a. exists b. exists c. exists d. exists e. forall x. forall y. forall z. "
              "((Q(z,y) /\\ ~Q(y,x)) \\/ (Q(a,z) /\\ ~Q(a,z)))")
+HARD_ALL = ("exists a. exists b. exists c. exists d. exists e. forall x. forall y. forall z. "
+            "((R(x,y) /\\ ~R(y,z)) \\/ (R(a,x) /\\ ~R(a,x)) \\/ (R(b,c) /\\ R(d,e) /\\ ~R(b,c)))")
 
 
-@pytest.mark.parametrize("text", [HARD, HARD_TWIN])
-def test_hard_bsr_cases_decide_unsatisfiable(text):
+@pytest.mark.parametrize("text, bound", [(HARD, 1), (HARD_TWIN, 1), (HARD_ALL, 5)],
+                         ids=[HARD, HARD_TWIN, HARD_ALL])
+def test_hard_bsr_cases_decide_unsatisfiable(text, bound):
     code, report = run(["bsr", "--formula", text])
     assert code == 0, report
     assert "decided: False" in report
-    assert "reason: unsatisfiable at the Bernays-Schonfinkel bound 5" in report
+    assert f"reason: unsatisfiable at the Bernays-Schonfinkel bound {bound}\n" in report
 
 
 def test_bsr_honours_budget(monkeypatch):
     monkeypatch.setenv("FUZZYFO_BUDGET", "100")
-    assert run(["bsr", "--formula", HARD]) == (
+    assert run(["bsr", "--formula", HARD_ALL]) == (
         1, "error: search space of 125 ground instances exceeds budget 100\n")
     with pytest.raises(BudgetExceededError):
-        bsr_decide(parse(HARD), budget=124)
-    assert not bsr_decide(parse(HARD), budget=125).decided
+        bsr_decide(parse(HARD_ALL), budget=124)
+    assert not bsr_decide(parse(HARD_ALL), budget=125).decided
+
+
+def test_bsr_and_the_verifier_name_one_bound_for_vacuous_exists():
+    # only a0 occurs in the Skolem form, so both ground over one constant
+    text = ("exists a0. exists a1. exists a2. forall x0. forall x1. forall x2. "
+            "(P(a0) -> P(x2))")
+    assert run(["bsr", "--formula", text]) == (0, (
+        f"formula: {text}\n"
+        "outcome: decided\n"
+        "decided: True\n"
+        "reason: satisfiable at the Bernays-Schonfinkel bound 1\n"
+        "bounds: single domain size 1\n"))
+    assert run(["verify-reduction", "--formula", text, "--chain", "luk:3"]) == (0, (
+        f"input: {text}\n"
+        "star-output: forall x0. forall x1. forall x2. (~P(sk_0) & ~P(sk_0) \\/ P(x2) & P(x2))\n"
+        "certified: non-contradiction\n"
+        "certificate: Bernays-Schonfinkel: satisfiable at the Bernays-Schonfinkel bound 1\n"
+        "check [B2 model of the purely universal form exists]: pass (domain 1)\n"
+        "check [lifted model gives star output top value on size-3 chain]: pass (value 2)\n"
+        "consistent: True\n"))
+
+
+@st.composite
+def exists_forall_sentences(draw):
+    """A relational exists*-forall* sentence over P/1, R/2 and S/0 whose
+    exists-variables may not occur and whose matrix may name constants a, b."""
+    evars = [f"u{i}" for i in range(draw(st.integers(0, 3)))]
+    avars = [f"x{i}" for i in range(draw(st.integers(0, 2)))]
+    terms = st.sampled_from([Var(v) for v in evars + avars] + [Const("a"), Const("b")])
+    atoms = st.one_of(st.just(Atom("S")), terms.map(lambda t: Atom("P", (t,))),
+                      st.tuples(terms, terms).map(lambda args: Atom("R", args)))
+    matrix = draw(st.recursive(atoms, lambda sub: st.one_of(
+        sub.map(Neg), *(st.tuples(sub, sub).map(lambda lr, node=node: node(*lr))
+                        for node in (Meet, Join, Impl))), max_leaves=6))
+    phi = _forall(avars, matrix)
+    for v in reversed(evars):
+        phi = Exists(v, phi)
+    return phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(exists_forall_sentences())
+def test_bsr_names_the_verifiers_bound(phi):
+    out = bsr_decide(phi)
+    report = verify_reduction_instance(hardness_reduce(phi), [B2])
+    assert out.decided == (not report.is_contradiction)
+    assert report.certificate == f"Bernays-Schonfinkel: {out.reason}"
 
 
 def test_herbrand_search_honours_budget():

@@ -54,6 +54,15 @@ def test_parse_errors():
         parse("P(f(c))", REL_VOCAB)  # function under relational flag
 
 
+@pytest.mark.parametrize("text, char, position", [("P(c)  $", "$", 4), ("P(\u00e9)", "\u00e9", 2)])
+def test_unexpected_character_position(text, char, position):
+    # the position is where the scan stopped: blanks before the character count
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"unexpected character {char!r} at position {position}"
+    assert exc.value.position == position
+
+
 @pytest.mark.parametrize("text, vocab, message", [
     ("P(c) /\\ P(c, d)", None, "predicate P used with arities 1 and 2 at position 8"),
     ("Q /\\ Q(c)", None, "predicate Q used with arities 0 and 1 at position 5"),
