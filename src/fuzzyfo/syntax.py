@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Container, Iterable, Iterator, Optional, Union
 
 
 class ParseError(ValueError):
@@ -104,6 +104,11 @@ def parse_vocabulary(text: str) -> Vocabulary:
             continue
         raise VocabularyError(f"line {lineno}: cannot parse {raw!r}")
     return Vocabulary(preds, funcs, frozenset(consts), relational)
+
+
+def _fresh_name(pattern: str, start: int, taken: Container[str]) -> str:
+    """The first pattern.format(k), k = start, start + 1, .., not in taken."""
+    return next(name for k in itertools.count(start) if (name := pattern.format(k)) not in taken)
 
 
 # -- terms and formulas --------------------------------------------------
@@ -243,15 +248,6 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
         yield from subformulas(sub)
 
 
-def atoms_of(phi: Formula) -> list[Atom]:
-    """Distinct atoms in first-occurrence order."""
-    seen: dict[Atom, None] = {}
-    for sub in subformulas(phi):
-        if isinstance(sub, Atom):
-            seen.setdefault(sub)
-    return list(seen)
-
-
 def is_literal(phi: Formula) -> bool:
     return isinstance(phi, Atom) or (isinstance(phi, Neg) and isinstance(phi.body, Atom))
 
@@ -366,8 +362,7 @@ class _Parser:
         # predicates start uppercase and functions lowercase, so one table holds both
         self.inferred: dict[str, int] = {}
         self.scope: dict[str, str] = {}  # bound name as written -> its name in the formula
-        # names of the binders and free variables so far -> the last suffix tried
-        self.taken: dict[str, int] = {}
+        self.taken: set[str] = set()  # names of the binders and free variables so far
         # a renamed binder also avoids every name in the text and the vocabulary
         self.written = {text for kind, text, _ in tokens if kind == "name"}
         if not infer:
@@ -407,12 +402,10 @@ class _Parser:
     def _bind(self, var: str) -> str:
         """A binder's name: var unless a binder or free variable has it, else the
         first var_k (k = 1, 2, ..) that is neither taken nor written."""
-        name = var
-        while name in self.taken or name != var and name in self.written:
-            self.taken[var] += 1
-            name = f"{var}_{self.taken[var]}"
-        self.taken[name] = 0
-        return name
+        if var in self.taken:
+            var = _fresh_name(var + "_{}", 1, self.taken | self.written)
+        self.taken.add(var)
+        return var
 
     def peek(self):
         return self.tokens[self.i]
@@ -530,7 +523,7 @@ class _Parser:
             return Var(self.scope[text])
         if self.infer:
             return Const(text)
-        self.taken.setdefault(text, 0)  # a free variable: later binders avoid its name
+        self.taken.add(text)  # a free variable: later binders avoid its name
         return Var(text)
 
 
@@ -663,45 +656,39 @@ def skolemize(phi: Formula, vocab: Vocabulary) -> tuple[Formula, Vocabulary]:
     Skolem names are sk_0, sk_1, ... in left-to-right order (skipping names
     the vocabulary or a binder of phi already uses).  Raises VocabularyError
     when a relational vocabulary would need a Skolem function of arity >= 1.
+    One walk: env maps each bound variable in scope to its term, a universal
+    to itself and an existential to its Skolem term.
     """
     if free_vars(phi):
         raise FragmentError("skolemize expects a sentence")
     taken = vocab.all_names() | {s.var for s in subformulas(phi) if isinstance(s, _QUANT)}
-    counter = 0
-
-    def fresh_name() -> str:
-        nonlocal counter
-        while f"sk_{counter}" in taken:
-            counter += 1
-        name = f"sk_{counter}"
-        taken.add(name)
-        counter += 1
-        return name
-
     new_vocab = vocab
 
-    def walk(phi: Formula, universals: tuple[str, ...]) -> Formula:
+    def walk(phi: Formula, env: dict[str, Term], universals: tuple[str, ...]) -> Formula:
         nonlocal new_vocab
+        if isinstance(phi, Atom):
+            return substitute(phi, env)
         if isinstance(phi, Forall):
-            return Forall(phi.var, walk(phi.body, universals + (phi.var,)))
+            body = walk(phi.body, {**env, phi.var: Var(phi.var)}, universals + (phi.var,))
+            return Forall(phi.var, body)
         if isinstance(phi, Exists):
+            if universals and vocab.relational:
+                raise VocabularyError(
+                    f"Skolemizing 'exists {phi.var}' under universals {list(universals)} "
+                    "needs a function symbol, which the relational vocabulary forbids"
+                )
+            name = _fresh_name("sk_{}", 0, taken)
+            taken.add(name)
             if universals:
-                if vocab.relational:
-                    raise VocabularyError(
-                        f"Skolemizing 'exists {phi.var}' under universals {list(universals)} "
-                        "needs a function symbol, which the relational vocabulary forbids"
-                    )
-                name = fresh_name()
                 new_vocab = new_vocab.with_function(name, len(universals))
                 term: Term = App(name, tuple(Var(v) for v in universals))
             else:
-                name = fresh_name()
                 new_vocab = new_vocab.with_constants([name])
                 term = Const(name)
-            return walk(substitute(phi.body, {phi.var: term}), universals)
-        return rebuild(phi, lambda sub: walk(sub, universals))
+            return walk(phi.body, {**env, phi.var: term}, universals)
+        return rebuild(phi, lambda sub: walk(sub, env, universals))
 
-    return walk(phi, ()), new_vocab
+    return walk(phi, {}, ()), new_vocab
 
 
 def pull_universals(phi: Formula) -> Formula:
@@ -729,8 +716,7 @@ def ensure_constant(vocab: Vocabulary) -> Vocabulary:
     c0, c1, .. that the vocabulary does not use."""
     if vocab.constants:
         return vocab
-    used = vocab.all_names()
-    return vocab.with_constants([next(c for k in itertools.count() if (c := f"c{k}") not in used)])
+    return vocab.with_constants([_fresh_name("c{}", 0, vocab.all_names())])
 
 
 def herbrand_universe_sizes(vocab: Vocabulary) -> Iterator[int]:

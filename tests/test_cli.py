@@ -127,6 +127,16 @@ def test_reduce_honours_a_relational_vocabulary(tmp_path, command):
         assert "fresh-constants: sk_0\n" in text
 
 
+@pytest.mark.parametrize("command, formula, message", [
+    ("reduce", "P(x)", "reduction input must be a sentence"),
+    ("bsr", "exists y. R(x, y)", "Bernays-Schonfinkel decider needs a sentence"),
+])
+def test_a_free_variable_is_refused(tmp_path, command, formula, message):
+    vocab = tmp_path / "v.voc"
+    vocab.write_text("pred P/1\npred R/2\n")
+    assert run([command, "--vocab", str(vocab), "--formula", formula]) == (1, f"error: {message}\n")
+
+
 STAGES = {"formula", "input", "negation-nnf", "herbrand-form", "purely-universal",
           "lattice-matrix", "star-output"}
 

@@ -209,7 +209,8 @@ def test_propositional_star_lemma_small_exhaustive():
     # translation is 0 under every valuation over every small chain.
     from itertools import product
     from fuzzyfo.semantics import eval_propositional
-    from fuzzyfo.syntax import atoms_of, star_translate
+    from fuzzyfo.syntax import star_translate
+    from test_sat_core import atoms_of
     corpus = [
         "P(c) /\\ ~P(c)",
         "P(c) \\/ ~P(c)",

@@ -24,7 +24,7 @@ from fuzzyfo.reduction import hardness_reduce, verify_reduction_instance
 from fuzzyfo.semantics import BudgetExceededError, eval, eval_propositional
 from fuzzyfo.syntax import (
     BOTTOM, TOP, Atom, Biimpl, Const, Exists, Forall, Impl, Join, Meet, Neg, StrongConj,
-    TruthConst, Var, atoms_of, parse, star_translate, vocabulary_of,
+    TruthConst, Var, parse, star_translate, subformulas, vocabulary_of,
 )
 
 from oracles import _Cnf, _sat, _tseitin
@@ -44,6 +44,11 @@ formulas = st.recursive(
     ),
     max_leaves=24,
 )
+
+
+def atoms_of(phi):
+    """Distinct atoms in first-occurrence order."""
+    return list(dict.fromkeys(sub for sub in subformulas(phi) if isinstance(sub, Atom)))
 
 
 def classical(phi, valuation) -> bool:

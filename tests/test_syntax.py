@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fuzzyfo import syntax
 from fuzzyfo.syntax import (
     Atom, BOTTOM, Biimpl, Const, Exists, Forall, FragmentError, Impl, Join,
     Meet, Neg, ParseError, StrongConj, TOP, TruthConst, Var, App, Vocabulary,
@@ -10,7 +11,7 @@ from fuzzyfo.syntax import (
     format_formula, format_term, free_vars, herbrand_levels, herbrand_universe,
     herbrand_universe_sizes, is_lattice_literal_combination, is_quantifier_free, is_sentence,
     parse, parse_vocabulary, rebuild, skolemize, split_universal_prefix, star_translate,
-    substitute, vocabulary_of,
+    subformulas, substitute, vocabulary_of,
 )
 
 VOCAB = Vocabulary(
@@ -385,6 +386,105 @@ def test_skolemize_relational_violation():
     phi = parse("forall x. exists y. R(x, y)", REL_VOCAB)
     with pytest.raises(VocabularyError):
         skolemize(phi, REL_VOCAB)
+
+
+def test_skolemize_refuses_a_free_variable():
+    phi = parse("exists y. R(x, y)", VOCAB)
+    with pytest.raises(FragmentError) as exc:
+        skolemize(phi, VOCAB)
+    assert str(exc.value) == "skolemize expects a sentence"
+
+
+def skolemize_reference(phi, vocab):
+    """The reference Skolemizer: it substitutes each existential's Skolem term
+    into the rest of the sentence and walks on, so k existentials cost k + 1
+    walks."""
+    if free_vars(phi):
+        raise FragmentError("skolemize expects a sentence")
+    taken = vocab.all_names() | {s.var for s in subformulas(phi) if isinstance(s, (Forall, Exists))}
+    counter = 0
+
+    def fresh_name():
+        nonlocal counter
+        while f"sk_{counter}" in taken:
+            counter += 1
+        name = f"sk_{counter}"
+        taken.add(name)
+        counter += 1
+        return name
+
+    new_vocab = vocab
+
+    def walk(phi, universals):
+        nonlocal new_vocab
+        if isinstance(phi, Forall):
+            return Forall(phi.var, walk(phi.body, universals + (phi.var,)))
+        if isinstance(phi, Exists):
+            if universals:
+                if vocab.relational:
+                    raise VocabularyError(
+                        f"Skolemizing 'exists {phi.var}' under universals {list(universals)} "
+                        "needs a function symbol, which the relational vocabulary forbids"
+                    )
+                name = fresh_name()
+                new_vocab = new_vocab.with_function(name, len(universals))
+                term = App(name, tuple(Var(v) for v in universals))
+            else:
+                name = fresh_name()
+                new_vocab = new_vocab.with_constants([name])
+                term = Const(name)
+            return walk(substitute(phi.body, {phi.var: term}), universals)
+        return rebuild(phi, lambda sub: walk(sub, universals))
+
+    return walk(phi, ()), new_vocab
+
+
+def _outcome(skolemizer, phi, vocab):
+    try:
+        return skolemizer(phi, vocab)
+    except (FragmentError, VocabularyError) as exc:
+        return type(exc), str(exc)
+
+
+# the formulas' symbols, once with and once without function symbols allowed
+PQ_VOCABS = [Vocabulary(predicates={"P": 1, "Q": 1}, constants=frozenset({"c", "d"}),
+                        relational=relational) for relational in (False, True)]
+X = Var("x")
+
+
+@settings(max_examples=300)
+@given(formulas().filter(is_sentence))
+@example(Exists("x", Forall("x", Atom("P", (X,)))))
+@example(Exists("x", Exists("x", Atom("P", (X,)))))
+@example(Forall("x", Exists("x", Atom("P", (X,)))))
+def test_skolemize_agrees_with_the_reference(phi):
+    nnf = classical_nnf(phi)
+    for vocab in PQ_VOCABS:
+        assert _outcome(skolemize, nnf, vocab) == _outcome(skolemize_reference, nnf, vocab)
+
+
+def test_skolem_terms_are_not_captured_by_a_shadowing_existential():
+    # y's Skolem term names the outer x; the reference substituted it under
+    # the inner `exists x`, whose own Skolem term then replaced that x
+    phi = Forall("x", Exists("y", Exists("x", Atom("P", (Var("y"),)))))
+    out, vocab = skolemize(phi, PQ_VOCABS[0])
+    assert out == Forall("x", Atom("P", (App("sk_0", (X,)),)))
+    assert vocab.functions == {"sk_0": 1, "sk_1": 1}
+    assert skolemize_reference(phi, PQ_VOCABS[0])[0] == Forall(
+        "x", Atom("P", (App("sk_0", (App("sk_1", (X,)),)),)))
+
+
+def test_skolemize_substitutes_only_atoms(monkeypatch):
+    # one walk: the Skolem terms travel down in an environment and reach the
+    # atoms, instead of being substituted into each existential's body
+    seen = []
+    substitute = syntax.substitute
+    monkeypatch.setattr(syntax, "substitute",
+                        lambda phi, env: seen.append(type(phi)) or substitute(phi, env))
+    phi = parse("exists y. forall x. (R(x, y) /\\ ~R(y, x))", VOCAB)
+    out, _ = skolemize(phi, VOCAB)
+    assert out == parse("forall x. (R(x, sk_0) /\\ ~R(sk_0, x))", VOCAB.with_constants(["sk_0"]))
+    assert seen and set(seen) == {Atom}
 
 
 def test_herbrand_universe_examples():
