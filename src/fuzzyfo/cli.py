@@ -408,7 +408,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--depth", type=_decimal, default=2)
     p.set_defaults(func=cmd_herbrand)
 
-    p = sub.add_parser("bsr", help="decide a relational exists*-forall* sentence")
+    p = sub.add_parser("bsr", help="decide a relational sentence with no exists under a forall")
     _add_formula_args(p)
     p.set_defaults(func=cmd_bsr)
 

@@ -24,7 +24,7 @@ from .semantics import (
 from .syntax import (
     App, Atom, BOTTOM, MAX_NESTING, Const, Exists, Formula, FragmentError, Join,
     Meet, Neg, TOP, Term, TruthConst, Var, classical_nnf, format_formula,
-    herbrand_levels, herbrand_universe_sizes, is_quantifier_free, is_sentence,
+    herbrand_levels, herbrand_universe_sizes, is_sentence, pull_universals,
     split_universal_prefix, substitute, vocabulary_of,
 )
 
@@ -177,8 +177,8 @@ class _Instances:
         self.groups: dict[tuple[int, ...], list[list[int]]] = {}
         self._args = {v: ~k for k, v in enumerate(prefix)}
         self._atom_slots: dict = {}
-        # classical_nnf folds 0 and 1 away below the root, so only a
-        # conjunct can still be a truth constant
+        # the folds of classical_nnf and pull_universals leave 0 and 1 only
+        # at the root, so only a conjunct can still be a truth constant
         for conjunct in _operands(matrix, Meet):
             if isinstance(conjunct, TruthConst):
                 if not conjunct.top:
@@ -411,18 +411,18 @@ def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) 
 # -- Bernays-Schonfinkel decider -----------------------------------------
 
 def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Exact classical satisfiability for relational exists*-forall* sentences.
+    """Exact classical satisfiability for relational Bernays-Schonfinkel sentences.
 
-    Without equality, exists x-bar forall y-bar M is satisfiable iff its
-    Skolem form, M with x-bar read as fresh constants @0, @1, ..., is, and by
-    Herbrand at depth 0 iff that form's instances with y-bar ranging over
-    level 0 of `herbrand_levels`, as in `dual_herbrand_search`, are
-    propositionally satisfiable.  That level's size is the Bernays-Schonfinkel
-    bound: the number of constants occurring in the Skolem form, or 1.  The
-    |U|^#forall instances are checked against the budget, grounded, and
-    decided by one SAT call.
+    Without equality, the prenex form `pull_universals(classical_nnf(phi))`,
+    exists x-bar forall y-bar M with M exists-free, is satisfiable iff its Skolem
+    form, M with x-bar read as fresh constants @0, @1, ..., is, and by Herbrand
+    at depth 0 iff that form's instances with y-bar ranging over level 0 of
+    `herbrand_levels`, as in `dual_herbrand_search`, are propositionally
+    satisfiable.  That level's size is the Bernays-Schonfinkel bound: the number
+    of constants occurring in the Skolem form, or 1.  The |U|^#forall instances
+    are checked against the budget, grounded, and decided by one SAT call.
     """
-    matrix, skolem = classical_nnf(phi), {}
+    matrix, skolem = pull_universals(classical_nnf(phi)), {}
     while isinstance(matrix, Exists):
         skolem[matrix.var] = Const(f"@{len(skolem)}")
         matrix = matrix.body
@@ -432,9 +432,10 @@ def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
         raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
     if not is_sentence(phi):
         raise FragmentError("Bernays-Schonfinkel decider needs a sentence")
-    if not is_quantifier_free(matrix):
-        raise FragmentError("not an exists*-forall* prefix sentence")
-    instances = _Instances(matrix, forall_vars)
+    try:  # past the prefix, _Instances refuses only an exists under a forall
+        instances = _Instances(matrix, forall_vars)
+    except FragmentError:
+        raise FragmentError("not a Bernays-Schonfinkel sentence: an exists under a forall") from None
     universe = [instances.term(t) for t in next(herbrand_levels(vocab))]
     sat = instances.solve(instances.over(universe, budget), budget) is not None
     bound = len(universe)

@@ -253,10 +253,10 @@ def is_literal(phi: Formula) -> bool:
 
 
 def is_lattice_literal_combination(phi: Formula) -> bool:
-    """phi is built from literals by /\\ and \\/ alone."""
+    """phi is built from literals and truth constants by /\\ and \\/ alone."""
     if isinstance(phi, (Meet, Join)):
         return all(map(is_lattice_literal_combination, children(phi)))
-    return is_literal(phi)
+    return is_literal(phi) or isinstance(phi, TruthConst)
 
 
 def is_quantifier_free(phi: Formula) -> bool:
@@ -587,30 +587,27 @@ def _is_unary_shape(phi: Formula) -> bool:
 def star_translate(phi: Formula) -> Formula:
     """Square every literal; commutes with meet, join and both quantifiers.
 
-    Only defined on combinations of literals under /\\, \\/, forall, exists.
+    Only defined on literals and 0, 1 under /\\, \\/, forall, exists.  0 and 1 are
+    their own squares on every chain and in B2, so Lemma 1 and the lift hold.
     """
     if is_literal(phi):
         return StrongConj(phi, phi)
-    if isinstance(phi, (Meet, Join) + _QUANT):
+    if isinstance(phi, (Meet, Join, TruthConst) + _QUANT):
         return rebuild(phi, star_translate)
     raise FragmentError(
         f"star translation undefined on node {format_formula(phi)!r}: "
-        "only literals combined with /\\, \\/ and quantifiers are allowed"
+        "only literals and 0, 1 combined with /\\, \\/ and quantifiers are allowed"
     )
 
 
 # -- classical negation normal form --------------------------------------
 
 def _fold(phi: Formula) -> Formula:
-    """Drop truth constants from lattice combinations where possible."""
+    """Drop a truth constant operand of /\\ or \\/: a unit yields the other, a zero itself."""
     if isinstance(phi, (Meet, Join)):
-        unit, zero = (TOP, BOTTOM) if isinstance(phi, Meet) else (BOTTOM, TOP)
-        if phi.left == unit:
-            return phi.right
-        if phi.right == unit:
-            return phi.left
-        if zero in (phi.left, phi.right):
-            return zero
+        for const, other in ((phi.left, phi.right), (phi.right, phi.left)):
+            if isinstance(const, TruthConst):
+                return other if const.top == isinstance(phi, Meet) else const
     return phi
 
 
@@ -692,20 +689,34 @@ def skolemize(phi: Formula, vocab: Vocabulary) -> tuple[Formula, Vocabulary]:
 
 
 def pull_universals(phi: Formula) -> Formula:
-    """Move all universal quantifiers of an exists-free NNF formula to a prefix."""
-    prefix: list[str] = []
+    """The exists*-forall* prenex form of an NNF formula, in one walk over /\\ and \\/.
 
-    def strip(phi: Formula) -> Formula:
-        if isinstance(phi, Forall):
-            prefix.append(phi.var)
-            return strip(phi.body)
-        if isinstance(phi, (Meet, Join)):
-            return type(phi)(strip(phi.left), strip(phi.right))
-        return phi
+    Each forall, and each exists that no forall scopes, moves to the prefix, the
+    exists first and each group in walk order; rebuilt /\\ and \\/ are folded, so
+    no truth constant is left below the matrix's root.  NNF copies both sides of
+    `<->`, so a binder whose name the prefix has is renamed apart, to the first
+    var_k (k = 1, 2, ..) that phi does not use.
+    """
+    prefix: dict[str, type] = {}
+    taken: set[str] = set()
 
-    matrix = strip(phi)
-    for v in reversed(prefix):
-        matrix = Forall(v, matrix)
+    def strip(sub: Formula, scoped: bool) -> Formula:
+        if isinstance(sub, Forall) or (isinstance(sub, Exists) and not scoped):
+            if sub.var in prefix:
+                if not taken:  # phi's binders, free variables and symbols
+                    taken.update({s.var for s in subformulas(phi) if isinstance(s, _QUANT)},
+                                 free_vars(phi), vocabulary_of(phi).all_names())
+                var = _fresh_name(sub.var + "_{}", 1, taken | prefix.keys())
+                sub = type(sub)(var, substitute(sub.body, {sub.var: Var(var)}))
+            prefix[sub.var] = type(sub)
+            return strip(sub.body, scoped or isinstance(sub, Forall))
+        if isinstance(sub, (Meet, Join)):
+            return _fold(type(sub)(strip(sub.left, scoped), strip(sub.right, scoped)))
+        return sub
+
+    matrix = strip(phi, False)
+    for v, quantifier in sorted(reversed(prefix.items()), key=lambda b: b[1] is Exists):
+        matrix = quantifier(v, matrix)
     return matrix
 
 

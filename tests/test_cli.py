@@ -227,6 +227,36 @@ def test_bsr_command():
     assert "decided: False" in text
 
 
+def test_bsr_reads_a_prefix_that_is_not_spelled_first():
+    assert run(["bsr", "--formula", "(exists x. P(x)) /\\ forall y. ~P(y)"]) == (0, (
+        "formula: exists x. P(x) /\\ forall y. ~P(y)\n"
+        "outcome: decided\n"
+        "decided: False\n"
+        "reason: unsatisfiable at the Bernays-Schonfinkel bound 1\n"
+        "bounds: single domain size 1\n"))
+
+
+def test_bsr_refuses_an_exists_under_a_forall():
+    assert run(["bsr", "--formula", "forall x. exists y. R(x, y)"]) == (1, (
+        "error: not a Bernays-Schonfinkel sentence: an exists under a forall\n"))
+
+
+@pytest.mark.parametrize("formula, contradiction", [
+    ("0", True), ("1", False), ("P(c) /\\ 0", True), ("forall x. (P(x) -> 1)", False),
+    ("forall x. (P(x) /\\ 0)", True), ("exists x. (P(x) \\/ 1)", False)])
+@pytest.mark.parametrize("chain", ["enum:3", "luk:4"])
+def test_reduce_verifies_truth_constants(formula, contradiction, chain):
+    # 0 and 1 are their own squares, so the star keeps them
+    text = ok(["reduce", "--formula", formula, "--verify", "--chain", chain])
+    kind = "contradiction" if contradiction else "non-contradiction"
+    assert f"certified: {kind}\n" in text and "consistent: True\n" in text
+
+
+@pytest.mark.parametrize("formula", ["0", "1", "P(c) /\\ 0", "~P(c) \\/ 1"])
+def test_truth_constants_are_lattice_literal_combinations(formula):
+    assert "lattice-literal-combination: True\n" in ok(["parse", "--formula", formula])
+
+
 def test_reduce_with_verification():
     text = ok(["reduce", "--formula", "exists x. (P(x) /\\ ~P(x))",
                "--verify", "--chain", "enum:4"])

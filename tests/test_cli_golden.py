@@ -185,8 +185,12 @@ value: 0
 error: search space of 125 ground instances exceeds budget 100
 """),
     Case(['bsr', '--formula', '(exists x. P(x)) /\\ (forall y. Q(y))'],
-         None, 1, """\
-error: not an exists*-forall* prefix sentence
+         None, 0, """\
+formula: exists x. P(x) /\\ forall y. Q(y)
+outcome: decided
+decided: True
+reason: satisfiable at the Bernays-Schonfinkel bound 1
+bounds: single domain size 1
 """),
 ]
 

@@ -20,14 +20,15 @@ from fuzzyfo.decision import (
     is_classical_contradiction_prop, prop_satisfiable, purely_universal_contradiction,
     sat1_bounded,
 )
-from fuzzyfo.reduction import hardness_reduce, verify_reduction_instance
+from fuzzyfo.reduction import hardness_reduce, to_purely_universal, verify_reduction_instance
 from fuzzyfo.semantics import BudgetExceededError, eval, eval_propositional
 from fuzzyfo.syntax import (
     BOTTOM, TOP, Atom, Biimpl, Const, Exists, Forall, Impl, Join, Meet, Neg, StrongConj,
-    TruthConst, Var, parse, star_translate, subformulas, vocabulary_of,
+    TruthConst, Var, classical_nnf, format_formula, parse, star_translate, subformulas,
+    vocabulary_of,
 )
 
-from oracles import _Cnf, _sat, _tseitin
+from oracles import _Cnf, _sat, _tseitin, ground_satisfiable
 
 B2 = make_boolean_chain()
 
@@ -211,6 +212,125 @@ def test_bsr_names_the_verifiers_bound(phi):
     report = verify_reduction_instance(hardness_reduce(phi), [B2])
     assert out.decided == (not report.is_contradiction)
     assert report.certificate == f"Bernays-Schonfinkel: {out.reason}"
+
+
+@st.composite
+def bernays_schonfinkel_sentences(draw):
+    """A relational sentence over P/1, R/2 and S/0, with its prenex form built
+    from the same draw.  Binders are drawn inside /\\ and \\/, an exists never
+    under a forall; names are distinct, the leaves may name the constants a
+    and b, and an exists-variable may not occur.  The prenex form puts every
+    exists, then every forall, over the quantifier-free matrix."""
+    binders: dict[str, type] = {}
+
+    def node(scope, depth, under_forall):
+        kinds = ["leaf"]
+        if depth:
+            kinds += ["meet", "join"]
+            if len(binders) < 5:
+                kinds += ["forall"] if under_forall else ["forall", "exists"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "leaf":
+            terms = st.sampled_from([Var(v) for v in scope] + [Const("a"), Const("b")])
+            atoms = st.one_of(st.just(Atom("S")), st.sampled_from([TOP, BOTTOM]),
+                              terms.map(lambda t: Atom("P", (t,))),
+                              st.tuples(terms, terms).map(lambda args: Atom("R", args)))
+            leaf = draw(st.recursive(atoms, lambda sub: st.one_of(
+                sub.map(Neg), *(st.tuples(sub, sub).map(lambda lr, cls=cls: cls(*lr))
+                                for cls in (Meet, Join, Impl))), max_leaves=3))
+            return leaf, leaf
+        if kind in ("meet", "join"):
+            (left, left_matrix), (right, right_matrix) = (
+                node(scope, depth - 1, under_forall) for _ in range(2))
+            cls = Meet if kind == "meet" else Join
+            return cls(left, right), cls(left_matrix, right_matrix)
+        var = f"v{len(binders)}"
+        binders[var] = quantifier = Forall if kind == "forall" else Exists
+        body, matrix = node(scope + [var], depth - 1, under_forall or quantifier is Forall)
+        return quantifier(var, body), matrix
+
+    phi, prenex = node([], 4, False)
+    for quantifier in (Forall, Exists):
+        for var in reversed([v for v, q in binders.items() if q is quantifier]):
+            prenex = quantifier(var, prenex)
+    return phi, prenex
+
+
+def _exists_count(phi):
+    return sum(isinstance(sub, Exists) for sub in subformulas(phi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bernays_schonfinkel_sentences())
+def test_bsr_decides_any_spelling_at_the_verifiers_bound(sample):
+    phi, prenex = sample
+    out = bsr_decide(phi)
+    report = verify_reduction_instance(hardness_reduce(phi), [B2])
+    assert out.decided == (not report.is_contradiction)
+    assert report.certificate == f"Bernays-Schonfinkel: {out.reason}"
+    assert bsr_decide(prenex).decided == out.decided
+
+
+@settings(max_examples=40, deadline=None)
+@given(bernays_schonfinkel_sentences())
+def test_bsr_on_any_spelling_matches_brute_force(sample):
+    # as criterion 5: every domain size up to the bound plus two
+    phi, _ = sample
+    bound = max(1, _exists_count(phi) + len(vocabulary_of(phi).constants))
+    brute = any(ground_satisfiable(phi, n) for n in range(1, bound + 3))
+    assert bsr_decide(phi).decided == brute
+
+
+def test_bsr_renames_a_repeated_binder_apart():
+    # read with one x this would be the unsatisfiable exists x. (P(x) /\ ~P(x))
+    p = Atom("P", (Var("x"),))
+    out = bsr_decide(Meet(Exists("x", p), Exists("x", Neg(p))))
+    assert out.decided and out.reason == "satisfiable at the Bernays-Schonfinkel bound 2"
+
+
+def test_a_repeated_binder_name_is_renamed_not_merged():
+    # ((forall x. P(x)) \/ forall x. ~P(x)) /\ P(c) /\ ~P(d) is unsatisfiable;
+    # merging the binders reads its first conjunct as the valid forall x. (P(x) \/ ~P(x))
+    p = Atom("P", (Var("x"),))
+    phi = Meet(Meet(Join(Forall("x", p), Forall("x", Neg(p))), Atom("P", (C,))),
+               Neg(Atom("P", (D,))))
+    assert not any(ground_satisfiable(phi, n) for n in range(1, 4))
+    universal, _ = to_purely_universal(phi)
+    assert universal == Forall("x", Forall("x_1", Meet(Meet(
+        Join(p, Neg(Atom("P", (Var("x_1"),)))), Atom("P", (C,))), Neg(Atom("P", (D,))))))
+    assert verify_reduction_instance(hardness_reduce(phi), [B2]).is_contradiction
+    assert not bsr_decide(phi).decided
+
+
+# nested <-> over quantifiers: NNF writes each side twice, binders included
+NESTED_BIIMPLICATIONS = [
+    "((exists x. P(x)) <-> S) <-> S",
+    "(((exists x. P(x)) <-> S) <-> S) /\\ forall y. ~P(y)",
+    "(P(c) <-> exists x. Q(x)) <-> forall y. Q(y)",
+    "(((forall x. P(x)) <-> S) <-> S) /\\ ~P(c)",
+    "~(((forall x. P(x)) <-> S) <-> ~S) /\\ ~P(c)",
+    "((forall x. R(x, a)) <-> (exists y. R(b, y))) <-> ~(forall z. R(z, z))",
+]
+
+
+@pytest.mark.parametrize("text", NESTED_BIIMPLICATIONS)
+def test_bsr_and_the_verifier_agree_on_nested_biimplications(text):
+    phi = parse(text)
+    out = bsr_decide(phi)
+    report = verify_reduction_instance(hardness_reduce(phi), [B2])
+    assert report.certificate == f"Bernays-Schonfinkel: {out.reason}"
+    bound = max(1, _exists_count(classical_nnf(phi)) + len(vocabulary_of(phi).constants))
+    assert out.decided == any(ground_satisfiable(phi, n) for n in range(1, bound + 3))
+
+
+def test_the_reduction_renames_the_binders_nnf_copies():
+    # forall x. exists z. R(x, z) is written twice in each polarity, and each
+    # copy keeps its own prefix variables
+    text = "((forall x. exists z. R(x, z)) <-> S) <-> S"
+    universal, _ = to_purely_universal(parse(text))
+    assert format_formula(universal).startswith("forall x. forall z. forall z_1. forall x_1. ")
+    assert run(["verify-reduction", "--formula", text, "--chain", "luk:3"])[1].endswith(
+        "consistent: True\n")
 
 
 def test_herbrand_search_honours_budget():

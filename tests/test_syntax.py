@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fuzzyfo import syntax
 from fuzzyfo.syntax import (
@@ -10,8 +10,8 @@ from fuzzyfo.syntax import (
     VocabularyError, MAX_NESTING, children, classical_nnf, ensure_constant,
     format_formula, format_term, free_vars, herbrand_levels, herbrand_universe,
     herbrand_universe_sizes, is_lattice_literal_combination, is_quantifier_free, is_sentence,
-    parse, parse_vocabulary, rebuild, skolemize, split_universal_prefix, star_translate,
-    subformulas, substitute, vocabulary_of,
+    parse, parse_vocabulary, pull_universals, rebuild, skolemize, split_universal_prefix,
+    star_translate, subformulas, substitute, vocabulary_of,
 )
 
 VOCAB = Vocabulary(
@@ -21,6 +21,7 @@ VOCAB = Vocabulary(
 )
 
 REL_VOCAB = Vocabulary(predicates={"P": 1, "R": 2}, constants=frozenset({"c"}), relational=True)
+P_C = Atom("P", (Const("c"),))
 
 
 def test_parse_forall_meet_literal():
@@ -229,8 +230,14 @@ def test_star_translate_fragment_errors():
         star_translate(parse("~(P(c) /\\ Q(c))", VOCAB))
     with pytest.raises(FragmentError):
         star_translate(parse("P(c) -> Q(c)", VOCAB))
-    with pytest.raises(FragmentError):
-        star_translate(BOTTOM)  # truth constants are not literals here
+    assert star_translate(BOTTOM) == BOTTOM  # 0 and 1 are their own squares
+
+
+def test_truth_constants_pass_through_the_star():
+    phi = parse("forall x. (P(x) /\\ 1) \\/ 0", VOCAB)
+    assert is_lattice_literal_combination(Join(Meet(P_C, TOP), BOTTOM))
+    p = Atom("P", (Var("x"),))
+    assert star_translate(phi) == Join(Forall("x", Meet(StrongConj(p, p), TOP)), BOTTOM)
 
 
 @given(formulas())
@@ -485,6 +492,90 @@ def test_skolemize_substitutes_only_atoms(monkeypatch):
     out, _ = skolemize(phi, VOCAB)
     assert out == parse("forall x. (R(x, sk_0) /\\ ~R(sk_0, x))", VOCAB.with_constants(["sk_0"]))
     assert seen and set(seen) == {Atom}
+
+
+def pull_universals_reference(phi):
+    """The reference prenexer for exists-free NNF input: every forall moves to
+    the prefix in walk order, and nothing is folded."""
+    prefix = []
+
+    def strip(phi):
+        if isinstance(phi, Forall):
+            prefix.append(phi.var)
+            return strip(phi.body)
+        if isinstance(phi, (Meet, Join)):
+            return type(phi)(strip(phi.left), strip(phi.right))
+        return phi
+
+    matrix = strip(phi)
+    for v in reversed(prefix):
+        matrix = Forall(v, matrix)
+    return matrix
+
+
+def _distinct_binders(phi):
+    binders = [s.var for s in subformulas(phi) if isinstance(s, (Forall, Exists))]
+    return len(binders) == len(set(binders))
+
+
+@settings(max_examples=300)
+@given(formulas().filter(is_sentence))
+def test_pull_universals_agrees_with_the_reference_on_the_reductions_input(phi):
+    # what the reduction passes: Skolemized NNF, exists-free and (the formulas
+    # hold none) without truth constants; NNF may repeat a binder at <->
+    universal, _ = skolemize(classical_nnf(rename_apart(phi)), PQ_VOCABS[0])
+    assume(_distinct_binders(universal))
+    assert pull_universals(universal) == pull_universals_reference(universal)
+
+
+def test_pull_universals_lifts_the_exists_no_forall_scopes_first():
+    phi = parse("(forall x. P(x)) /\\ exists y. (Q(y) \\/ forall z. exists w. R(z, w))", VOCAB)
+    assert format_formula(pull_universals(phi)) == (
+        "exists y. forall x. forall z. (P(x) /\\ (Q(y) \\/ exists w. R(z, w)))")
+    phi = parse("(exists u. P(u)) \\/ (forall x. exists v. Q(v)) \\/ exists w. Q(w)", VOCAB)
+    assert format_formula(pull_universals(phi)) == (
+        "exists u. exists w. forall x. (P(u) \\/ exists v. Q(v) \\/ Q(w))")
+
+
+def test_pull_universals_folds_the_truth_constants_it_uncovers():
+    assert pull_universals(parse("P(c) \\/ forall x. 0", VOCAB)) == Forall("x", P_C)
+    assert pull_universals(parse("P(c) /\\ exists x. 0", VOCAB)) == Exists("x", BOTTOM)
+    phi = parse("(forall x. (P(x) \\/ 1)) /\\ exists y. Q(y)", VOCAB)
+    assert pull_universals(classical_nnf(phi)) == Exists("y", Forall("x", Atom("Q", (Var("y"),))))
+
+
+def test_pull_universals_renames_a_repeated_binder_apart():
+    # merging the two binders would read (forall x. P(x)) \\/ forall x. ~P(x)
+    # as the valid forall x. (P(x) \\/ ~P(x))
+    p, x_1 = Atom("P", (X,)), Var("x_1")
+    assert pull_universals(Join(Forall("x", p), Forall("x", Neg(p)))) == Forall(
+        "x", Forall("x_1", Join(p, Neg(Atom("P", (x_1,))))))
+    assert pull_universals(Meet(Exists("x", p), Exists("x", Neg(p)))) == Exists(
+        "x", Exists("x_1", Meet(p, Neg(Atom("P", (x_1,))))))
+    assert pull_universals(Exists("x", Forall("x", p))) == Exists(
+        "x", Forall("x_1", Atom("P", (x_1,))))
+    # the new name avoids every name phi uses, binders, variables and symbols
+    phi = Join(Forall("x", p), Meet(Forall("x", Atom("Q", (X, Const("x_1")))), Exists("x_2", TOP)))
+    assert format_formula(pull_universals(phi)) == (
+        "exists x_2. forall x. forall x_3. (P(x) \\/ Q(x_3, x_1))")
+    # an exists under a forall stays, so its name may repeat one in the prefix
+    phi = Forall("y", Meet(Exists("x", p), Forall("x", Neg(p))))
+    assert pull_universals(phi) == Forall("y", Forall("x", Meet(Exists("x", p), Neg(p))))
+
+
+@pytest.mark.parametrize("text", ["((forall x. P(x)) <-> Q(c)) <-> P(d)",
+                                  "~(((exists x. P(x)) <-> Q(c)) <-> forall y. Q(y))"])
+def test_pull_universals_renames_the_binders_nnf_copies(text):
+    # NNF writes each side of <-> twice, so a nested <-> repeats its binders
+    phi = classical_nnf(parse(text, VOCAB))
+    assert not _distinct_binders(phi)
+    prenex = matrix = pull_universals(phi)
+    prefix = []
+    while isinstance(matrix, (Forall, Exists)):
+        prefix.append(matrix.var)
+        matrix = matrix.body
+    assert is_sentence(prenex) and _distinct_binders(prenex) and is_quantifier_free(matrix)
+    assert len(prefix) == sum(isinstance(s, (Forall, Exists)) for s in subformulas(phi))
 
 
 def test_herbrand_universe_examples():
