@@ -159,8 +159,10 @@ def cmd_parse(args, budget: int) -> Report:
     report.add("sentence", syntax.is_sentence(formula))
     report.add("literal", syntax.is_literal(formula))
     report.add("lattice-literal-combination", syntax.is_lattice_literal_combination(formula))
-    report.add("purely-universal",
-               syntax.is_quantifier_free(syntax.split_universal_prefix(formula)[1]))
+    matrix = formula  # purely universal as written: a forall prefix, then no quantifier
+    while isinstance(matrix, syntax.Forall):
+        matrix = matrix.body
+    report.add("purely-universal", syntax.is_quantifier_free(matrix))
     report.add("relational", not syntax.vocabulary_of(formula).functions)
     return report
 

@@ -22,10 +22,10 @@ from .semantics import (
     enumerate_structures, eval, eval_propositional, first_at_least,
 )
 from .syntax import (
-    App, Atom, BOTTOM, MAX_NESTING, Const, Exists, Formula, FragmentError, Join,
+    App, Atom, BOTTOM, MAX_NESTING, Const, Formula, FragmentError, Join,
     Meet, Neg, TOP, Term, TruthConst, Var, classical_nnf, format_formula,
-    herbrand_levels, herbrand_universe_sizes, is_sentence, pull_universals,
-    split_universal_prefix, substitute, vocabulary_of,
+    herbrand_levels, herbrand_universe_sizes, is_sentence, prenex, substitute,
+    vocabulary_of,
 )
 
 ChainClass = Sequence[FiniteChain]
@@ -177,7 +177,7 @@ class _Instances:
         self.groups: dict[tuple[int, ...], list[list[int]]] = {}
         self._args = {v: ~k for k, v in enumerate(prefix)}
         self._atom_slots: dict = {}
-        # the folds of classical_nnf and pull_universals leave 0 and 1 only
+        # the folds of classical_nnf and prenex leave 0 and 1 only
         # at the root, so only a conjunct can still be a truth constant
         for conjunct in _operands(matrix, Meet):
             if isinstance(conjunct, TruthConst):
@@ -413,7 +413,7 @@ def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) 
 def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact classical satisfiability for relational Bernays-Schonfinkel sentences.
 
-    Without equality, the prenex form `pull_universals(classical_nnf(phi))`,
+    Without equality, the prenex form `prenex(classical_nnf(phi))`,
     exists x-bar forall y-bar M with M exists-free, is satisfiable iff its Skolem
     form, M with x-bar read as fresh constants @0, @1, ..., is, and by Herbrand
     at depth 0 iff that form's instances with y-bar ranging over level 0 of
@@ -422,11 +422,8 @@ def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     of constants occurring in the Skolem form, or 1.  The |U|^#forall instances
     are checked against the budget, grounded, and decided by one SAT call.
     """
-    matrix, skolem = pull_universals(classical_nnf(phi)), {}
-    while isinstance(matrix, Exists):
-        skolem[matrix.var] = Const(f"@{len(skolem)}")
-        matrix = matrix.body
-    forall_vars, matrix = split_universal_prefix(substitute(matrix, skolem))
+    exists, forall_vars, matrix = prenex(classical_nnf(phi))
+    matrix = substitute(matrix, {v: Const(f"@{i}") for i, v in enumerate(exists)})
     vocab = vocabulary_of(matrix)
     if vocab.functions:
         raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
@@ -452,8 +449,10 @@ HERBRAND_INSTANCE_CAP = 4096
 
 def dual_herbrand_search(phi: Formula, max_depth: int,
                          budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Search for a contradictory conjunction of Herbrand instances.
+    """Search for a contradictory conjunction of Herbrand instances of a universal sentence.
 
+    The instances, and the witness's conjunction, are built on the matrix of
+    `prenex(classical_nnf(phi))`, which must leave no exists outside every forall.
     Works depth by depth, extending the term universe by one level at a time.
     Each matrix instance is grounded once, as its own clause group; at each
     depth one SAT call tests all of them together and, when they are
@@ -463,11 +462,13 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     A relational phi is Bernays-Schonfinkel: depth 0 decides it, and its B2
     model is the SAT call's, budget permitting.  Otherwise `exhausted` means no witness in bounds.
     """
-    prefix, matrix = split_universal_prefix(phi)
     if max_depth < 0:
         raise ValueError(f"max depth must be at least 0, got {max_depth}")
+    exists, prefix, matrix = prenex(classical_nnf(phi))
+    if exists:
+        raise FragmentError("not a universal sentence: an exists outside every forall")
     vocab = vocabulary_of(phi)
-    instances = _Instances(classical_nnf(matrix), prefix)
+    instances = _Instances(matrix, prefix)
     levels = herbrand_levels(vocab)
     universe: list[int] = []
     searched, capped = 0, ""
@@ -530,8 +531,8 @@ def _greedy_minimal(n: int, contradictory: Callable[[list[int]], bool]) -> list[
 
 def purely_universal_contradiction(phi: Formula, max_depth: int,
                                    budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Decide (relational) or semi-decide contradictoriness.  A call, not an alias,
-    so perfbench/tracing.py times the search inside it as its own span."""
+    """Decide (relational) or semi-decide contradictoriness of any universal sentence.  A
+    call, not an alias, so perfbench/tracing.py times the search inside it as its own span."""
     return dual_herbrand_search(phi, max_depth, budget)
 
 

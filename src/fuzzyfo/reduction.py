@@ -24,9 +24,8 @@ from .semantics import (
     DEFAULT_BUDGET, Structure, enumerate_structures, eval, eval_propositional,
 )
 from .syntax import (
-    Forall, Formula, Neg, Vocabulary, VocabularyError, classical_nnf,
-    is_lattice_literal_combination, is_quantifier_free, is_sentence, pull_universals,
-    skolemize, split_universal_prefix, star_translate, vocabulary_of,
+    Formula, Neg, Vocabulary, VocabularyError, classical_nnf, is_lattice_literal_combination,
+    is_sentence, prenex, pull_universals, skolemize, star_translate, vocabulary_of,
 )
 
 
@@ -57,18 +56,12 @@ def to_purely_universal(phi: Formula, vocab: Optional[Vocabulary] = None) -> tup
         vocab = vocabulary_of(phi)
     nnf = classical_nnf(phi)
     skolemized, extended = skolemize(nnf, vocab)
-    result = pull_universals(skolemized)
-    assert is_quantifier_free(split_universal_prefix(result)[1])
-    return result, extended
+    return pull_universals(skolemized), extended
 
 
 def matrix_to_lattice_literals(phi: Formula) -> Formula:
-    """Rewrite the matrix of a purely universal sentence into literals under /\\ and \\/."""
-    prefix, matrix = split_universal_prefix(phi)
-    matrix = classical_nnf(matrix)
-    for v in reversed(prefix):
-        matrix = Forall(v, matrix)
-    return matrix
+    """A purely universal sentence's matrix as literals under /\\ and \\/: its NNF."""
+    return classical_nnf(phi)
 
 
 def hardness_reduce(phi: Formula, vocab: Optional[Vocabulary] = None) -> ReductionTrace:
@@ -122,8 +115,8 @@ class VerificationReport:
 
 def _star_shape_check(trace: ReductionTrace) -> tuple[str, bool, str]:
     """The star output squares the literals of a universal lattice-literal matrix."""
-    _, matrix = split_universal_prefix(trace.lattice_matrix_form)
-    ok = (is_lattice_literal_combination(matrix)
+    exists, _, matrix = prenex(trace.lattice_matrix_form)
+    ok = (not exists and is_lattice_literal_combination(matrix)
           and trace.star_output == star_translate(trace.lattice_matrix_form))
     return ("star output is the star of a lattice-literal matrix", ok,
             f"{'' if ok else 'not '}star_translate of the lattice matrix")

@@ -268,14 +268,6 @@ def quantifier_depth(phi: Formula) -> int:
     return isinstance(phi, _QUANT) + max(map(quantifier_depth, children(phi)), default=0)
 
 
-def split_universal_prefix(phi: Formula) -> tuple[list[str], Formula]:
-    prefix: list[str] = []
-    while isinstance(phi, Forall):
-        prefix.append(phi.var)
-        phi = phi.body
-    return prefix, phi
-
-
 def _walk_terms(*terms: Term) -> Iterator[Term]:
     """The terms and their subterms, in preorder."""
     for t in terms:
@@ -688,14 +680,15 @@ def skolemize(phi: Formula, vocab: Vocabulary) -> tuple[Formula, Vocabulary]:
     return walk(phi, {}, ()), new_vocab
 
 
-def pull_universals(phi: Formula) -> Formula:
-    """The exists*-forall* prenex form of an NNF formula, in one walk over /\\ and \\/.
+def prenex(phi: Formula) -> tuple[list[str], list[str], Formula]:
+    """An NNF formula's exists*-forall* prenex form as (exists variables, forall
+    variables, matrix), in one walk over /\\ and \\/.
 
-    Each forall, and each exists that no forall scopes, moves to the prefix, the
-    exists first and each group in walk order; rebuilt /\\ and \\/ are folded, so
-    no truth constant is left below the matrix's root.  NNF copies both sides of
-    `<->`, so a binder whose name the prefix has is renamed apart, to the first
-    var_k (k = 1, 2, ..) that phi does not use.
+    Each forall, and each exists that no forall scopes, moves to the prefix in
+    walk order.  /\\ and \\/ are folded, leaving no truth constant below the
+    matrix's root, and rebuilt only when an operand changes: a prenex input's
+    matrix is returned itself.  NNF copies both sides of `<->`, so a binder whose
+    name the prefix has is renamed apart, to the first unused var_k (k = 1, 2, ..).
     """
     prefix: dict[str, type] = {}
     taken: set[str] = set()
@@ -711,12 +704,22 @@ def pull_universals(phi: Formula) -> Formula:
             prefix[sub.var] = type(sub)
             return strip(sub.body, scoped or isinstance(sub, Forall))
         if isinstance(sub, (Meet, Join)):
-            return _fold(type(sub)(strip(sub.left, scoped), strip(sub.right, scoped)))
+            left, right = strip(sub.left, scoped), strip(sub.right, scoped)
+            return _fold(sub if left is sub.left and right is sub.right else type(sub)(left, right))
         return sub
 
     matrix = strip(phi, False)
-    for v, quantifier in sorted(reversed(prefix.items()), key=lambda b: b[1] is Exists):
-        matrix = quantifier(v, matrix)
+    return ([v for v, q in prefix.items() if q is Exists],
+            [v for v, q in prefix.items() if q is Forall], matrix)
+
+
+def pull_universals(phi: Formula) -> Formula:
+    """The exists*-forall* prenex form of an NNF formula, built from `prenex`'s parts."""
+    exists, forall_vars, matrix = prenex(phi)
+    for v in reversed(forall_vars):
+        matrix = Forall(v, matrix)
+    for v in reversed(exists):
+        matrix = Exists(v, matrix)
     return matrix
 
 

@@ -156,3 +156,31 @@ def test_parse_is_one_pass():
     assert len(methods) > 10
     for node in [parse] + methods:
         assert set(_names(node)) & SECOND_WALK_NAMES == set(), node.name
+
+
+BINDER_NAMES = {"Forall", "Exists"}
+
+
+def _prefix_peels(tree):
+    """Line numbers of `while isinstance(...)` loops that test for a binder."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.While) and isinstance(node.test, ast.Call)
+                and getattr(node.test.func, "id", None) == "isinstance"
+                and set(_names(node.test)) & BINDER_NAMES):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("name", ["decision.py", "reduction.py"])
+def test_the_classical_steps_read_their_prefix_through_prenex(name):
+    # one prenex reader: `syntax.prenex` hands every classical step its
+    # quantifier prefix and matrix, so none peels binders off by itself
+    path = next(p for p in SOURCES if p.name == name)
+    assert list(_prefix_peels(_tree(path))) == [], name
+    assert "prenex" in set(_names(_tree(path)))
+
+
+@pytest.mark.parametrize("text", ["while isinstance(phi, Exists):\n    phi = phi.body",
+                                  "while isinstance(m, syntax.Forall): pass",
+                                  "while isinstance(m, (Forall, Exists)): pass"])
+def test_the_prefix_check_sees_each_peel(text):
+    assert list(_prefix_peels(ast.parse(text))) == [1]

@@ -21,7 +21,7 @@ from fuzzyfo.semantics import (
 from fuzzyfo.syntax import (
     App, Atom, Const, Exists, Forall, Join, Meet, Neg, Var, Vocabulary, VocabularyError,
     format_formula, is_lattice_literal_combination, is_quantifier_free, is_sentence, parse,
-    split_universal_prefix, star_translate, vocabulary_of,
+    prenex, pull_universals, star_translate, vocabulary_of,
 )
 
 from test_compiled import CHAINS, SAMPLED, SWEEP_CAP, sentences
@@ -47,7 +47,7 @@ def test_to_purely_universal_skolem_function():
     out, vocab = to_purely_universal(parse("forall x. exists y. (R(x, y) /\\ ~R(x, y))"))
     assert format_formula(out) == "forall x. (R(x, sk_0(x)) /\\ ~R(x, sk_0(x)))"
     assert vocab.functions["sk_0"] == 1
-    assert is_quantifier_free(split_universal_prefix(out)[1])
+    assert prenex(out) == ([], ["x"], out.body)
 
 
 def test_to_purely_universal_relational_violation():
@@ -76,7 +76,9 @@ def test_hardness_reduce_stage_contracts():
     ]
     for text in corpus:
         trace = hardness_reduce(parse(text))
-        assert is_quantifier_free(split_universal_prefix(trace.purely_universal_form)[1])
+        universal = trace.purely_universal_form
+        exists, _, matrix = prenex(universal)
+        assert not exists and is_quantifier_free(matrix) and pull_universals(universal) == universal
         prefixless = trace.lattice_matrix_form
         while hasattr(prefixless, "var"):
             prefixless = prefixless.body
@@ -317,6 +319,17 @@ def test_a_tampered_star_output_fails_the_shape_check():
     trace = hardness_reduce(parse("exists x. (P(x) /\\ ~P(x))"))
     tampered = replace(trace, star_output=trace.lattice_matrix_form)
     with pytest.raises(ReductionVerificationError, match="not star_translate of the lattice matrix"):
+        verify_reduction_instance(tampered, [L3])
+
+
+def test_an_unscoped_exists_in_the_lattice_form_fails_the_shape_check():
+    # its matrix is a lattice-literal combination and the star is its own, but
+    # a lattice form must be universal
+    trace = hardness_reduce(parse("exists x. (P(x) /\\ ~P(x))"))
+    lattice = parse("exists y. (P(y) /\\ ~P(y))")
+    tampered = replace(trace, lattice_matrix_form=lattice, star_output=star_translate(lattice))
+    with pytest.raises(ReductionVerificationError,
+                       match=re.escape("[star output is the star of a lattice-literal matrix]")):
         verify_reduction_instance(tampered, [L3])
 
 

@@ -23,9 +23,9 @@ from fuzzyfo.decision import (
 from fuzzyfo.reduction import hardness_reduce, to_purely_universal, verify_reduction_instance
 from fuzzyfo.semantics import BudgetExceededError, eval, eval_propositional
 from fuzzyfo.syntax import (
-    BOTTOM, TOP, Atom, Biimpl, Const, Exists, Forall, Impl, Join, Meet, Neg, StrongConj,
-    TruthConst, Var, classical_nnf, format_formula, parse, star_translate, subformulas,
-    vocabulary_of,
+    BOTTOM, TOP, Atom, Biimpl, Const, Exists, Forall, FragmentError, Impl, Join, Meet, Neg,
+    StrongConj, TruthConst, Var, classical_nnf, format_formula, parse, pull_universals,
+    star_translate, subformulas, vocabulary_of,
 )
 
 from oracles import _Cnf, _sat, _tseitin, ground_satisfiable
@@ -683,3 +683,57 @@ def test_relational_search_decides_like_bsr_and_returns_a_model(phi):
     assert out.structure.domain_size == bound
     assert eval(B2, out.structure, phi) == 1
     assert sat1_bounded([B2], phi, bound).kind == "member_witness"
+
+
+def test_the_herbrand_search_takes_a_universal_sentence_however_spelled():
+    out = purely_universal_contradiction(parse("~exists x. P(x)"), 2)
+    assert (out.kind, out.decided) == ("decided", False)
+    out = purely_universal_contradiction(parse("(forall x. P(x)) /\\ forall y. ~P(y)"), 2)
+    assert (out.kind, out.decided) == ("decided", True)
+    out = purely_universal_contradiction(parse("(forall x. P(f(x))) /\\ ~P(f(c))"), 2)
+    assert out.decided and (out.herbrand.depth, out.herbrand.m) == (0, 1)
+    assert out.herbrand.conjunction == parse("P(f(c)) /\\ ~P(f(c))")
+    with pytest.raises(FragmentError,
+                       match="^not a universal sentence: an exists outside every forall$"):
+        purely_universal_contradiction(parse("exists x. P(x)"), 2)
+
+
+@st.composite
+def universal_spellings(draw):
+    """A relational universal sentence over P/1, R/2 and S/0 spelled out of
+    prenex form: each binder, drawn inside /\\ and \\/, is a forall or a
+    ~exists ~, and names are distinct.  No truth constant occurs: folding one
+    away can drop a constant from the NNF, and so change the universe's size."""
+    names: list[str] = []
+
+    def node(scope, depth):
+        kinds = ["leaf"]
+        if depth:
+            kinds += ["meet", "join"] + (["forall", "not-exists"] if len(names) < 4 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "leaf":
+            terms = st.sampled_from([Var(v) for v in scope] + [Const("a"), Const("b")])
+            atoms = st.one_of(st.just(Atom("S")), terms.map(lambda t: Atom("P", (t,))),
+                              st.tuples(terms, terms).map(lambda args: Atom("R", args)))
+            return draw(st.recursive(atoms, lambda sub: st.one_of(
+                sub.map(Neg), *(st.tuples(sub, sub).map(lambda lr, cls=cls: cls(*lr))
+                                for cls in (Meet, Join, Impl))), max_leaves=3))
+        if kind in ("meet", "join"):
+            cls = Meet if kind == "meet" else Join
+            return cls(node(scope, depth - 1), node(scope, depth - 1))
+        var = f"v{len(names)}"
+        names.append(var)
+        body = node(scope + [var], depth - 1)
+        return Forall(var, body) if kind == "forall" else Neg(Exists(var, Neg(body)))
+
+    return node([], 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(universal_spellings())
+def test_the_herbrand_search_reads_any_spelling_as_its_prenex_form(phi):
+    out = dual_herbrand_search(phi, 1)
+    prenex_out = dual_herbrand_search(pull_universals(classical_nnf(phi)), 1)
+    assert (out.kind, out.decided, out.reason, out.bounds) == (
+        prenex_out.kind, prenex_out.decided, prenex_out.reason, prenex_out.bounds)
+    assert out.decided == (not bsr_decide(phi).decided)

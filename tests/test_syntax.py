@@ -10,8 +10,8 @@ from fuzzyfo.syntax import (
     VocabularyError, MAX_NESTING, children, classical_nnf, ensure_constant,
     format_formula, format_term, free_vars, herbrand_levels, herbrand_universe,
     herbrand_universe_sizes, is_lattice_literal_combination, is_quantifier_free, is_sentence,
-    parse, parse_vocabulary, pull_universals, rebuild, skolemize, split_universal_prefix,
-    star_translate, subformulas, substitute, vocabulary_of,
+    parse, parse_vocabulary, prenex, pull_universals, rebuild, skolemize, star_translate,
+    subformulas, substitute, vocabulary_of,
 )
 
 VOCAB = Vocabulary(
@@ -258,9 +258,9 @@ def test_star_commutes_with_meet():
 def test_classify_examples():
     assert is_lattice_literal_combination(parse("P(c) /\\ (~Q(c) \\/ P(c))", VOCAB))
     phi = parse("forall x. forall y. (P(x) \\/ ~P(y))", VOCAB)
-    assert is_quantifier_free(split_universal_prefix(phi)[1]) and not vocabulary_of(phi).functions
+    assert prenex(phi) == ([], ["x", "y"], phi.body.body) and not vocabulary_of(phi).functions
     phi = parse("forall x. exists y. P(f(x))", VOCAB)
-    assert not is_quantifier_free(split_universal_prefix(phi)[1])
+    assert not is_quantifier_free(prenex(phi)[2])
     assert vocabulary_of(phi).functions
 
 
@@ -367,8 +367,8 @@ def test_classical_nnf_is_the_pos_neg_pair(phi):
 def test_skolemize_forall_exists():
     phi = parse("forall x. exists y. R(x, y)", VOCAB)
     out, vocab = skolemize(phi, VOCAB)
-    prefix, matrix = split_universal_prefix(out)
-    assert prefix == ["x"]
+    exists, forall_vars, matrix = prenex(out)
+    assert (exists, forall_vars) == ([], ["x"]) and out == Forall("x", matrix)
     assert matrix == Atom("R", (Var("x"), App("sk_0", (Var("x"),))))
     assert vocab.functions["sk_0"] == 1
 
@@ -569,13 +569,64 @@ def test_pull_universals_renames_the_binders_nnf_copies(text):
     # NNF writes each side of <-> twice, so a nested <-> repeats its binders
     phi = classical_nnf(parse(text, VOCAB))
     assert not _distinct_binders(phi)
-    prenex = matrix = pull_universals(phi)
+    form = matrix = pull_universals(phi)
     prefix = []
     while isinstance(matrix, (Forall, Exists)):
         prefix.append(matrix.var)
         matrix = matrix.body
-    assert is_sentence(prenex) and _distinct_binders(prenex) and is_quantifier_free(matrix)
+    assert is_sentence(form) and _distinct_binders(form) and is_quantifier_free(matrix)
     assert len(prefix) == sum(isinstance(s, (Forall, Exists)) for s in subformulas(phi))
+
+
+def _wrap(exists, forall_vars, matrix):
+    """The exists*-forall* sentence over prenex's parts, built apart from pull_universals."""
+    for quantifier, names in ((Forall, forall_vars), (Exists, exists)):
+        for v in reversed(names):
+            matrix = quantifier(v, matrix)
+    return matrix
+
+
+_P = Atom("P", (X,))
+# the inputs the pull_universals examples above feed it
+PULL_UNIVERSALS_INPUTS = [
+    parse("(forall x. P(x)) /\\ exists y. (Q(y) \\/ forall z. exists w. R(z, w))", VOCAB),
+    parse("(exists u. P(u)) \\/ (forall x. exists v. Q(v)) \\/ exists w. Q(w)", VOCAB),
+    parse("P(c) \\/ forall x. 0", VOCAB),
+    parse("P(c) /\\ exists x. 0", VOCAB),
+    classical_nnf(parse("(forall x. (P(x) \\/ 1)) /\\ exists y. Q(y)", VOCAB)),
+    Join(Forall("x", _P), Forall("x", Neg(_P))),
+    Meet(Exists("x", _P), Exists("x", Neg(_P))),
+    Exists("x", Forall("x", _P)),
+    Join(Forall("x", _P), Meet(Forall("x", Atom("Q", (X, Const("x_1")))), Exists("x_2", TOP))),
+    Forall("y", Meet(Exists("x", _P), Forall("x", Neg(_P)))),
+    classical_nnf(parse("((forall x. P(x)) <-> Q(c)) <-> P(d)", VOCAB)),
+    classical_nnf(parse("~(((exists x. P(x)) <-> Q(c)) <-> forall y. Q(y))", VOCAB)),
+]
+
+
+@pytest.mark.parametrize("phi", PULL_UNIVERSALS_INPUTS, ids=format_formula)
+def test_prenex_parts_rebuild_to_pull_universals(phi):
+    exists, forall_vars, matrix = prenex(phi)
+    assert _wrap(exists, forall_vars, matrix) == pull_universals(phi)
+    # the matrix keeps no forall, and an exists only under one
+    assert not any(isinstance(s, Forall) for s in subformulas(matrix))
+    assert forall_vars or not any(isinstance(s, Exists) for s in subformulas(matrix))
+
+
+def test_prenex_hands_back_a_prenex_inputs_matrix_itself():
+    phi = parse("forall x. forall y. ((P(x) /\\ Q(y)) \\/ ~R(x, y))", VOCAB)
+    assert prenex(phi)[2] is phi.body.body
+    phi = parse("exists y. forall x. (P(x) /\\ exists z. R(x, z))", VOCAB)
+    assert prenex(phi) == (["y"], ["x"], phi.body.body)
+    assert prenex(phi)[2] is phi.body.body
+
+
+@settings(max_examples=300)
+@given(nnf_inputs)
+def test_prenex_of_a_prenex_form_builds_nothing(phi):
+    exists, forall_vars, matrix = prenex(classical_nnf(phi))
+    again = prenex(_wrap(exists, forall_vars, matrix))
+    assert again == (exists, forall_vars, matrix) and again[2] is matrix
 
 
 def test_herbrand_universe_examples():
