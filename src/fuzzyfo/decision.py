@@ -22,8 +22,8 @@ from .semantics import (
     enumerate_structures, eval, eval_propositional, first_at_least,
 )
 from .syntax import (
-    App, Atom, BOTTOM, MAX_NESTING, Const, Formula, FragmentError, Join,
-    Meet, Neg, TOP, Term, TruthConst, Var, classical_nnf, format_formula,
+    App, Atom, BOTTOM, MAX_NESTING, Formula, FragmentError, Join, Meet, Neg,
+    TOP, Term, TruthConst, Var, Vocabulary, classical_nnf, format_formula,
     herbrand_levels, herbrand_universe_sizes, is_sentence, prenex, substitute,
     vocabulary_of,
 )
@@ -157,16 +157,17 @@ class _Instances:
 
     Closed terms are interned to term ids (`terms`) and ground atoms to SAT
     variables numbered from 1 (`atom_keys`, None for an auxiliary).  The k-th
-    prefix variable is an instance's k-th argument; any other variable is a
-    constant.  An instance is its tuple of term ids, and its clauses are kept
-    as one group, so a set of instances is one SAT call.  The clauses are
-    compiled over slots: a slot is an atom, kept as (predicate, term
-    templates), or None for a Plaisted-Greenbaum auxiliary, and a clause holds
-    slot s as s and its negation as ~s.  A term template is a term id (>= 0),
-    ~k for the instance's k-th argument, or (function, term templates...).
+    prefix variable is an instance's k-th argument, a variable of `exists` is its
+    own closed term (a Var, which no Const equals), and any other variable raises
+    FragmentError.  An instance is its tuple of term ids, and its clauses are kept
+    as one group, so a set of instances is one SAT call.  The clauses are compiled
+    over slots: a slot is an atom, kept as (predicate, term templates), or None for
+    a Plaisted-Greenbaum auxiliary, and a clause holds slot s as s and its negation
+    as ~s.  A term template is a term id (>= 0), ~k for the instance's k-th
+    argument, or (function, term templates...).
     """
 
-    def __init__(self, matrix: Formula, prefix: Sequence[str]):
+    def __init__(self, matrix: Formula, prefix: Sequence[str], exists: Sequence[str] = ()):
         self.term_ids: dict = {}  # Const or Var, or (function, argument ids...) -> id
         self.terms: list[Term] = []
         self.atom_ids: dict = {}  # (predicate, argument ids...) -> variable
@@ -176,6 +177,7 @@ class _Instances:
         self.clauses: list[list[int]] = []
         self.groups: dict[tuple[int, ...], list[list[int]]] = {}
         self._args = {v: ~k for k, v in enumerate(prefix)}
+        self._exists = frozenset(exists)
         self._atom_slots: dict = {}
         # the folds of classical_nnf and prenex leave 0 and 1 only
         # at the root, so only a conjunct can still be a truth constant
@@ -204,7 +206,9 @@ class _Instances:
         return tid
 
     def _template(self, t: Term):
-        if isinstance(t, Var) and t.name in self._args:
+        if isinstance(t, Var) and t.name not in self._exists:
+            if t.name not in self._args:
+                raise FragmentError(f"classical satisfiability needs a sentence: {t.name} is free")
             return self._args[t.name]
         if isinstance(t, App):
             args = tuple(self._template(a) for a in t.args)
@@ -277,18 +281,21 @@ class _Instances:
         clauses = [clause for key in keys for clause in self.groups[key]]
         return _dpll(len(self.atom_keys) - 1, clauses, budget)
 
-    def structure(self, universe: list[int], model: list[int], predicates: dict[str, int],
+    def structure(self, universe: list[int], model: list[int], vocab: Vocabulary,
                   budget: int) -> Optional[Structure]:
-        """The model as a B2 structure whose element i is the constant universe[i], an
-        atom no clause mentions reading 0; None if its tables exceed `budget` entries."""
+        """The model as a B2 structure of vocab, element i the constant universe[i] and any other
+        constant, function value or unmentioned atom 0; None past `budget` table entries."""
         n, index = len(universe), {t: i for i, t in enumerate(universe)}
-        if sum(n ** arity for arity in predicates.values()) > budget:
+        symbols = vocab.predicates | vocab.functions
+        if sum(n ** arity for arity in symbols.values()) > budget:
             return None
-        tables = {p: dict.fromkeys(itertools.product(range(n), repeat=arity), 0)
-                  for p, arity in predicates.items()}
+        tables = {s: dict.fromkeys(itertools.product(range(n), repeat=arity), 0)
+                  for s, arity in symbols.items()}
         for key, v in self.atom_ids.items():
             tables[key[0]][tuple(index[t] for t in key[1:])] = int(model[v] == 1)
-        return Structure(n, {self.terms[t].name: i for t, i in index.items()}, {}, tables)
+        names = dict.fromkeys(sorted(vocab.constants), 0)
+        names.update((self.terms[t].name, i) for t, i in index.items())
+        return Structure(n, names, {f: tables.pop(f) for f in vocab.functions}, tables)
 
 
 def _dpll(n_vars: int, clauses: list[list[int]], budget: int) -> Optional[list[int]]:
@@ -387,8 +394,8 @@ def prop_satisfiable(phi: Formula | Sequence[Formula],
 
     phi is one formula or a list of conjuncts, grounded as one matrix.
     Returns a satisfying valuation of the atoms the clauses mention (any
-    other atom may take 0), or None.  Raises BudgetExceededError after
-    `budget` DPLL decisions.
+    other atom may take 0), or None.  Raises FragmentError on a variable or
+    a quantifier, and BudgetExceededError after `budget` DPLL decisions.
     """
     conjuncts = phi if isinstance(phi, (list, tuple)) else [phi]
     instances = _Instances(reduce(Meet, map(classical_nnf, conjuncts), TOP), ())
@@ -401,10 +408,7 @@ def prop_satisfiable(phi: Formula | Sequence[Formula],
 
 
 def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) -> bool:
-    """Unsatisfiability over B2, treating closed atoms as letters.
-
-    Raises BudgetExceededError after `budget` DPLL decisions.
-    """
+    """Unsatisfiability over B2, closed atoms read as letters; raises as `prop_satisfiable` does."""
     return prop_satisfiable(phi, budget) is None
 
 
@@ -413,27 +417,28 @@ def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) 
 def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact classical satisfiability for relational Bernays-Schonfinkel sentences.
 
-    Without equality, the prenex form `prenex(classical_nnf(phi))`,
-    exists x-bar forall y-bar M with M exists-free, is satisfiable iff its Skolem
-    form, M with x-bar read as fresh constants @0, @1, ..., is, and by Herbrand
-    at depth 0 iff that form's instances with y-bar ranging over level 0 of
-    `herbrand_levels`, as in `dual_herbrand_search`, are propositionally
-    satisfiable.  That level's size is the Bernays-Schonfinkel bound: the number
-    of constants occurring in the Skolem form, or 1.  The |U|^#forall instances
-    are checked against the budget, grounded, and decided by one SAT call.
+    Without equality, the prenex form `prenex(classical_nnf(phi))`, exists x-bar
+    forall y-bar M with M exists-free, is satisfiable iff its Skolem form is, and by
+    Herbrand at depth 0 iff M's instances with y-bar ranging over the Skolem form's
+    constants are.  `_Instances` grounds M as it stands, each x its own closed term
+    that no constant of phi equals.  The universe is the x that occur, in prefix
+    order, then level 0 of `herbrand_levels` if M names a constant or no x occurs;
+    its size is the Bernays-Schonfinkel bound.  The |U|^#forall instances are
+    checked against the budget, grounded, and decided by one SAT call.
     """
     exists, forall_vars, matrix = prenex(classical_nnf(phi))
-    matrix = substitute(matrix, {v: Const(f"@{i}") for i, v in enumerate(exists)})
     vocab = vocabulary_of(matrix)
     if vocab.functions:
         raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
     if not is_sentence(phi):
         raise FragmentError("Bernays-Schonfinkel decider needs a sentence")
     try:  # past the prefix, _Instances refuses only an exists under a forall
-        instances = _Instances(matrix, forall_vars)
+        instances = _Instances(matrix, forall_vars, exists)
     except FragmentError:
         raise FragmentError("not a Bernays-Schonfinkel sentence: an exists under a forall") from None
-    universe = [instances.term(t) for t in next(herbrand_levels(vocab))]
+    universe = [instances.term_ids[t] for t in map(Var, exists) if t in instances.term_ids]
+    if vocab.constants or not universe:
+        universe += [instances.term(t) for t in next(herbrand_levels(vocab))]
     sat = instances.solve(instances.over(universe, budget), budget) is not None
     bound = len(universe)
     return Verdict("decided", decided=sat,
@@ -467,7 +472,7 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     exists, prefix, matrix = prenex(classical_nnf(phi))
     if exists:
         raise FragmentError("not a universal sentence: an exists outside every forall")
-    vocab = vocabulary_of(phi)
+    vocab = vocabulary_of(matrix)
     instances = _Instances(matrix, prefix)
     levels = herbrand_levels(vocab)
     universe: list[int] = []
@@ -491,7 +496,7 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
         if not vocab.functions:
             return Verdict("decided", decided=witness is not None, herbrand=witness,
                            structure=None if witness else instances.structure(
-                               universe, model, vocab.predicates, budget),
+                               universe, model, vocabulary_of(phi), budget),
                            reason=f"Bernays-Schonfinkel: {'un' if witness else ''}satisfiable "
                                   f"at the Bernays-Schonfinkel bound {len(universe)}",
                            bounds=f"single domain size {len(universe)}")

@@ -184,3 +184,24 @@ def test_the_classical_steps_read_their_prefix_through_prenex(name):
                                   "while isinstance(m, (Forall, Exists)): pass"])
 def test_the_prefix_check_sees_each_peel(text):
     assert list(_prefix_peels(ast.parse(text))) == [1]
+
+
+def _at_names(tree):
+    """Line numbers of string constants, f-string parts included, that start with `@`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and str(node.value).startswith("@"):
+            yield node.lineno
+
+
+def test_bsr_grounds_its_prenex_matrix_as_it_stands():
+    # `_Instances` reads each exists-variable as its own closed term, so bsr
+    # substitutes no constant for one, and no constant name is reserved for it
+    tree = _tree(next(p for p in SOURCES if p.name == "decision.py"))
+    bsr = next(node for node in tree.body if getattr(node, "name", None) == "bsr_decide")
+    assert set(_names(bsr)) & {"substitute", "Const"} == set()
+    assert list(_at_names(tree)) == []
+
+
+@pytest.mark.parametrize("text", ['c = Const(f"@{i}")', 'name = "@0"', "x = '@' + str(i)"])
+def test_the_reserved_name_check_sees_each_spelling(text):
+    assert list(_at_names(ast.parse(text))) == [1]

@@ -215,11 +215,11 @@ def test_bsr_names_the_verifiers_bound(phi):
 
 
 @st.composite
-def bernays_schonfinkel_sentences(draw):
+def bernays_schonfinkel_sentences(draw, constants=("a", "b")):
     """A relational sentence over P/1, R/2 and S/0, with its prenex form built
     from the same draw.  Binders are drawn inside /\\ and \\/, an exists never
-    under a forall; names are distinct, the leaves may name the constants a
-    and b, and an exists-variable may not occur.  The prenex form puts every
+    under a forall; names are distinct (v0, v1, ..), the leaves may name the
+    constants, and an exists-variable may not occur.  The prenex form puts every
     exists, then every forall, over the quantifier-free matrix."""
     binders: dict[str, type] = {}
 
@@ -231,7 +231,7 @@ def bernays_schonfinkel_sentences(draw):
                 kinds += ["forall"] if under_forall else ["forall", "exists"]
         kind = draw(st.sampled_from(kinds))
         if kind == "leaf":
-            terms = st.sampled_from([Var(v) for v in scope] + [Const("a"), Const("b")])
+            terms = st.sampled_from([Var(v) for v in scope] + [Const(c) for c in constants])
             atoms = st.one_of(st.just(Atom("S")), st.sampled_from([TOP, BOTTOM]),
                               terms.map(lambda t: Atom("P", (t,))),
                               st.tuples(terms, terms).map(lambda args: Atom("R", args)))
@@ -279,6 +279,43 @@ def test_bsr_on_any_spelling_matches_brute_force(sample):
     bound = max(1, _exists_count(phi) + len(vocabulary_of(phi).constants))
     brute = any(ground_satisfiable(phi, n) for n in range(1, bound + 3))
     assert bsr_decide(phi).decided == brute
+
+
+# constants named like a generated Skolem constant or like the drawn binders
+CLASHING_CONSTANTS = ("a", "@0", "@1", "v0", "v1")
+
+
+@settings(max_examples=80, deadline=None)
+@given(bernays_schonfinkel_sentences(CLASHING_CONSTANTS))
+def test_bsr_grounds_exists_variables_apart_from_every_constant(sample):
+    phi, _ = sample
+    out = bsr_decide(phi)
+    report = verify_reduction_instance(hardness_reduce(phi), [B2])
+    assert out.decided == (not report.is_contradiction)
+    assert report.certificate == f"Bernays-Schonfinkel: {out.reason}"
+    # the oracle reads a constant and a variable of one name alike, so it
+    # gets the sentence with its constants renamed apart from the binders;
+    # without equality a model grows by copying an element, so a model of
+    # size up to the bound gives one of exactly the bound's size
+    renamed = _rename_constants(phi, {c: Const(f"k{i}") for i, c in enumerate(CLASHING_CONSTANTS)})
+    bound = max(1, _exists_count(phi) + len(vocabulary_of(phi).constants))
+    assert out.decided == ground_satisfiable(renamed, bound)
+
+
+def test_bsr_reads_an_at_constant_as_any_other():
+    # the Skolem form's constant for x is not the input's @0
+    x = Var("x")
+    phi = Exists("x", Meet(Atom("P", (x,)), Neg(Atom("P", (Const("@0"),)))))
+    out = bsr_decide(phi)
+    assert (out.decided, out.bounds) == (True, "single domain size 2")
+    report = verify_reduction_instance(hardness_reduce(phi), [B2])
+    assert report.certificate == f"Bernays-Schonfinkel: {out.reason}"
+
+
+def test_bsr_reads_a_bound_name_apart_from_a_constant_of_that_name():
+    # pin: the parser reads the bound c as a variable and the free c as a constant
+    out = bsr_decide(parse("P(c) /\\ exists c. ~P(c)"))
+    assert out.decided and out.reason == "satisfiable at the Bernays-Schonfinkel bound 2"
 
 
 def test_bsr_renames_a_repeated_binder_apart():
@@ -404,6 +441,8 @@ def _rename_constants(phi, renamed):
         return Neg(_rename_constants(phi.body, renamed))
     if isinstance(phi, TruthConst):
         return phi
+    if isinstance(phi, (Exists, Forall)):
+        return type(phi)(phi.var, _rename_constants(phi.body, renamed))
     return type(phi)(_rename_constants(phi.left, renamed), _rename_constants(phi.right, renamed))
 
 
@@ -696,6 +735,38 @@ def test_the_herbrand_search_takes_a_universal_sentence_however_spelled():
     with pytest.raises(FragmentError,
                        match="^not a universal sentence: an exists outside every forall$"):
         purely_universal_contradiction(parse("exists x. P(x)"), 2)
+
+
+OPEN_FORMULAS = [Forall("y", Meet(Atom("P", (Var("x"),)), Neg(Atom("P", (Var(v),)))))
+                 for v in ("y", "x")]
+
+
+OPEN_ERROR = "^classical satisfiability needs a sentence: x is free$"
+
+
+@pytest.mark.parametrize("phi", OPEN_FORMULAS, ids=format_formula)
+def test_the_ground_core_refuses_an_open_formula(phi):
+    # a free variable is neither an instance's argument nor a closed term
+    for search in (dual_herbrand_search, purely_universal_contradiction):
+        with pytest.raises(FragmentError, match=OPEN_ERROR):
+            search(phi, 2)
+    for ask in (prop_satisfiable, is_classical_contradiction_prop):
+        with pytest.raises(FragmentError, match=OPEN_ERROR):
+            ask(phi.body)
+        with pytest.raises(FragmentError):
+            ask(phi)
+
+
+def test_the_herbrand_search_sizes_its_universe_from_the_matrix():
+    # NNF folds R(a, b) \/ 1 away, so no constant is left and the bound is 1,
+    # as bsr names it; the model still reads every symbol of the input
+    found = "forall x. (P(x) /\\ (R(a, b) \\/ 1))"
+    for text in (found, "forall x. (P(x) /\\ (R(f(a)) \\/ 1))"):
+        phi = parse(text)
+        out = purely_universal_contradiction(phi, 1)
+        assert (out.decided, out.bounds) == (False, "single domain size 1"), text
+        assert eval(B2, out.structure, phi) == 1
+    assert bsr_decide(parse(found)).bounds == "single domain size 1"
 
 
 @st.composite
