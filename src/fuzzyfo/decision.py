@@ -23,7 +23,7 @@ from .semantics import (
 )
 from .syntax import (
     App, Atom, BOTTOM, MAX_NESTING, Formula, FragmentError, Join, Meet, Neg,
-    TOP, Term, TruthConst, Var, Vocabulary, classical_nnf, format_formula,
+    TOP, Term, TruthConst, Var, Vocabulary, classical_nnf, format_formula, free_vars,
     herbrand_levels, herbrand_universe_sizes, is_sentence, prenex, substitute,
     vocabulary_of,
 )
@@ -456,8 +456,9 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
                          budget: int = DEFAULT_BUDGET) -> Verdict:
     """Search for a contradictory conjunction of Herbrand instances of a universal sentence.
 
-    The instances, and the witness's conjunction, are built on the matrix of
-    `prenex(classical_nnf(phi))`, which must leave no exists outside every forall.
+    phi must be a sentence.  The instances, and the witness's conjunction, are
+    built on the matrix of `prenex(classical_nnf(phi))`, which must leave no
+    exists outside every forall.
     Works depth by depth, extending the term universe by one level at a time.
     Each matrix instance is grounded once, as its own clause group; at each
     depth one SAT call tests all of them together and, when they are
@@ -469,6 +470,10 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     """
     if max_depth < 0:
         raise ValueError(f"max depth must be at least 0, got {max_depth}")
+    # prenex would lift a binder over a free variable of its name
+    free = free_vars(phi)
+    if free:
+        raise FragmentError(f"classical satisfiability needs a sentence: {min(free)} is free")
     exists, prefix, matrix = prenex(classical_nnf(phi))
     if exists:
         raise FragmentError("not a universal sentence: an exists outside every forall")

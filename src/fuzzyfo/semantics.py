@@ -303,8 +303,9 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
     phi's symbols must be those of the layout; an unbound variable raises
     EvalError here, the error `eval` raises on the first structure.
     Constants and function tables sit in the prefix, so terms are plain
-    elements.  An atom is its
-    slot's periodic digit pattern, or one rank repeated for a prefix slot;
+    elements.  An atom is its slot's periodic digit pattern, or one rank
+    repeated for a prefix slot.  Every table is the chain's own operation, as
+    in `_walk` (`neg`, `square`, or the one `_BINARY` names), over its ranks:
     ~ and squares are one `bytes.translate`; every other connective and the
     quantifier folds pack both operands' ranks into one byte per structure
     and translate through a pair table, and stop once the value is settled.
@@ -321,7 +322,6 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
     n = layout.domain_size
     later = range(1, n)
     offsets = layout.offsets
-    tnorm, res = chain.tnorm_table, chain.residuum_table
     fill = [bytes([r]) * size for r in range(k)]
     all_bot, all_top = fill[chain.bot], fill[chain.top]
     # cells[i] is the predicate slot first_pred + i over the current chunk;
@@ -330,8 +330,8 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
     cells = [all_bot] * (cut - first_pred) + [
         b"".join(fill[r][:k ** p] for r in range(k)) * (size // k ** (p + 1))
         for p in reversed(range(len(ranges) - cut))]
-    neg = bytes(row[chain.bot] for row in res).ljust(256, b"\0")
-    square = bytes(tnorm[r][r] for r in range(k)).ljust(256, b"\0")
+    neg = bytes(map(chain.neg, range(k))).ljust(256, b"\0")
+    square = bytes(map(chain.square, range(k))).ljust(256, b"\0")
     env: list[int] = []
 
     def pair(x: bytes, y: bytes, table: bytes) -> bytes:
@@ -360,12 +360,10 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
         at = index(offsets[t.func], t.args, scope)
         return lambda v: v[at(v)]
 
-    # (pair table, left value that settles the result, the result then);
-    # a chain's tables are built for the connectives phi uses, once each
-    binary = {Meet: (_MIN, all_bot, all_bot), Join: (_MAX, all_top, all_top)}
-    ops = {StrongConj: (lambda x, y: tnorm[x][y], all_bot, all_bot),
-           Impl: (lambda x, y: res[x][y], all_bot, all_top),
-           Biimpl: (lambda x, y: min(res[x][y], res[y][x]), None, None)}
+    # connective -> (left value that settles the result, the result then)
+    settles = {Meet: (all_bot, all_bot), StrongConj: (all_bot, all_bot),
+               Impl: (all_bot, all_top), Join: (all_top, all_top), Biimpl: (None, None)}
+    tables = {Meet: _MIN, Join: _MAX}  # the pair tables phi uses, each built once
 
     def formula(phi: Formula, scope: dict[str, int]):
         if isinstance(phi, Atom):
@@ -397,10 +395,9 @@ def compile_chunks(phi: Formula, chain: FiniteChain, layout: FlatLayout,
             return lambda v: left(v).translate(square)
         right = formula(phi.right, scope)
         kind = type(phi)
-        if kind not in binary:
-            op, stop, settled = ops[kind]
-            binary[kind] = _pair_table(op, k), stop, settled
-        table, stop, settled = binary[kind]
+        if kind not in tables:
+            tables[kind] = _pair_table(getattr(chain, _BINARY[kind]), k)
+        table, (stop, settled) = tables[kind], settles[kind]
 
         def connective(v):
             x = left(v)

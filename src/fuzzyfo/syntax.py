@@ -1,7 +1,8 @@
 """First-order syntax: vocabularies, terms, formulas, parsing and transforms.
 
 Grammar (ASCII), binding tightest first:  `~`/quantifier prefixes, `&`
-(strong conjunction), `/\\`, `\\/`, `->` (right associative), `<->`.
+(strong conjunction), `/\\`, `\\/`, `->` (right associative), `<->`.  The
+binary connectives' precedence is their order in `_CONNECTIVES`, loosest first.
 Quantifiers take the next prefix-level formula as body, so
 `forall x. P(x) /\\ Q(c)` is `(forall x. P(x)) /\\ Q(c)`.
 Predicates start uppercase; functions, constants and variables lowercase.
@@ -192,10 +193,15 @@ class Exists:
 
 Formula = Union[Atom, TruthConst, Neg, StrongConj, Meet, Join, Impl, Biimpl, Forall, Exists]
 
+# each binary connective's text and node, loosest first: its place, from 1, is its precedence
+_CONNECTIVES = {"<->": Biimpl, "->": Impl, "\\/": Join, "/\\": Meet, "&": StrongConj}
+
 BOTTOM = TruthConst(False)
 TOP = TruthConst(True)
 
-_BINARY = (StrongConj, Meet, Join, Impl, Biimpl)
+_BINARY = tuple(_CONNECTIVES.values())
+_PREC = {node: prec for prec, node in enumerate(_BINARY, 1)}
+_OPTXT = {node: text for text, node in _CONNECTIVES.items()}
 _QUANT = (Forall, Exists)
 
 
@@ -316,9 +322,10 @@ def substitute(phi: Formula, env: dict[str, Term]) -> Formula:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<forall>forall\b)|(?P<exists>exists\b)"
-    r"|(?P<biimpl><->)|(?P<impl>->)|(?P<meet>/\\)|(?P<join>\\/)"
-    r"|(?P<amp>&)|(?P<neg>~)|(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<dot>\.)"
-    r"|(?P<zero>0)|(?P<one>1)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S))"
+    # the alternatives are tried in _CONNECTIVES' order, so `<->` wins over `->`
+    rf"|(?P<op>{'|'.join(map(re.escape, _CONNECTIVES))})"
+    r"|(?P<neg>~)|(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<dot>\.)"
+    r"|(?P<truth>[01])|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S))"
 )
 
 
@@ -332,10 +339,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens.append(("eof", "", len(text)))
     return tokens
 
-
-# token kind -> (precedence, node); a higher precedence binds tighter
-_BINARY_TOKENS = {"biimpl": (1, Biimpl), "impl": (2, Impl), "join": (3, Join),
-                  "meet": (4, Meet), "amp": (5, StrongConj)}
 
 # Formulas and terms may nest at most this deep, counting each connective,
 # quantifier and function application on a path, and each open parenthesis;
@@ -417,10 +420,11 @@ class _Parser:
         """Precedence climbing over the binary connectives binding at least min_prec."""
         lhs = self.unary()
         while True:
-            kind, _, pos = self.peek()
-            if kind not in _BINARY_TOKENS or _BINARY_TOKENS[kind][0] < min_prec:
+            _, text, pos = self.peek()
+            node = _CONNECTIVES.get(text)
+            if node is None or _PREC[node] < min_prec:
                 return lhs
-            prec, node = _BINARY_TOKENS[kind]
+            prec = _PREC[node]
             self.next()
             height = self.height
             if node is Impl:  # right associative: the right operand nests
@@ -456,14 +460,10 @@ class _Parser:
             if tok[0] != "rpar":
                 raise ParseError("unbalanced parenthesis", tok[2])
             return inner
-        if kind == "zero":
+        if kind == "truth":
             self.next()
             self.height = 1
-            return BOTTOM
-        if kind == "one":
-            self.next()
-            self.height = 1
-            return TOP
+            return TOP if text == "1" else BOTTOM
         if kind == "name":
             if text[0].isupper():
                 return self.atom()
@@ -532,9 +532,7 @@ def parse(text: str, vocab: Optional[Vocabulary] = None) -> Formula:
 
 # -- printer -------------------------------------------------------------
 
-_PREC = {Biimpl: 1, Impl: 2, Join: 3, Meet: 4, StrongConj: 5}
-_OPTXT = {Biimpl: "<->", Impl: "->", Join: "\\/", Meet: "/\\", StrongConj: "&"}
-_UNARY_PREC = 6
+_UNARY_PREC = len(_CONNECTIVES) + 1
 
 
 def format_term(t: Term) -> str:
@@ -555,23 +553,16 @@ def format_formula(phi: Formula) -> str:
             return f"~{go(phi.body, _UNARY_PREC)}"
         if isinstance(phi, _QUANT):
             q = "forall" if isinstance(phi, Forall) else "exists"
-            if _is_unary_shape(phi.body):
-                return f"{q} {phi.var}. {go(phi.body, _UNARY_PREC)}"
-            return f"{q} {phi.var}. ({go(phi.body, 0)})"
+            return f"{q} {phi.var}. {go(phi.body, _UNARY_PREC)}"
         prec = _PREC[type(phi)]
-        if isinstance(phi, Impl):
-            text = f"{go(phi.left, prec + 1)} {_OPTXT[type(phi)]} {go(phi.right, prec)}"
-        else:
-            text = f"{go(phi.left, prec)} {_OPTXT[type(phi)]} {go(phi.right, prec + 1)}"
+        # -> is right associative: its left operand, not its right, is parenthesised at prec
+        left, right = (prec + 1, prec) if isinstance(phi, Impl) else (prec, prec + 1)
+        text = f"{go(phi.left, left)} {_OPTXT[type(phi)]} {go(phi.right, right)}"
         if prec < parent_prec:
             return f"({text})"
         return text
 
     return go(phi, 0)
-
-
-def _is_unary_shape(phi: Formula) -> bool:
-    return isinstance(phi, (Atom, TruthConst, Neg, Forall, Exists))
 
 
 # -- star translation ----------------------------------------------------
@@ -689,6 +680,7 @@ def prenex(phi: Formula) -> tuple[list[str], list[str], Formula]:
     matrix's root, and rebuilt only when an operand changes: a prenex input's
     matrix is returned itself.  NNF copies both sides of `<->`, so a binder whose
     name the prefix has is renamed apart, to the first unused var_k (k = 1, 2, ..).
+    On an open formula a lifted binder can capture a free variable of its name.
     """
     prefix: dict[str, type] = {}
     taken: set[str] = set()

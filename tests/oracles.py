@@ -68,13 +68,11 @@ class _Cnf:
         return self.atom_ids[key]
 
 
-def _tseitin(phi: S.Formula, env: dict[str, int], cnf: _Cnf) -> int:
-    """Return a literal equivalent to phi (classically) under the environment."""
+def _tseitin(phi: S.Formula, env: dict, cnf: _Cnf) -> int:
+    """Return a literal equivalent to phi (classically) under the environment,
+    which maps each `Var` and `Const` term to its element."""
     if isinstance(phi, S.Atom):
-        key = (phi.pred,) + tuple(
-            env[t.name] if isinstance(t, S.Var) else env[t.name]
-            for t in phi.args
-        )
+        key = (phi.pred,) + tuple(env[t] for t in phi.args)
         return cnf.atom_var(key)
     if isinstance(phi, S.TruthConst):
         v = cnf.new_var()
@@ -148,7 +146,7 @@ def ground_satisfiable(phi: S.Formula, domain_size: int) -> bool:
             lits = []
             for d in range(domain_size):
                 inner = dict(env)
-                inner[phi.var] = d
+                inner[S.Var(phi.var)] = d
                 lits.append(expand(phi.body, inner, cnf))
             v = cnf.new_var()
             if isinstance(phi, S.Forall):
@@ -184,7 +182,7 @@ def ground_satisfiable(phi: S.Formula, domain_size: int) -> bool:
 
     for assign in _canonical_constant_assignments(len(consts), domain_size):
         cnf = _Cnf()
-        env = dict(zip(consts, assign))
+        env = dict(zip(map(S.Const, consts), assign))
         root = expand(phi, env, cnf)
         if _sat(cnf.clauses + [(root,)], cnf.n_vars):
             return True

@@ -205,3 +205,64 @@ def test_bsr_grounds_its_prenex_matrix_as_it_stands():
 @pytest.mark.parametrize("text", ['c = Const(f"@{i}")', 'name = "@0"', "x = '@' + str(i)"])
 def test_the_reserved_name_check_sees_each_spelling(text):
     assert list(_at_names(ast.parse(text))) == [1]
+
+
+CONNECTIVE_NAMES = {"StrongConj", "Meet", "Join", "Impl", "Biimpl"}
+
+
+def _pairs_a_connective_with_a_literal(key, value):
+    parts = [n for side in (key, value) if side is not None for n in ast.walk(side)]
+    return (any(getattr(n, "id", getattr(n, "attr", None)) in CONNECTIVE_NAMES for n in parts)
+            and any(isinstance(n, ast.Constant) and type(n.value) in (str, int) for n in parts))
+
+
+def _connective_spellings(tree):
+    """Line numbers of the dict displays, other than `_CONNECTIVES`, with an
+    entry that pairs a connective class with a str or int literal."""
+    table = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["_CONNECTIVES"]]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Dict) and node not in table
+                and any(map(_pairs_a_connective_with_a_literal, node.keys, node.values))):
+            yield node.lineno
+
+
+def test_each_connective_is_spelled_once():
+    # `_CONNECTIVES` holds a binary connective's text and, by its place, its
+    # precedence; the tokenizer, the parser and the printer derive theirs
+    tree = _tree(next(p for p in SOURCES if p.name == "syntax.py"))
+    assert list(_connective_spellings(tree)) == []
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_CONNECTIVES")
+    assert {node.id for node in table.values} == CONNECTIVE_NAMES
+
+
+@pytest.mark.parametrize("text", ['_PREC = {Biimpl: 1, Impl: 2}',
+                                  '_OPTXT = {syntax.Meet: "/\\\\"}',
+                                  '_BINARY_TOKENS = {"amp": (5, StrongConj)}',
+                                  'f({"join": Join})'])
+def test_the_spelling_check_sees_each_spelling(text):
+    assert list(_connective_spellings(ast.parse(text))) == [1]
+
+
+CHAIN_TABLE_NAMES = {"tnorm_table", "residuum_table"}
+
+
+def _chain_table_reads(node):
+    """The chain table names a piece of code mentions, as a name, an attribute or a string."""
+    strings = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+    return (set(_names(node)) | strings) & CHAIN_TABLE_NAMES
+
+
+def test_the_byte_kernel_reads_the_chains_operations():
+    # each table of `compile_chunks` is a chain operation, as `_walk` reads
+    # it, so the kernel holds no second definition of a connective
+    semantics = _tree(next(p for p in SOURCES if p.name == "semantics.py"))
+    kernel = next(node for node in semantics.body if getattr(node, "name", None) == "compile_chunks")
+    assert _chain_table_reads(kernel) == set()
+
+
+@pytest.mark.parametrize("text", ["t = chain.tnorm_table", "res = residuum_table[x]",
+                                  'op = getattr(chain, "residuum_table")'])
+def test_the_chain_table_check_sees_each_spelling(text):
+    assert _chain_table_reads(ast.parse(text))

@@ -77,7 +77,7 @@ def truth_table_contradiction(phi) -> bool:
 
 def oracle_satisfiable(phi) -> bool:
     cnf = _Cnf()
-    root = _tseitin(phi, {"c": 0, "d": 1}, cnf)
+    root = _tseitin(phi, {C: 0, D: 1}, cnf)
     return _sat(cnf.clauses + [(root,)], cnf.n_vars)
 
 
@@ -293,13 +293,10 @@ def test_bsr_grounds_exists_variables_apart_from_every_constant(sample):
     report = verify_reduction_instance(hardness_reduce(phi), [B2])
     assert out.decided == (not report.is_contradiction)
     assert report.certificate == f"Bernays-Schonfinkel: {out.reason}"
-    # the oracle reads a constant and a variable of one name alike, so it
-    # gets the sentence with its constants renamed apart from the binders;
     # without equality a model grows by copying an element, so a model of
     # size up to the bound gives one of exactly the bound's size
-    renamed = _rename_constants(phi, {c: Const(f"k{i}") for i, c in enumerate(CLASHING_CONSTANTS)})
     bound = max(1, _exists_count(phi) + len(vocabulary_of(phi).constants))
-    assert out.decided == ground_satisfiable(renamed, bound)
+    assert out.decided == ground_satisfiable(phi, bound)
 
 
 def test_bsr_reads_an_at_constant_as_any_other():
@@ -755,6 +752,15 @@ def test_the_ground_core_refuses_an_open_formula(phi):
             ask(phi.body)
         with pytest.raises(FragmentError):
             ask(phi)
+
+
+def test_the_herbrand_search_refuses_a_free_variable_named_like_a_binder():
+    # prenex would lift `forall x` over the free x and close the matrix
+    px = Atom("P", (Var("x"),))
+    for phi in (Meet(Forall("x", px), Neg(px)), Meet(Neg(px), Forall("x", Forall("y", px)))):
+        for search in (dual_herbrand_search, purely_universal_contradiction):
+            with pytest.raises(FragmentError, match=OPEN_ERROR):
+                search(phi, 2)
 
 
 def test_the_herbrand_search_sizes_its_universe_from_the_matrix():

@@ -174,6 +174,71 @@ def test_print_parse_round_trip_random(phi):
     assert parse(format_formula(phi), VOCAB) == phi
 
 
+NODE_KINDS = [Atom, TruthConst, Neg, StrongConj, Meet, Join, Impl, Biimpl, Forall, Exists]
+TERMS = [Const("c"), Var("u"), App("f", (Var("v"),)), App("g", (Const("d"), Var("u")))]
+
+
+@st.composite
+def rooted(draw, kind, depth=3):
+    """A formula whose root node is of the given kind, with subformulas of any kind."""
+    def sub():
+        kinds = NODE_KINDS if depth > 1 else [Atom, TruthConst]
+        return draw(rooted(draw(st.sampled_from(kinds)), depth - 1))
+    if kind is Atom:
+        return Atom(draw(st.sampled_from("PQ")), (draw(st.sampled_from(TERMS)),))
+    if kind is TruthConst:
+        return TruthConst(draw(st.booleans()))
+    if kind is Neg:
+        return Neg(sub())
+    if kind in (Forall, Exists):
+        return kind(draw(st.sampled_from("uv")), sub())
+    return kind(sub(), sub())
+
+
+PINNED_PREC = {Biimpl: 1, Impl: 2, Join: 3, Meet: 4, StrongConj: 5}
+PINNED_TEXT = {Biimpl: "<->", Impl: "->", Join: "\\/", Meet: "/\\", StrongConj: "&"}
+
+
+def pinned_format(phi):
+    """The reference printer: literal tables, and a quantifier body of a binary
+    node parenthesised by its own case."""
+    def go(phi, parent_prec):
+        if isinstance(phi, Atom):
+            if phi.args:
+                return f"{phi.pred}({', '.join(format_term(a) for a in phi.args)})"
+            return phi.pred
+        if isinstance(phi, TruthConst):
+            return "1" if phi.top else "0"
+        if isinstance(phi, Neg):
+            return f"~{go(phi.body, 6)}"
+        if isinstance(phi, (Forall, Exists)):
+            q = "forall" if isinstance(phi, Forall) else "exists"
+            if isinstance(phi.body, (Atom, TruthConst, Neg, Forall, Exists)):
+                return f"{q} {phi.var}. {go(phi.body, 6)}"
+            return f"{q} {phi.var}. ({go(phi.body, 0)})"
+        prec = PINNED_PREC[type(phi)]
+        if isinstance(phi, Impl):
+            text = f"{go(phi.left, prec + 1)} {PINNED_TEXT[type(phi)]} {go(phi.right, prec)}"
+        else:
+            text = f"{go(phi.left, prec)} {PINNED_TEXT[type(phi)]} {go(phi.right, prec + 1)}"
+        if prec < parent_prec:
+            return f"({text})"
+        return text
+
+    return go(phi, 0)
+
+
+@pytest.mark.parametrize("kind", NODE_KINDS, ids=lambda kind: kind.__name__)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_the_printer_matches_the_reference_printer(kind, data):
+    body = data.draw(rooted(kind))
+    for quantifier in (Forall, Exists):
+        phi = quantifier("u", body)
+        for psi in (body, phi, Neg(phi), Impl(phi, body), StrongConj(body, phi)):
+            assert format_formula(psi) == pinned_format(psi)
+
+
 @given(formulas().filter(is_sentence))
 def test_parse_names_binders_like_the_reference_renamer(phi):
     assert parse(format_formula(phi), VOCAB) == rename_apart(phi)
