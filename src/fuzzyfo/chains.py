@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from operator import le
 from typing import Iterator, Optional, Sequence, Union
@@ -20,9 +21,11 @@ from .syntax import decimal
 # 8-10x per size (3 s at size 9) and no budget bounds it, so the limit is fixed.
 DEFAULT_ENUM_CAP = 7
 
-# `luk:k` and `godel:k` build two k x k tuple tables, 8 bytes per entry:
-# 23 MB at k = 1200 and 67 MB at this cap (tracemalloc, Python 3.11).  Past
-# it a chain spec could exhaust memory.
+# `luk:k` and `godel:k` are their operations, closed forms in the ranks.
+# Their two k x k tuple tables (8 bytes per entry: 23 MB at k = 1200, 67 MB
+# at this cap, tracemalloc, Python 3.11) are built only when read:
+# `describe`, `is_lukasiewicz` on a Godel chain, equality and hash.  The cap
+# stays, so that chain-spec errors and reports do not change.
 MAX_NAMED_CHAIN_SIZE = 2048
 
 # A table-supplied chain is validated with one byte per rank.  Validation
@@ -48,9 +51,17 @@ class EnumerationCapError(ValueError):
     """Requested chain size is beyond the enumeration cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteChain:
-    """A finite MTL-chain: ranks 0..size-1, t-norm table, derived residuum."""
+    """A finite MTL-chain: ranks 0..size-1, t-norm table, derived residuum.
+
+    A named chain (`make_lukasiewicz_chain`, `make_godel_chain`) is a
+    subclass whose operations are closed forms, each one call as the table
+    lookups are; its two tables are built the first time something reads
+    them, then kept.  Two chains are equal,
+    and hash alike, when their sizes and tables are, whichever class holds
+    them.
+    """
 
     size: int
     tnorm_table: tuple[tuple[int, ...], ...]
@@ -89,6 +100,15 @@ class FiniteChain:
 
     def biimpl(self, x: int, y: int) -> int:
         return min(self.residuum_table[x][y], self.residuum_table[y][x])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteChain):
+            return NotImplemented
+        return (self.size, self.tnorm_table, self.residuum_table) == \
+            (other.size, other.tnorm_table, other.residuum_table)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.tnorm_table, self.residuum_table))
 
     def describe(self) -> str:
         lines = [f"chain {self.size}"]
@@ -209,31 +229,90 @@ def _check_named_size(k: int) -> None:
             "size", (k,), f"named chains are capped at {MAX_NAMED_CHAIN_SIZE} elements")
 
 
+class _LukasiewiczChain(FiniteChain):
+    """The Lukasiewicz chain on ranks 0..size-1: its operations are closed forms."""
+
+    def __init__(self, size: int):
+        object.__setattr__(self, "size", size)
+
+    def tnorm(self, x: int, y: int) -> int:
+        return max(0, x + y - self.size + 1)
+
+    def residuum(self, x: int, y: int) -> int:
+        return min(self.size - 1, self.size - 1 - x + y)
+
+    def neg(self, x: int) -> int:
+        return self.size - 1 - x
+
+    def square(self, x: int) -> int:
+        return max(0, 2 * x - self.size + 1)
+
+    def biimpl(self, x: int, y: int) -> int:
+        return self.size - 1 - abs(x - y)
+
+    # row x of max(0, x+y-top) is the window at x of top zeros, then 0..top;
+    # of min(top, top-x+y) it is the window at top-x of 0..top, then top tops
+    @cached_property
+    def tnorm_table(self) -> tuple[tuple[int, ...], ...]:
+        k = self.size
+        low = (0,) * (k - 1) + tuple(range(k))
+        return tuple(low[x:x + k] for x in range(k))
+
+    @cached_property
+    def residuum_table(self) -> tuple[tuple[int, ...], ...]:
+        k, top = self.size, self.size - 1
+        high = tuple(range(k)) + (top,) * top
+        return tuple(high[top - x:top - x + k] for x in range(k))
+
+
+class _GodelChain(FiniteChain):
+    """The Godel chain on ranks 0..size-1: its operations are closed forms."""
+
+    def __init__(self, size: int):
+        object.__setattr__(self, "size", size)
+
+    def tnorm(self, x: int, y: int) -> int:
+        return min(x, y)
+
+    def residuum(self, x: int, y: int) -> int:
+        return self.size - 1 if x <= y else y
+
+    def neg(self, x: int) -> int:
+        return 0 if x else self.size - 1
+
+    def square(self, x: int) -> int:
+        return x
+
+    def biimpl(self, x: int, y: int) -> int:
+        return self.size - 1 if x == y else min(x, y)
+
+    # row x of min(x, y) is 0..x-1, then x; of (top if x <= y else y) it is
+    # 0..x-1, then top
+    @cached_property
+    def tnorm_table(self) -> tuple[tuple[int, ...], ...]:
+        k, ramp = self.size, tuple(range(self.size))
+        return tuple(ramp[:x] + (x,) * (k - x) for x in range(k))
+
+    @cached_property
+    def residuum_table(self) -> tuple[tuple[int, ...], ...]:
+        k, ramp = self.size, tuple(range(self.size))
+        tops = (k - 1,) * k
+        return tuple(ramp[:x] + tops[:k - x] for x in range(k))
+
+
 def make_lukasiewicz_chain(k: int) -> FiniteChain:
     """The k-element Lukasiewicz chain on ranks {0, .., k-1}.
 
     k counts elements (so k=2 is the Boolean chain B2).
     """
     _check_named_size(k)
-    top = k - 1
-    ramp = tuple(range(k))
-    # row x of max(0, x+y-top) is the window at x of top zeros, then 0..top;
-    # of min(top, top-x+y) it is the window at top-x of 0..top, then top tops
-    low, high = (0,) * top + ramp, ramp + (top,) * top
-    tnorm = tuple(low[x:x + k] for x in range(k))
-    residuum = tuple(high[top - x:top - x + k] for x in range(k))
-    return FiniteChain(k, tnorm, residuum)
+    return _LukasiewiczChain(k)
 
 
 def make_godel_chain(k: int) -> FiniteChain:
     """The k-element Godel chain (t-norm = min)."""
     _check_named_size(k)
-    ramp, tops = tuple(range(k)), (k - 1,) * k
-    # row x of min(x, y) is 0..x-1, then x; of (top if x <= y else y) it is
-    # 0..x-1, then top
-    tnorm = tuple(ramp[:x] + (x,) * (k - x) for x in range(k))
-    residuum = tuple(ramp[:x] + tops[:k - x] for x in range(k))
-    return FiniteChain(k, tnorm, residuum)
+    return _GodelChain(k)
 
 
 def make_boolean_chain() -> FiniteChain:
@@ -362,6 +441,10 @@ STANDARD_CHAIN = StandardChain()
 
 
 def is_lukasiewicz(chain: FiniteChain) -> bool:
+    """Whether the chain's t-norm is max(0, x+y-top): a named Lukasiewicz
+    chain by its class, any other chain by a scan of its table."""
+    if isinstance(chain, _LukasiewiczChain):
+        return True
     top = chain.size - 1
     return all(v == max(0, x + y - top)
                for x, row in enumerate(chain.tnorm_table) for y, v in enumerate(row))

@@ -309,8 +309,10 @@ def cmd_check_lemma1(args, budget: int) -> Report:
         # refused before any chain is built, not after building them all
         raise CliError(
             f"--luk {args.luk} above the named-chain cap {chains_mod.MAX_NAMED_CHAIN_SIZE}")
-    # each size k in 2..luk builds two chains of two k x k tables: the entries
-    # are priced before any chain is built or enumerated
+    # each size k in 2..luk is priced as two chains of two k x k tables, the
+    # entries a table chain would hold, before any chain is built or
+    # enumerated; a named chain builds none, but the price keeps every
+    # budget error of this command as it is
     entries = 4 * (_sum_of_squares(max(args.luk, 1)) - 1)
     if entries > budget:
         raise semantics.BudgetExceededError(entries, budget, "chain table entries")

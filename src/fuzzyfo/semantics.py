@@ -551,7 +551,10 @@ def check_structure(structure: Structure, chain: Chain) -> None:
 def _check_keys(kind: str, name: str, table: dict, n: int) -> None:
     first = next(iter(table), None)
     arity = len(first) if isinstance(first, tuple) else 0
-    if set(table) != set(itertools.product(range(n), repeat=arity)):
+    # n ** arity distinct keys, each an argument tuple: the keys are exactly
+    # the tuples, and no set of either is built
+    if len(table) != n ** arity or not all(
+            map(table.__contains__, itertools.product(range(n), repeat=arity))):
         raise ValueError(f"{kind} {name}: the table's keys are not the {n ** arity} "
                          f"argument tuples of arity {arity} over the domain 0..{n - 1}")
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,6 +16,7 @@ from fuzzyfo.chains import (
     is_lukasiewicz, make_chain_from_table, make_godel_chain,
     make_lukasiewicz_chain, parse_chain_file,
 )
+from fuzzyfo.cli import run
 
 
 def test_lukasiewicz_b2_is_classical():
@@ -427,6 +429,66 @@ def test_named_chains_pass_validation():
             assert make_chain_from_table(k, [list(row) for row in chain.tnorm_table]) == chain
             if k <= 16:
                 assert reference_chain_from_table(k, chain.tnorm_table) == chain
+
+
+@pytest.mark.parametrize("k", range(2, 65))
+def test_named_operations_equal_their_table_lookups(k):
+    # a named chain's operations are closed forms; each agrees, on every
+    # pair of ranks, with the lookup the table chain makes
+    for chain in (make_lukasiewicz_chain(k), make_godel_chain(k)):
+        tnorm, res = chain.tnorm_table, chain.residuum_table
+        for x in range(k):
+            assert chain.neg(x) == res[x][0]
+            assert chain.square(x) == tnorm[x][x]
+            for y in range(k):
+                assert chain.tnorm(x, y) == tnorm[x][y]
+                assert chain.residuum(x, y) == res[x][y]
+                assert chain.biimpl(x, y) == min(res[x][y], res[y][x])
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 64, 256])
+def test_named_chains_equal_and_hash_like_their_table_twins(k):
+    # each comparison starts from a fresh chain, which has built no table yet
+    for factory in (make_lukasiewicz_chain, make_godel_chain):
+        twin = make_chain_from_table(k, factory(k).tnorm_table)
+        assert type(factory(k)) is not FiniteChain and type(twin) is FiniteChain
+        assert factory(k) == twin and twin == factory(k)
+        assert hash(factory(k)) == hash(twin)
+        assert {twin: k}[factory(k)] == k and {factory(k): k}[twin] == k
+        assert factory(k) == factory(k) and factory(k) != factory(k + 1)
+    assert (make_godel_chain(k) == make_lukasiewicz_chain(k)) == (k == 2)
+    assert make_lukasiewicz_chain(k) != "luk" and make_lukasiewicz_chain(k) != k
+
+
+@pytest.mark.parametrize("factory", [make_lukasiewicz_chain, make_godel_chain])
+def test_named_chains_build_no_table_until_one_is_read(factory):
+    chain = factory(MAX_NAMED_CHAIN_SIZE)
+    assert vars(chain) == {"size": MAX_NAMED_CHAIN_SIZE}
+    top = chain.top
+    assert (chain.tnorm(top, top), chain.residuum(top, 0), chain.neg(0), chain.square(top),
+            chain.biimpl(1, 1)) == (top, 0, top, top, top)
+    if factory is make_lukasiewicz_chain:
+        assert is_lukasiewicz(chain)  # known by its class: no table is scanned
+    assert vars(chain) == {"size": MAX_NAMED_CHAIN_SIZE}
+    residuum = chain.residuum_table
+    assert "residuum_table" in vars(chain) and chain.residuum_table is residuum  # built once
+    assert len(chain.tnorm_table) == MAX_NAMED_CHAIN_SIZE
+
+
+def test_a_domain_1_decide_on_luk_1200_builds_no_table():
+    # the query refutes at its second structure: it reads a handful of
+    # operations, where two 1200 x 1200 tables take about 23 MB
+    argv = ["decide", "--set", "taut0", "--chain", "luk:1200", "--max-domain", "1",
+            "--formula", "exists x. P(x)"]
+    run(argv)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        code, text = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "outcome: refuted" in text and "chain-size: 1200" in text
+    assert peak < 2 * 2**20
 
 
 @given(st.integers(2, 6), st.data())

@@ -249,9 +249,11 @@ CHAIN_TABLE_NAMES = {"tnorm_table", "residuum_table"}
 
 
 def _chain_table_reads(node):
-    """The chain table names a piece of code mentions, as a name, an attribute or a string."""
-    strings = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
-    return (set(_names(node)) | strings) & CHAIN_TABLE_NAMES
+    """The chain table names a piece of code mentions, as a name, an attribute,
+    a keyword argument or a string."""
+    words = {n.value if isinstance(n, ast.Constant) else n.arg for n in ast.walk(node)
+             if isinstance(n, (ast.Constant, ast.keyword))}
+    return (set(_names(node)) | words) & CHAIN_TABLE_NAMES
 
 
 def test_the_byte_kernel_reads_the_chains_operations():
@@ -262,7 +264,17 @@ def test_the_byte_kernel_reads_the_chains_operations():
     assert _chain_table_reads(kernel) == set()
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_chains_module_names_a_chain_table(path):
+    # a named chain builds its k x k tables only when read, so a caller
+    # elsewhere reads its operations, which cost nothing to set up
+    if path.name != "chains.py":
+        assert _chain_table_reads(_tree(path)) == set()
+
+
 @pytest.mark.parametrize("text", ["t = chain.tnorm_table", "res = residuum_table[x]",
-                                  'op = getattr(chain, "residuum_table")'])
+                                  'op = getattr(chain, "residuum_table")',
+                                  "FiniteChain(k, tnorm_table=t, residuum_table=r)",
+                                  "def square(chain, x):\n    return chain.tnorm_table[x][x]"])
 def test_the_chain_table_check_sees_each_spelling(text):
     assert _chain_table_reads(ast.parse(text))

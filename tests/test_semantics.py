@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzyfo import semantics
 from fuzzyfo.chains import (
     STANDARD_CHAIN, enumerate_mtl_chains, make_boolean_chain,
     make_lukasiewicz_chain,
@@ -207,6 +208,31 @@ def test_structures_with_partial_tables_or_non_int_elements_are_refused():
         for chain in (L3, STANDARD_CHAIN):
             with pytest.raises(ValueError, match=re.escape(message)):
                 eval(chain, structure, phi)
+
+
+@pytest.mark.parametrize("table, arity", [
+    ({(0,): 1, (5,): 0}, 1),          # the right size, one foreign key
+    ({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 2): 1}, 2),
+    ({(): 1, (0,): 0}, 0),            # arity 0 with a second key
+    ({"P": 1}, 0),                    # arity 0, a key that is no tuple
+    ({}, 0),
+    ({(0,): 1, (0, 1): 0}, 1),        # keys of mixed lengths
+    ({(0, 1): 0, (0,): 1, (1,): 1, (1, 1): 0}, 2),
+])
+def test_a_table_whose_keys_are_not_the_argument_tuples_is_refused(table, arity):
+    # the keys are exactly the n ** arity argument tuples, or this message
+    assert set(table) != set(itertools.product(range(2), repeat=arity))
+    for kind in ("pred", "fun"):
+        with pytest.raises(ValueError) as info:
+            semantics._check_keys(kind, "R", table, 2)
+        assert str(info.value) == (f"{kind} R: the table's keys are not the {2 ** arity} "
+                                   f"argument tuples of arity {arity} over the domain 0..1")
+
+
+@pytest.mark.parametrize("table", [{(): 1}, {(0,): 1, (1,): 0},
+                                   {(1, 1): 0, (0, 1): 1, (1, 0): 0, (0, 0): 1}])
+def test_a_table_on_exactly_the_argument_tuples_is_accepted(table):
+    semantics._check_keys("pred", "R", table, 2)
 
 
 def test_an_atom_of_the_wrong_arity_is_an_eval_error():
