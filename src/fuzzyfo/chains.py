@@ -1,8 +1,9 @@
 """Finite MTL-chains and the standard Lukasiewicz chain.
 
-A finite chain lives on ranks 0..size-1 (0 = bottom, size-1 = top) with a
-t-norm table; the residuum is always derived, never supplied.  The standard
-chain works with exact rationals in [0, 1] (fractions.Fraction), never floats.
+A finite chain lives on ranks 0..size-1 (0 = bottom, size-1 = top).  A table
+chain derives its residuum from its t-norm table; a named chain is closed-form
+operations whose tables are built only when read.  The standard chain works
+with exact rationals in [0, 1] (fractions.Fraction), never floats.
 """
 
 from __future__ import annotations
@@ -51,16 +52,26 @@ class EnumerationCapError(ValueError):
     """Requested chain size is beyond the enumeration cap."""
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteChain:
-    """A finite MTL-chain: ranks 0..size-1, t-norm table, derived residuum.
+class _Lattice:
+    """The lattice operations of every chain: meet is min, join is max."""
 
-    A named chain (`make_lukasiewicz_chain`, `make_godel_chain`) is a
+    def meet(self, x, y):
+        return min(x, y)
+
+    def join(self, x, y):
+        return max(x, y)
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteChain(_Lattice):
+    """A finite MTL-chain on ranks 0..size-1 with its t-norm and residuum.
+
+    A table chain holds both tables, the residuum derived from the t-norm
+    table.  A named chain (`make_lukasiewicz_chain`, `make_godel_chain`) is a
     subclass whose operations are closed forms, each one call as the table
     lookups are; its two tables are built the first time something reads
-    them, then kept.  Two chains are equal,
-    and hash alike, when their sizes and tables are, whichever class holds
-    them.
+    them, then kept.  Two chains are equal, and hash alike, when their sizes
+    and tables are, whichever class holds them.
     """
 
     size: int
@@ -85,12 +96,6 @@ class FiniteChain:
 
     def residuum(self, x: int, y: int) -> int:
         return self.residuum_table[x][y]
-
-    def meet(self, x: int, y: int) -> int:
-        return min(x, y)
-
-    def join(self, x: int, y: int) -> int:
-        return max(x, y)
 
     def neg(self, x: int) -> int:
         return self.residuum_table[x][0]
@@ -229,11 +234,18 @@ def _check_named_size(k: int) -> None:
             "size", (k,), f"named chains are capped at {MAX_NAMED_CHAIN_SIZE} elements")
 
 
-class _LukasiewiczChain(FiniteChain):
-    """The Lukasiewicz chain on ranks 0..size-1: its operations are closed forms."""
+class _NamedChain(FiniteChain):
+    """A chain that stores only its size: its operations are closed forms."""
 
     def __init__(self, size: int):
         object.__setattr__(self, "size", size)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.size})"
+
+
+class _LukasiewiczChain(_NamedChain):
+    """The Lukasiewicz chain on ranks 0..size-1."""
 
     def tnorm(self, x: int, y: int) -> int:
         return max(0, x + y - self.size + 1)
@@ -265,11 +277,8 @@ class _LukasiewiczChain(FiniteChain):
         return tuple(high[top - x:top - x + k] for x in range(k))
 
 
-class _GodelChain(FiniteChain):
-    """The Godel chain on ranks 0..size-1: its operations are closed forms."""
-
-    def __init__(self, size: int):
-        object.__setattr__(self, "size", size)
+class _GodelChain(_NamedChain):
+    """The Godel chain on ranks 0..size-1."""
 
     def tnorm(self, x: int, y: int) -> int:
         return min(x, y)
@@ -396,7 +405,7 @@ def check_square_meet_law(chain: FiniteChain) -> Optional[int]:
 
 # -- standard Lukasiewicz chain on [0, 1] --------------------------------
 
-class StandardChain:
+class StandardChain(_Lattice):
     """The standard MV-chain on exact rationals in [0, 1].
 
     Offers the same operation surface as FiniteChain so the evaluator can use
@@ -421,12 +430,6 @@ class StandardChain:
     def residuum(self, x, y):
         return min(self.top, self.top - x + y)
 
-    def meet(self, x, y):
-        return min(x, y)
-
-    def join(self, x, y):
-        return max(x, y)
-
     def neg(self, x):
         return self.top - x
 
@@ -441,13 +444,10 @@ STANDARD_CHAIN = StandardChain()
 
 
 def is_lukasiewicz(chain: FiniteChain) -> bool:
-    """Whether the chain's t-norm is max(0, x+y-top): a named Lukasiewicz
-    chain by its class, any other chain by a scan of its table."""
-    if isinstance(chain, _LukasiewiczChain):
-        return True
-    top = chain.size - 1
-    return all(v == max(0, x + y - top)
-               for x, row in enumerate(chain.tnorm_table) for y, v in enumerate(row))
+    """Whether the chain's t-norm is Lukasiewicz's: a named Lukasiewicz chain
+    by its class, any other chain by its table against the named chain's."""
+    return (isinstance(chain, _LukasiewiczChain)
+            or chain.tnorm_table == _LukasiewiczChain(chain.size).tnorm_table)
 
 
 # -- chain file format ---------------------------------------------------

@@ -309,13 +309,12 @@ def cmd_check_lemma1(args, budget: int) -> Report:
         # refused before any chain is built, not after building them all
         raise CliError(
             f"--luk {args.luk} above the named-chain cap {chains_mod.MAX_NAMED_CHAIN_SIZE}")
-    # each size k in 2..luk is priced as two chains of two k x k tables, the
-    # entries a table chain would hold, before any chain is built or
-    # enumerated; a named chain builds none, but the price keeps every
-    # budget error of this command as it is
-    entries = 4 * (_sum_of_squares(max(args.luk, 1)) - 1)
-    if entries > budget:
-        raise semantics.BudgetExceededError(entries, budget, "chain table entries")
+    # each size j in 2..luk checks the 2j ranks of one Lukasiewicz and one
+    # Godel chain, priced before any chain is built or enumerated
+    luk = max(args.luk, 1)
+    ranks = luk * (luk + 1) - 2
+    if ranks > budget:
+        raise semantics.BudgetExceededError(ranks, budget, "chain ranks")
     # every size is checked against the cap before any chain is built
     sizes = [chains_mod.enumerate_mtl_chains(size) for size in range(2, args.enum + 1)]
     report = Report()

@@ -56,10 +56,12 @@ class Verdict:
     herbrand: Optional[HerbrandWitness] = None
 
 
-def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int, top: bool,
-          ) -> Optional[tuple[FiniteChain, Structure, TruthValue]]:
-    """The first (chain, structure, value) in search order whose value is
-    the chain's top when `top`, else above its bottom; None if there is none.
+def _bounded(K: ChainClass, phi: Formula, max_domain: int, budget: int, kind: str, *,
+             top: bool) -> Verdict:
+    """The shared body of the four deciders: the first (chain, structure)
+    in search order where phi's value is the chain's top when `top`, else
+    above its bottom.  The constant 0 is never above the bottom, so that
+    question needs no search for it.
 
     The order is chains in K, then domain sizes 1..max_domain, then the
     structures in `enumerate_structures` order; `first_at_least` checks the
@@ -67,6 +69,12 @@ def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int, top: bool,
     must reach the threshold and agree with `eval` on it, or
     EvaluatorMismatchError is raised instead of returning it.
     """
+    if max_domain < 1:
+        raise ValueError(f"max domain must be at least 1, got {max_domain}")
+    if phi == BOTTOM and not top:
+        return Verdict("decided", decided=kind == "refuted",
+                       reason="the constant 0 is 0 everywhere")
+    bounds = f"chains of sizes [{','.join(str(c.size) for c in K)}], domains 1..{max_domain}"
     vocab = vocabulary_of(phi)
     for chain in K:
         least = chain.top if top else chain.bot + 1
@@ -80,31 +88,9 @@ def _find(K: ChainClass, phi: Formula, max_domain: int, budget: int, top: bool,
                         f"found value {value} but reference value {reference} on a "
                         f"size-{chain.size} chain for {format_formula(phi)}:\n"
                         f"{structure.describe()}")
-                return chain, structure, value
-    return None
-
-
-def _bounds_text(K: ChainClass, max_domain: int) -> str:
-    sizes = ",".join(str(c.size) for c in K)
-    return f"chains of sizes [{sizes}], domains 1..{max_domain}"
-
-
-def _bounded(K: ChainClass, phi: Formula, max_domain: int, budget: int, kind: str, *,
-             top: bool) -> Verdict:
-    """The shared entry of the four deciders: the first structure where phi's
-    value is the top (`top`) or above the bottom.  The constant 0 is never
-    above the bottom, so that question needs no search for it."""
-    if max_domain < 1:
-        raise ValueError(f"max domain must be at least 1, got {max_domain}")
-    if phi == BOTTOM and not top:
-        return Verdict("decided", decided=kind == "refuted",
-                       reason="the constant 0 is 0 everywhere")
-    found = _find(K, phi, max_domain, budget, top)
-    if found is None:
-        return Verdict("exhausted", bounds=_bounds_text(K, max_domain))
-    chain, structure, value = found
-    return Verdict(kind, value=value, chain=chain, structure=structure,
-                   bounds=_bounds_text(K, max_domain))
+                return Verdict(kind, value=value, chain=chain, structure=structure,
+                               bounds=bounds)
+    return Verdict("exhausted", bounds=bounds)
 
 
 def taut0_bounded(K: ChainClass, phi: Formula, max_domain: int,

@@ -17,6 +17,8 @@ from fuzzyfo.chains import (
     make_lukasiewicz_chain, parse_chain_file,
 )
 from fuzzyfo.cli import run
+from fuzzyfo.decision import taut0_bounded
+from fuzzyfo.syntax import parse
 
 
 def test_lukasiewicz_b2_is_classical():
@@ -473,6 +475,24 @@ def test_named_chains_build_no_table_until_one_is_read(factory):
     residuum = chain.residuum_table
     assert "residuum_table" in vars(chain) and chain.residuum_table is residuum  # built once
     assert len(chain.tnorm_table) == MAX_NAMED_CHAIN_SIZE
+
+
+@pytest.mark.parametrize("factory, name", [(make_lukasiewicz_chain, "_LukasiewiczChain"),
+                                           (make_godel_chain, "_GodelChain")])
+def test_a_named_chains_repr_is_its_class_and_size(factory, name):
+    # the dataclass repr would read, and so build, both k x k tables
+    chain = factory(MAX_NAMED_CHAIN_SIZE)
+    start = time.perf_counter()
+    assert repr(chain) == f"{name}({MAX_NAMED_CHAIN_SIZE})"
+    assert time.perf_counter() - start < 0.01
+    assert vars(chain) == {"size": MAX_NAMED_CHAIN_SIZE}
+
+
+def test_a_verdict_on_a_large_named_chain_has_a_short_repr():
+    chain = make_lukasiewicz_chain(1200)
+    verdict = taut0_bounded([chain], parse("exists x. (P(x) -> ~P(x))"), 1)
+    assert verdict.kind == "refuted" and len(repr(verdict)) < 1000
+    assert vars(chain) == {"size": 1200}
 
 
 def test_a_domain_1_decide_on_luk_1200_builds_no_table():

@@ -974,12 +974,18 @@ def test_a_vocabulary_arity_is_refused_before_its_power_is_built(tmp_path):
 
 
 def test_check_lemma1_prices_its_named_chains_before_building(monkeypatch):
-    # sizes 2..500 would build two chains of two k x k tables each
+    # each size j in 2..500 checks the 2j ranks of two named chains
     monkeypatch.setenv("FUZZYFO_BUDGET", "100")
     start = time.perf_counter()
     assert run(["check-lemma1", "--enum", "2", "--luk", "500"]) == (
-        1, "error: search space of 167166996 chain table entries exceeds budget 100\n")
+        1, "error: search space of 250498 chain ranks exceeds budget 100\n")
     assert time.perf_counter() - start < 0.1
+    # sizes 2..300 are 300 * 301 - 2 = 90298 ranks
+    monkeypatch.setenv("FUZZYFO_BUDGET", "90297")
+    assert run(["check-lemma1", "--enum", "2", "--luk", "300"]) == (
+        1, "error: search space of 90298 chain ranks exceeds budget 90297\n")
+    monkeypatch.setenv("FUZZYFO_BUDGET", "90298")
+    assert "chains-checked: 599" in ok(["check-lemma1", "--enum", "2", "--luk", "300"])
     monkeypatch.delenv("FUZZYFO_BUDGET")
     assert "chains-checked: 79" in ok(["check-lemma1", "--enum", "2", "--luk", "40"])
 

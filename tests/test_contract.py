@@ -83,7 +83,7 @@ def test_the_reference_walk_stays_independent_of_the_fast_paths():
     assert nested == []
 
 
-FUZZY_SEARCH_NAMES = {"taut0_bounded", "sat_pos_bounded", "_find"}
+FUZZY_SEARCH_NAMES = {"taut0_bounded", "sat_pos_bounded", "_bounded"}
 
 
 def test_the_verifier_searches_no_fuzzy_structure():
@@ -109,7 +109,7 @@ def test_the_search_layout_stays_behind_semantics():
     tree = _tree(decision)
     functions = [node for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
-    assert any(getattr(node, "name", None) == "_find" for node in functions)
+    assert any(getattr(node, "name", None) == "_bounded" for node in functions)
     for node in functions:
         assert set(_names(node)) & LAYOUT_NAMES == set(), getattr(node, "name", "lambda")
     imported = {alias.asname or alias.name for node in ast.walk(tree)
@@ -278,3 +278,37 @@ def test_only_the_chains_module_names_a_chain_table(path):
                                   "def square(chain, x):\n    return chain.tnorm_table[x][x]"])
 def test_the_chain_table_check_sees_each_spelling(text):
     assert _chain_table_reads(ast.parse(text))
+
+
+LATTICE_NAMES = {"meet", "join"}
+
+
+def _lattice_definitions(tree):
+    """(name, line) of each definition of `meet` or `join`: a def, a store
+    to a name or attribute of that name, or a `setattr` naming it."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            name = getattr(node, "id", getattr(node, "attr", None))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+            name = next((a.value for a in node.args[1:2] if isinstance(a, ast.Constant)), None)
+        else:
+            continue
+        if name in LATTICE_NAMES:
+            yield name, node.lineno
+
+
+def test_each_lattice_operation_is_defined_once():
+    # meet is min and join is max on every chain, finite or standard, so
+    # both kinds take them from one base
+    tree = _tree(next(p for p in SOURCES if p.name == "chains.py"))
+    assert sorted(name for name, _ in _lattice_definitions(tree)) == ["join", "meet"]
+
+
+@pytest.mark.parametrize("text", ["def meet(self, x, y):\n    return min(x, y)",
+                                  "class StandardChain: join = max",
+                                  "self.meet = min", "StandardChain.join, k = max, 2",
+                                  'setattr(FiniteChain, "meet", min)'])
+def test_the_lattice_check_sees_each_definition(text):
+    assert [line for _, line in _lattice_definitions(ast.parse(text))] == [1]
