@@ -24,7 +24,7 @@ from .semantics import (
 from .syntax import (
     App, Atom, BOTTOM, MAX_NESTING, Formula, FragmentError, Join, Meet, Neg,
     TOP, Term, TruthConst, Var, Vocabulary, classical_nnf, format_formula, free_vars,
-    herbrand_levels, herbrand_universe_sizes, is_sentence, prenex, substitute,
+    herbrand_levels, herbrand_universe_sizes, prenex, substitute,
     vocabulary_of,
 )
 
@@ -288,7 +288,8 @@ def _dpll(n_vars: int, clauses: list[list[int]], budget: int) -> Optional[list[i
     """A model as values indexed by literal (1 true, -1 false, 0 unused), or None.
 
     Negative literals index from the end of the list.  Chronological
-    backtracking; raises BudgetExceededError after `budget` decisions.
+    backtracking; decision `budget` + 1 raises BudgetExceededError unless every
+    clause already holds a true literal, when the values so far are the model.
     """
     value = [0] * (2 * n_vars + 1)
     watches: list[list[list[int]]] = [[] for _ in range(2 * n_vars + 1)]
@@ -368,6 +369,8 @@ def _dpll(n_vars: int, clauses: list[list[int]], budget: int) -> Optional[list[i
             return value
         decisions += 1
         if decisions > budget:
+            if all(any(value[lit] == 1 for lit in clause) for clause in clauses):
+                return value
             raise BudgetExceededError(decisions, budget, "SAT decisions")
         levels.append((len(trail), next_var, False))
         value[next_var], value[-next_var] = 1, -1
@@ -381,7 +384,7 @@ def prop_satisfiable(phi: Formula | Sequence[Formula],
     phi is one formula or a list of conjuncts, grounded as one matrix.
     Returns a satisfying valuation of the atoms the clauses mention (any
     other atom may take 0), or None.  Raises FragmentError on a variable or
-    a quantifier, and BudgetExceededError after `budget` DPLL decisions.
+    a quantifier, and BudgetExceededError past `budget` DPLL decisions while a clause is unmet.
     """
     conjuncts = phi if isinstance(phi, (list, tuple)) else [phi]
     instances = _Instances(reduce(Meet, map(classical_nnf, conjuncts), TOP), ())
@@ -400,6 +403,16 @@ def is_classical_contradiction_prop(phi: Formula, budget: int = DEFAULT_BUDGET) 
 
 # -- Bernays-Schonfinkel decider -----------------------------------------
 
+def _prenex_sentence(phi: Formula) -> tuple[list[str], list[str], Formula, Vocabulary]:
+    """The parts of `prenex(classical_nnf(phi))` and the matrix's vocabulary.  An open
+    phi is refused first: prenex would lift a binder over a free variable of its name."""
+    free = free_vars(phi)
+    if free:
+        raise FragmentError(f"classical satisfiability needs a sentence: {min(free)} is free")
+    exists, forall_vars, matrix = prenex(classical_nnf(phi))
+    return exists, forall_vars, matrix, vocabulary_of(matrix)
+
+
 def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact classical satisfiability for relational Bernays-Schonfinkel sentences.
 
@@ -412,12 +425,9 @@ def bsr_decide(phi: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     its size is the Bernays-Schonfinkel bound.  The |U|^#forall instances are
     checked against the budget, grounded, and decided by one SAT call.
     """
-    exists, forall_vars, matrix = prenex(classical_nnf(phi))
-    vocab = vocabulary_of(matrix)
+    exists, forall_vars, matrix, vocab = _prenex_sentence(phi)
     if vocab.functions:
         raise FragmentError("Bernays-Schonfinkel decider needs a relational sentence")
-    if not is_sentence(phi):
-        raise FragmentError("Bernays-Schonfinkel decider needs a sentence")
     try:  # past the prefix, _Instances refuses only an exists under a forall
         instances = _Instances(matrix, forall_vars, exists)
     except FragmentError:
@@ -456,14 +466,9 @@ def dual_herbrand_search(phi: Formula, max_depth: int,
     """
     if max_depth < 0:
         raise ValueError(f"max depth must be at least 0, got {max_depth}")
-    # prenex would lift a binder over a free variable of its name
-    free = free_vars(phi)
-    if free:
-        raise FragmentError(f"classical satisfiability needs a sentence: {min(free)} is free")
-    exists, prefix, matrix = prenex(classical_nnf(phi))
+    exists, prefix, matrix, vocab = _prenex_sentence(phi)
     if exists:
         raise FragmentError("not a universal sentence: an exists outside every forall")
-    vocab = vocabulary_of(matrix)
     instances = _Instances(matrix, prefix)
     levels = herbrand_levels(vocab)
     universe: list[int] = []

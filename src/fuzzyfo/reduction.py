@@ -122,7 +122,7 @@ def _star_shape_check(trace: ReductionTrace) -> tuple[str, bool, str]:
             f"{'' if ok else 'not '}star_translate of the lattice matrix")
 
 
-def _square_meet_check(K: Sequence[FiniteChain]) -> tuple[str, bool, str]:
+def square_meet_check(K: Sequence[FiniteChain]) -> tuple[str, bool, str]:
     """Lemma 1, a^2 /\\ (~a)^2 = 0, at every rank of every chain in K."""
     name = "square-meet law a^2 /\\ (~a)^2 = 0 on every chain"
     for i, chain in enumerate(K):
@@ -160,7 +160,7 @@ def verify_reduction_instance(trace: ReductionTrace, K: Sequence[FiniteChain],
              is_classical_contradiction_prop(found.conjunction, budget),
              f"{found.m} instances at depth {found.depth}"),
             _star_shape_check(trace),
-            _square_meet_check(K),
+            square_meet_check(K),
         ))
     else:
         model = cert.structure or _find_b2_model(pu, max_domain, budget)

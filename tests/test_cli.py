@@ -129,11 +129,13 @@ def test_reduce_honours_a_relational_vocabulary(tmp_path, command):
 
 @pytest.mark.parametrize("command, formula, message", [
     ("reduce", "P(x)", "reduction input must be a sentence"),
-    ("bsr", "exists y. R(x, y)", "Bernays-Schonfinkel decider needs a sentence"),
+    ("bsr", "exists y. R(x, y)", "classical satisfiability needs a sentence: x is free"),
+    # the open input is refused before its function symbol is
+    ("bsr", "exists y. R(f(x), y)", "classical satisfiability needs a sentence: x is free"),
 ])
 def test_a_free_variable_is_refused(tmp_path, command, formula, message):
     vocab = tmp_path / "v.voc"
-    vocab.write_text("pred P/1\npred R/2\n")
+    vocab.write_text("pred P/1\npred R/2\nfun f/1\n")
     assert run([command, "--vocab", str(vocab), "--formula", formula]) == (1, f"error: {message}\n")
 
 
@@ -278,6 +280,21 @@ def test_check_lemma1_command():
     text = ok(["check-lemma1", "--enum", "5"])
     assert "result: all chains pass" in text
     assert "chains-checked: 53" in text  # 1+2+6+22 enumerated + 2*11 named
+
+
+def test_check_lemma1_with_no_chain_checks_none():
+    assert ok(["check-lemma1", "--enum", "1", "--luk", "1"]) == (
+        "result: all chains pass\nchains-checked: 0\n")
+
+
+def test_check_lemma1_reports_the_verifiers_lemma_1_failure(monkeypatch):
+    from fuzzyfo import reduction
+
+    # the size-2 chain comes first, then the two size-3 chains
+    monkeypatch.setattr(reduction, "check_square_meet_law",
+                        lambda chain: 1 if chain.size == 3 else None)
+    assert ok(["check-lemma1", "--enum", "3", "--luk", "3"]) == (
+        "result: FAILED: fails at rank 1 of chain 1 (size 3)\n")
 
 
 def test_phi_report_command():

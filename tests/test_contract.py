@@ -312,3 +312,34 @@ def test_each_lattice_operation_is_defined_once():
                                   'setattr(FiniteChain, "meet", min)'])
 def test_the_lattice_check_sees_each_definition(text):
     assert [line for _, line in _lattice_definitions(ast.parse(text))] == [1]
+
+
+def _uses(tree, name):
+    """The scope of each use of `name`, called or not; a def or an import is no use."""
+    return [where for where, _ in _mentions(tree, name)]
+
+
+def test_lemma_1_is_checked_in_one_place():
+    # `check-lemma1` and the verifier both ask `reduction.square_meet_check`,
+    # so Lemma 1 over a class of chains has one loop and one failure text
+    sites = [(path.stem, where) for path in SOURCES
+             for where in _uses(_tree(path), "check_square_meet_law")]
+    assert sites == [("reduction", "square_meet_check")]
+
+
+def test_the_ground_core_takes_a_sentence_through_one_entry():
+    # `_prenex_sentence` refuses a free variable before prenex can lift a
+    # binder over it, so no decider of the ground core prenexes by itself
+    tree = _tree(next(p for p in SOURCES if p.name == "decision.py"))
+    assert _uses(tree, "prenex") == ["_prenex_sentence"]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("check_square_meet_law", "witness = chains_mod.check_square_meet_law(chain)"),
+    ("check_square_meet_law", "def f(K):\n    return [check_square_meet_law(c) for c in K]"),
+    ("check_square_meet_law", "law = check_square_meet_law"),
+    ("prenex", "def bsr_decide(phi):\n    exists, prefix, matrix = prenex(classical_nnf(phi))"),
+    ("prenex", "parts = syntax.prenex(nnf)"),
+])
+def test_the_one_entry_checks_see_each_use(name, text):
+    assert len(_uses(ast.parse(text), name)) == 1

@@ -14,6 +14,8 @@ from fuzzyfo.semantics import BudgetExceededError, eval
 from fuzzyfo.syntax import BOTTOM, FragmentError, format_formula, parse
 from fuzzyfo.phi import PHI_TEXT
 
+from test_sat_core import PHP_4_3
+
 B2 = make_boolean_chain()
 L3 = make_lukasiewicz_chain(3)
 
@@ -113,12 +115,15 @@ def test_classical_contradiction_guards():
     # no cap on the atom count: the SAT core decides any size within its budget
     many = " /\\ ".join(f"P(c{i})" for i in range(30))
     assert is_classical_contradiction_prop(parse(many)) is False
-    # unit propagation alone settles the conjunction; the disjunction takes
-    # one decision per atom
+    # unit propagation alone settles the conjunction; the disjunction's first
+    # decision satisfies it, so no budget past 1 is charged
     wide = " \\/ ".join(f"P(c{i})" for i in range(30))
     assert is_classical_contradiction_prop(parse(wide)) is False
-    with pytest.raises(BudgetExceededError, match="SAT decisions"):
-        is_classical_contradiction_prop(parse(wide), budget=3)
+    assert is_classical_contradiction_prop(parse(wide), budget=1) is False
+    # pigeonhole PHP(4,3) is unsatisfiable and needs all of its 8 decisions
+    assert is_classical_contradiction_prop(parse(PHP_4_3), budget=8) is True
+    with pytest.raises(BudgetExceededError, match="^search space of 8 SAT decisions exceeds budget 7$"):
+        is_classical_contradiction_prop(parse(PHP_4_3), budget=7)
 
 
 def balanced_join(names):

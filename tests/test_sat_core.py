@@ -127,11 +127,29 @@ def test_clause_lists_match_the_truth_table(cnf):
         assert eval_propositional(B2, valuation, conjunction) == 1
 
 
+# pigeonhole PHP(4,3): pigeon i sits in hole j when Pij; no two share a hole
+PHP_4_3 = " /\\ ".join(
+    [f"(P{i}1 \\/ P{i}2 \\/ P{i}3)" for i in range(1, 5)]
+    + [f"(~P{i}{j} \\/ ~P{k}{j})" for j in range(1, 4) for i in range(1, 5) for k in range(i + 1, 5)])
+
+
 def test_decision_budget():
-    phi = parse(" \\/ ".join(f"P(c{i})" for i in range(8)))
-    assert prop_satisfiable(phi, budget=8) is not None
-    with pytest.raises(BudgetExceededError, match="^search space of 4 SAT decisions exceeds budget 3$"):
-        prop_satisfiable(phi, budget=3)
+    # unsatisfiable, so every one of its 8 decisions is needed
+    phi = parse(PHP_4_3)
+    assert prop_satisfiable(phi, budget=8) is None
+    with pytest.raises(BudgetExceededError, match="^search space of 8 SAT decisions exceeds budget 7$"):
+        prop_satisfiable(phi, budget=7)
+
+
+def test_a_satisfied_input_needs_no_decision_past_its_model(monkeypatch):
+    # the first decision satisfies the clause; the budget is not charged for the
+    # 29 atoms left undecided, which read 0
+    wide = " \\/ ".join(f"P(c{i})" for i in range(30))
+    assert prop_satisfiable(parse(wide), budget=1) == {Atom("P", (Const("c0"),)): 1}
+    monkeypatch.setenv("FUZZYFO_BUDGET", "1")
+    code, report = run(["bsr", "--formula", wide])
+    assert code == 0, report
+    assert "decided: True\n" in report
 
 
 def test_budget_error_default_text():
