@@ -10,7 +10,7 @@ import fuzzyfo.chains as chains_mod
 
 from fuzzyfo.chains import (
     ChainValidationError, EnumerationCapError, MAX_NAMED_CHAIN_SIZE, MAX_TABLE_CHAIN_SIZE,
-    _associative_through, _derive_residuum,
+    _derive_residuum,
     check_square_meet_law,
     STANDARD_CHAIN, FiniteChain, StandardChain, enumerate_mtl_chains,
     is_lukasiewicz, make_chain_from_table, make_godel_chain,
@@ -222,35 +222,6 @@ def test_residuation_is_checked_on_every_triple(monkeypatch):
                     assert got[0] == "residuation"
 
 
-def reference_associative_through(t, x):
-    for a in range(x + 1):
-        for p, q in ((a, x), (x, a)):
-            row_pq, row_p, row_q = t[t[p][q]], t[p], t[q]
-            for c, pq_c in enumerate(row_pq):
-                if pq_c != row_p[row_q[c]]:
-                    return False
-    return True
-
-
-def test_associative_through_equals_the_entry_loop():
-    # the enumerator's pruning check on complete rows 0..x with one entry of
-    # them changed (symmetrically, as the enumerator assigns): a weaker check
-    # would not change the enumeration, since every table is validated in full
-    outcomes = set()
-    for chain in enumerated_chains():
-        size = chain.size
-        for x in range(1, size - 1):
-            for a in range(1, x + 1):
-                for b in range(a, size - 1):
-                    for v in range(a + 1):
-                        table = [bytearray(row) for row in chain.tnorm_table]
-                        table[a][b] = table[b][a] = v
-                        expected = reference_associative_through(table, x)
-                        assert _associative_through(table, x) == expected
-                        outcomes.add(expected)
-    assert outcomes == {True, False}
-
-
 def test_every_size_7_chain_is_accepted_as_by_the_reference():
     found = list(enumerate_mtl_chains(7))
     assert len(found) == 451
@@ -321,12 +292,80 @@ def test_enumeration_counts(size, count):
     assert len(list(enumerate_mtl_chains(size))) == count
 
 
-def test_enumeration_propagates_a_table_the_pruning_let_through(monkeypatch):
-    # the pruning guarantees every axiom, so a rejected table is a pruning
-    # bug: with associativity pruning off, size 4 reaches a bad table
-    monkeypatch.setattr(chains_mod, "_associative_through", lambda t, x: True)
-    with pytest.raises(ChainValidationError):
+@pytest.fixture
+def fresh_enumeration():
+    """An empty per-size enumeration cache before the test and after it."""
+    chains_mod._mtl_chains.cache_clear()
+    yield
+    chains_mod._mtl_chains.cache_clear()
+
+
+def test_each_size_is_enumerated_and_validated_once(fresh_enumeration, monkeypatch):
+    tables, accepted = [], []
+
+    def counting(size, table):
+        tables.append(table)
+        chain = make_chain_from_table(size, table)
+        accepted.append(chain)
+        return chain
+
+    monkeypatch.setattr(chains_mod, "make_chain_from_table", counting)
+    first = list(enumerate_mtl_chains(5))
+    validated = len(tables)
+    second = list(enumerate_mtl_chains(5))
+    assert len(tables) == validated  # the second call validates nothing
+    assert len(first) == len(accepted) == 22
+    assert len(second) == 22 and all(a is b for a, b in zip(first, second))
+
+
+def test_the_chains_are_built_at_the_first_next(fresh_enumeration, monkeypatch):
+    # the size is checked at the call; a caller that checks several sizes
+    # first, as `enum:N` does, builds nothing when a later size is refused
+    built = []
+    monkeypatch.setattr(chains_mod, "make_chain_from_table",
+                        lambda *a: built.append(a) or make_chain_from_table(*a))
+    found = enumerate_mtl_chains(4)
+    assert built == []
+    next(found)
+    assert built
+
+
+def test_enumeration_skips_an_associativity_rejection(fresh_enumeration, monkeypatch):
+    godel = make_godel_chain(4)
+
+    def rejecting_godel(size, table):
+        chain = make_chain_from_table(size, table)
+        if chain == godel:
+            raise ChainValidationError("associativity", (1, 1, 1), "rejected")
+        return chain
+
+    expected = [c for c in unpruned_mtl_chains(4) if c != godel]
+    monkeypatch.setattr(chains_mod, "make_chain_from_table", rejecting_godel)
+    assert list(enumerate_mtl_chains(4)) == expected and len(expected) == 5
+
+
+@pytest.mark.parametrize("axiom", ["range", "commutativity", "identity", "monotonicity",
+                                   "residuation"])
+def test_enumeration_propagates_any_other_rejection(fresh_enumeration, monkeypatch, axiom):
+    # the monotonicity bounds give every law but associativity, so another
+    # rejection is an enumerator bug, not a table to skip
+    def rejecting(size, table):
+        raise ChainValidationError(axiom, (0,), "rejected")
+
+    monkeypatch.setattr(chains_mod, "make_chain_from_table", rejecting)
+    with pytest.raises(ChainValidationError) as info:
         list(enumerate_mtl_chains(4))
+    assert info.value.axiom == axiom
+
+
+def test_the_enum_chain_list_is_new_on_each_call(fresh_enumeration):
+    from fuzzyfo import cli
+
+    first = cli._chains_up_to(5)
+    first.clear()
+    second = cli._chains_up_to(5)
+    assert second is not first and len(second) == 1 + 2 + 6 + 22
+    assert cli._chains_up_to(5) == second
 
 
 def unpruned_mtl_chains(size):

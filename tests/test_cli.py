@@ -293,8 +293,9 @@ def test_check_lemma1_reports_the_verifiers_lemma_1_failure(monkeypatch):
     # the size-2 chain comes first, then the two size-3 chains
     monkeypatch.setattr(reduction, "check_square_meet_law",
                         lambda chain: 1 if chain.size == 3 else None)
-    assert ok(["check-lemma1", "--enum", "3", "--luk", "3"]) == (
-        "result: FAILED: fails at rank 1 of chain 1 (size 3)\n")
+    assert run(["check-lemma1", "--enum", "3", "--luk", "3"]) == (2, (
+        "internal consistency failure: Lemma 1 failed check [square-meet law "
+        "a^2 /\\ (~a)^2 = 0 on every chain] (fails at rank 1 of chain 1 (size 3))\n"))
 
 
 def test_phi_report_command():
@@ -649,7 +650,9 @@ def test_chain_enumeration_above_the_fixed_cap_exits_1(argv):
     ["check-lemma1", "--enum", "8", "--luk", "2"],
 ])
 def test_chain_enumeration_above_the_cap_builds_no_table(monkeypatch, argv):
-    # every size is checked before the smaller ones are enumerated
+    # every size is checked before the smaller ones are enumerated; the
+    # cache is emptied so that no earlier test's enumeration hides a build
+    chains._mtl_chains.cache_clear()
     built = []
     build = chains.make_chain_from_table
     monkeypatch.setattr(chains, "make_chain_from_table", lambda *a: built.append(a) or build(*a))

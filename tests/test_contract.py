@@ -343,3 +343,36 @@ def test_the_ground_core_takes_a_sentence_through_one_entry():
 ])
 def test_the_one_entry_checks_see_each_use(name, text):
     assert len(_uses(ast.parse(text), name)) == 1
+
+
+def _calls(tree, name):
+    """The scope of each call of `name`, by its name or as an attribute."""
+    return [where for where, called in _mentions(tree, name) if called]
+
+
+def test_every_table_chain_is_validated():
+    # `make_chain_from_table` checks every chain law before it builds the
+    # chain, so no other code builds a `FiniteChain` from tables
+    sites = [(path.stem, where) for path in SOURCES
+             for where in _calls(_tree(path), "FiniteChain")]
+    assert sites == [("chains", "make_chain_from_table")]
+
+
+def test_each_chain_law_has_one_byte_level_check():
+    # the validator checks associativity and residuation by translating byte
+    # rows; the enumerator keeps no second check of its own
+    tree = _tree(next(p for p in SOURCES if p.name == "chains.py"))
+    assert set(_uses(tree, "translate")) == {"make_chain_from_table"}
+
+
+@pytest.mark.parametrize("name, text", [
+    ("FiniteChain", "chain = FiniteChain(size, table, residuum)"),
+    ("FiniteChain", "chain = chains_mod.FiniteChain(2, ((0, 0), (0, 1)), ((1, 1), (0, 1)))"),
+    ("FiniteChain", "def f(size, t, r):\n    return [FiniteChain(size, t, r)]"),
+    ("translate", "right = flat.translate(row + pad)"),
+    ("translate", "left = b''.join(map(row.translate, at_most))"),
+    ("translate", "def f(t, x):\n    return t[x].translate(t[0])"),
+])
+def test_the_validation_checks_see_each_spelling(name, text):
+    uses = _calls if name == "FiniteChain" else _uses
+    assert len(uses(ast.parse(text), name)) == 1
